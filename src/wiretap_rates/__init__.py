@@ -40,7 +40,6 @@ from .oracle import (
     mi_gaussian,
     rate_general_oracle,
     rate_orthogonal_oracle,
-    schur_conditional_variance,
 )
 from .optimize import (
     OptimizationResult,
@@ -94,7 +93,6 @@ __all__ = [
     "mi_gaussian",
     "rate_general_oracle",
     "rate_orthogonal_oracle",
-    "schur_conditional_variance",
     "OptimizationResult",
     "SearchConfig",
     "correlation_grid_axis",

@@ -2,7 +2,9 @@
 
 Scenario configs are JSON with a ``kind`` selecting the model and blocks of
 dataclass fields; unknown keys anywhere are rejected.  Exit codes: 0 on
-success, 1 on configuration problems, 2 when a numerical audit fails.
+success, 1 on configuration problems (including parameters a sweep takes out
+of their domain and searches over their evaluation budget), 2 when a
+numerical audit fails.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .audit import (
     run_audit,
 )
 from .core import DomainError
-from .discrete import DMChannel, sup_inf_rate
+from .discrete import DMChannel, GridBudgetError, sup_inf_rate
 from .gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
@@ -39,6 +41,7 @@ from .optimize import OptimizationResult, SearchConfig, optimize_general
 
 __all__ = [
     "ConfigError",
+    "MAX_SWEEP_ROWS",
     "ScenarioConfig",
     "load_config",
     "sweep_values",
@@ -62,6 +65,10 @@ _GENERAL_COLUMNS = ("R_nc", "R_pc", "R_og", "R_njg", "R_g")
 _ORTHOGONAL_COLUMNS = ("R_nc", "R_pc", "R_og")
 
 
+#: Largest number of rows a sweep may ask for.
+MAX_SWEEP_ROWS = 100_000
+
+
 class ConfigError(ValueError):
     """A scenario file is malformed or inconsistent."""
 
@@ -74,10 +81,26 @@ class SweepSettings:
     step: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("start", "stop", "step"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ConfigError(f"sweep {name} must be finite, got {v!r}")
         if self.step <= 0.0:
             raise ConfigError(f"sweep step must be positive, got {self.step!r}")
         if self.stop < self.start:
             raise ConfigError("sweep stop must be >= start")
+        # Compared before rounding down: the quotient can overflow to inf.
+        if _row_span(self) >= MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"sweep asks for more than {MAX_SWEEP_ROWS} rows "
+                f"({self.start!r} to {self.stop!r} in steps of {self.step!r})"
+            )
+
+
+def _row_span(sweep: SweepSettings) -> float:
+    # Rows after the first, before rounding down; the slack tolerates float
+    # drift.
+    return (sweep.stop - sweep.start) / sweep.step + 1e-6
 
 
 @dataclass(frozen=True)
@@ -257,7 +280,7 @@ def load_config(spec: str) -> ScenarioConfig:
 
 def sweep_values(sweep: SweepSettings) -> list[float]:
     """start, start+step, ... through stop; the count tolerates float drift."""
-    n = int(math.floor((sweep.stop - sweep.start) / sweep.step + 1e-6)) + 1
+    n = math.floor(_row_span(sweep)) + 1
     return [sweep.start + i * sweep.step for i in range(n)]
 
 
@@ -573,6 +596,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 1
+    except GridBudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
         return 1
 
 

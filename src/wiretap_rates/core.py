@@ -42,7 +42,10 @@ def theta(x: float) -> float:
 
 
 def correlation_determinant(rho_1: float, rho_2: float, rho_12: float) -> float:
-    """Determinant of the 3x3 correlation matrix with unit diagonal."""
+    """Determinant of the 3x3 correlation matrix with unit diagonal.
+
+    Plain arithmetic, so it also evaluates elementwise on numpy arrays.
+    """
     return (
         1.0
         + 2.0 * rho_1 * rho_2 * rho_12

@@ -187,14 +187,7 @@ def minimize_rate(
         r1 = np.repeat(r1_vals, n * n)
         r2 = np.tile(g2, r1_vals.size)
         r12 = np.tile(g12, r1_vals.size)
-        det = (
-            1.0
-            + 2.0 * r1 * r2 * r12
-            - r1 * r1
-            - r2 * r2
-            - r12 * r12
-        )
-        mask = det >= -PSD_SLACK
+        mask = correlation_determinant(r1, r2, r12) >= -PSD_SLACK
         if not mask.any():
             continue
         vr1, vr2, vr12 = r1[mask], r2[mask], r12[mask]

@@ -11,10 +11,12 @@ with det of the empty set equal to 1.  Agreement with the closed forms is
 checked term by term in the tests and by the audit tooling, which is the
 point: the two routes share no algebra.
 
-All determinant and inverse computations add a relative regularization floor
-``REG_FLOOR`` times the largest diagonal entry of the full covariance to the
-diagonal, which makes degenerate inputs (zero powers, fully correlated
-inputs) evaluate to their natural limits instead of failing.
+Every determinant is taken by one batched helper on a stack of covariance
+matrices: a scalar evaluation is a stack of one, and the near-boundary points
+of the vectorized grid route go through it as one stack.  It adds a relative
+regularization floor ``REG_FLOOR`` times the largest diagonal entry of each
+full covariance to the diagonal, which makes degenerate inputs (zero powers,
+fully correlated inputs) evaluate to their natural limits instead of failing.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "build_joint_covariance_general",
     "build_joint_covariance_orthogonal",
     "mi_gaussian",
-    "schur_conditional_variance",
     "rate_general_oracle",
     "rate_orthogonal_oracle",
     "general_rate_terms_grid",
@@ -48,7 +49,7 @@ __all__ = [
     "ORTHOGONAL_LABELS",
 ]
 
-#: Relative diagonal regularization applied before determinants and inverses.
+#: Relative diagonal regularization applied before determinants.
 REG_FLOOR = 1e-12
 
 # Correlation-matrix determinant below which the vectorized factored route
@@ -71,6 +72,55 @@ ORTHOGONAL_LABELS = (
 )
 
 
+# Index sets (A, B, C) of one conditional mutual information I(A; B | C).
+_Term = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _term_indices(
+    labels: tuple[str, ...], terms: Iterable[tuple[list[str], list[str], list[str]]]
+) -> tuple[_Term, ...]:
+    return tuple(
+        tuple(tuple(labels.index(v) for v in group) for group in term)
+        for term in terms
+    )
+
+
+# (A, B, C) of I(A; B | C) for the main rate, the joint leakage and the two
+# single-eavesdropper leakages, in RateBreakdown order.
+_GENERAL_TERMS = _term_indices(
+    GENERAL_LABELS,
+    (
+        (["X_l"], ["Y_l"], []),
+        (["X_l"], ["Y_1e", "Y_2e"], ["X_1e", "X_2e"]),
+        (["X_l", "X_1e", "X_2e"], ["Y_1e"], []),
+        (["X_l", "X_1e", "X_2e"], ["Y_2e"], []),
+    ),
+)
+_ORTHOGONAL_TERMS = _term_indices(
+    ORTHOGONAL_LABELS,
+    (
+        (["X_l"], ["Y_l"], []),
+        (["X_l"], ["Y_1e_m", "Y_1e_c", "Y_2e_m", "Y_2e_c"], ["X_1e", "X_2e"]),
+        (["X_l", "X_1e", "X_2e"], ["Y_1e_m", "Y_1e_c"], []),
+        (["X_l", "X_1e", "X_2e"], ["Y_2e_m", "Y_2e_c"], []),
+    ),
+)
+
+
+def _check_covariances(stack: np.ndarray) -> None:
+    """Raise unless every matrix of a (K, n, n) stack is a covariance.
+
+    Each must be symmetric to 1e-12 and have no eigenvalue below -1e-10,
+    both relative to its largest diagonal magnitude (at least 1).
+    """
+    scale = np.maximum(np.abs(stack.diagonal(0, 1, 2)).max(axis=1), 1.0)
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    if (asym > 1e-12 * scale).any():
+        raise DomainError("covariance matrix is not symmetric")
+    if (np.linalg.eigvalsh(stack).min(axis=1) < -1e-10 * scale).any():
+        raise DomainError("covariance matrix is not positive semidefinite")
+
+
 @dataclass(frozen=True)
 class JointCovariance:
     """A labelled joint covariance matrix of transmit signals and outputs.
@@ -87,11 +137,7 @@ class JointCovariance:
         n = len(self.labels)
         if m.shape != (n, n):
             raise DomainError(f"covariance shape {m.shape} does not match {n} labels")
-        scale = max(float(np.max(np.abs(np.diag(m)))), 1.0)
-        if float(np.max(np.abs(m - m.T))) > 1e-12 * scale:
-            raise DomainError("covariance matrix is not symmetric")
-        if float(np.min(np.linalg.eigvalsh(m))) < -1e-10 * scale:
-            raise DomainError("covariance matrix is not positive semidefinite")
+        _check_covariances(m[np.newaxis])
         object.__setattr__(self, "matrix", m)
 
     def index(self, label: str) -> int:
@@ -102,39 +148,49 @@ class JointCovariance:
 
 
 def _input_covariance(
-    P_l: float, P_1e: float, P_2e: float, rho: CorrelationTriple
+    P_l: float,
+    P_1e: float,
+    P_2e: float,
+    rho_1: float | np.ndarray,
+    rho_2: float | np.ndarray,
+    rho_12: float | np.ndarray,
 ) -> np.ndarray:
-    a1 = rho.rho_1 * math.sqrt(P_l * P_1e)
-    a2 = rho.rho_2 * math.sqrt(P_l * P_2e)
-    a12 = rho.rho_12 * math.sqrt(P_1e * P_2e)
-    return np.array(
-        [
-            [P_l, a1, a2],
-            [a1, P_1e, a12],
-            [a2, a12, P_2e],
-        ]
-    )
+    """(K, 3, 3) covariances of (X_l, X_1e, X_2e) at K correlation triples.
+
+    The correlations are equally shaped arrays of K values, or floats for K=1.
+    """
+    a1 = rho_1 * math.sqrt(P_l * P_1e)
+    a2 = rho_2 * math.sqrt(P_l * P_2e)
+    a12 = rho_12 * math.sqrt(P_1e * P_2e)
+    s = np.empty((np.size(a1), 3, 3))
+    s[:, 0, 0] = P_l
+    s[:, 1, 1] = P_1e
+    s[:, 2, 2] = P_2e
+    s[:, 0, 1] = s[:, 1, 0] = a1
+    s[:, 0, 2] = s[:, 2, 0] = a2
+    s[:, 1, 2] = s[:, 2, 1] = a12
+    return s
 
 
 def _assemble(
-    labels: tuple[str, ...],
-    inputs_cov: np.ndarray,
-    gain_rows: np.ndarray,
-    noise_diag: np.ndarray,
-) -> JointCovariance:
-    # Outputs are gain_rows @ inputs + independent noise, so the joint
-    # covariance is the usual linear-map block matrix.
+    inputs_cov: np.ndarray, gain_rows: np.ndarray, noise_diag: np.ndarray
+) -> np.ndarray:
+    # Outputs are gain_rows @ inputs + independent noise, so each joint
+    # covariance of the stack is the usual linear-map block matrix.
     cross = inputs_cov @ gain_rows.T
     out = gain_rows @ cross + np.diag(noise_diag)
-    top = np.hstack([inputs_cov, cross])
-    bottom = np.hstack([cross.T, out])
-    return JointCovariance(labels, np.vstack([top, bottom]))
+    top = np.concatenate([inputs_cov, cross], axis=2)
+    bottom = np.concatenate([cross.transpose(0, 2, 1), out], axis=2)
+    return np.concatenate([top, bottom], axis=1)
 
 
-def build_joint_covariance_general(
-    p: GeneralGaussianParams, rho: CorrelationTriple
-) -> JointCovariance:
-    """Joint covariance of (X_l, X_1e, X_2e, Y_l, Y_1e, Y_2e), shared band.
+def _general_covariances(
+    p: GeneralGaussianParams,
+    rho_1: float | np.ndarray,
+    rho_2: float | np.ndarray,
+    rho_12: float | np.ndarray,
+) -> np.ndarray:
+    """(K, 6, 6) joint covariances of GENERAL_LABELS at K correlation triples.
 
     Output equations: the legitimate receiver hears everything, each
     eavesdropper hears the legitimate signal and the other eavesdropper.
@@ -148,7 +204,20 @@ def build_joint_covariance_general(
     )
     noise = np.array([p.N_l, p.N_1e, p.N_2e])
     return _assemble(
-        GENERAL_LABELS, _input_covariance(p.P_l, p.P_1e, p.P_2e, rho), gains, noise
+        _input_covariance(p.P_l, p.P_1e, p.P_2e, rho_1, rho_2, rho_12), gains, noise
+    )
+
+
+def build_joint_covariance_general(
+    p: GeneralGaussianParams, rho: CorrelationTriple
+) -> JointCovariance:
+    """Joint covariance of (X_l, X_1e, X_2e, Y_l, Y_1e, Y_2e), shared band.
+
+    Output equations: the legitimate receiver hears everything, each
+    eavesdropper hears the legitimate signal and the other eavesdropper.
+    """
+    return JointCovariance(
+        GENERAL_LABELS, _general_covariances(p, *rho.as_tuple())[0]
     )
 
 
@@ -173,9 +242,8 @@ def build_joint_covariance_orthogonal(
         ]
     )
     noise = np.array([p.N_l, p.N_1e_m, p.N_1e_c, p.N_2e_m, p.N_2e_c])
-    return _assemble(
-        ORTHOGONAL_LABELS, _input_covariance(p.P_l, p.P_1e, p.P_2e, rho), gains, noise
-    )
+    inputs = _input_covariance(p.P_l, p.P_1e, p.P_2e, *rho.as_tuple())
+    return JointCovariance(ORTHOGONAL_LABELS, _assemble(inputs, gains, noise)[0])
 
 
 def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
@@ -190,17 +258,49 @@ def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _logdet(cov: JointCovariance, idx: tuple[int, ...], eps: float) -> float:
-    if not idx:
-        return 0.0
-    sub = cov.matrix[np.ix_(idx, idx)] + eps * np.eye(len(idx))
-    sign, ld = np.linalg.slogdet(sub)
-    if sign <= 0.0:
-        raise DomainError(
-            "singular covariance beyond the regularization floor for "
-            f"variables {[cov.labels[i] for i in idx]}"
-        )
-    return float(ld)
+def _cmi_terms(
+    stack: np.ndarray, terms: Iterable[_Term], labels: tuple[str, ...]
+) -> list[np.ndarray]:
+    """Raw I(A; B | C) in bits for each (A, B, C) on a (K, n, n) stack.
+
+    Returns one length-K array per term, before any sign policy.  Each
+    matrix gets its own floor, ``REG_FLOOR`` times its largest diagonal
+    entry (times 1 when that is not positive), on the diagonal of every
+    submatrix; each distinct ordered index tuple is factored once for all
+    terms.
+    """
+    scale = stack.diagonal(0, 1, 2).max(axis=1)
+    eps = REG_FLOOR * np.where(scale > 0.0, scale, 1.0)[:, np.newaxis]
+    logdets: dict[tuple[int, ...], np.ndarray | float] = {(): 0.0}
+
+    def logdet(idx: tuple[int, ...]) -> np.ndarray | float:
+        if idx not in logdets:
+            sub = stack.take(idx, axis=1).take(idx, axis=2)
+            # Every (len(idx) + 1)-th entry of a flattened submatrix is on
+            # its diagonal.
+            sub.reshape(-1, len(idx) ** 2)[:, :: len(idx) + 1] += eps
+            sign, ld = np.linalg.slogdet(sub)
+            if sign.min() <= 0.0:
+                raise DomainError(
+                    "singular covariance beyond the regularization floor for "
+                    f"variables {[labels[i] for i in idx]}"
+                )
+            logdets[idx] = ld
+        return logdets[idx]
+
+    return [
+        0.5 * (logdet(a + c) + logdet(b + c) - logdet(c) - logdet(a + b + c))
+        / math.log(2.0)
+        for a, b, c in terms
+    ]
+
+
+def _nonnegative(value: float) -> float:
+    """Truncate round-off below 0 to 0; raise below -NEG_TOL."""
+    if value < -NEG_TOL:
+        raise DomainError(f"mutual information evaluated to {value!r}; "
+                          "covariance is inconsistent")
+    return value if value > 0.0 else 0.0
 
 
 def mi_gaussian(
@@ -225,57 +325,16 @@ def mi_gaussian(
         to 0 when round-off drives it slightly negative.  A value below
         -NEG_TOL raises, since the identity cannot produce it.
     """
-    value = _cmi_value(cov, A, B, C)
-    if value < -NEG_TOL:
-        raise DomainError(f"mutual information evaluated to {value!r}; "
-                          "covariance is inconsistent")
-    return value if value > 0.0 else 0.0
-
-
-def _cmi_value(
-    cov: JointCovariance,
-    A: Sequence[str | int],
-    B: Sequence[str | int],
-    C: Sequence[str | int] = (),
-) -> float:
-    """Raw determinant-identity value, before the sign policy is applied."""
     ia, ib, ic = _resolve(cov, A), _resolve(cov, B), _resolve(cov, C)
     if set(ia) & set(ib) or set(ia) & set(ic) or set(ib) & set(ic):
         raise DomainError("mutual-information variable sets must be disjoint")
-    scale = float(np.max(np.diag(cov.matrix)))
-    eps = REG_FLOOR * (scale if scale > 0.0 else 1.0)
-    ld_ac = _logdet(cov, ia + ic, eps)
-    ld_bc = _logdet(cov, ib + ic, eps)
-    ld_c = _logdet(cov, ic, eps)
-    ld_abc = _logdet(cov, ia + ib + ic, eps)
-    return 0.5 * (ld_ac + ld_bc - ld_c - ld_abc) / math.log(2.0)
+    (value,) = _cmi_terms(cov.matrix[np.newaxis], [(ia, ib, ic)], cov.labels)
+    return _nonnegative(float(value[0]))
 
 
-def schur_conditional_variance(
-    cov: JointCovariance, target: str | int, given: Sequence[str | int]
-) -> float:
-    """Residual variance of ``target`` after linear estimation from ``given``.
-
-    Computes S_tt - S_tg (S_gg)^-1 S_gt with the regularized S_gg.  The
-    result is clipped at 0; it can only dip below through round-off.
-    """
-    (it,) = _resolve(cov, [target])
-    ig = _resolve(cov, given)
-    if it in ig:
-        raise DomainError("target variable cannot appear in the conditioning set")
-    tt = float(cov.matrix[it, it])
-    if not ig:
-        return tt
-    scale = float(np.max(np.diag(cov.matrix)))
-    eps = REG_FLOOR * (scale if scale > 0.0 else 1.0)
-    gg = cov.matrix[np.ix_(ig, ig)] + eps * np.eye(len(ig))
-    tg = cov.matrix[it, list(ig)]
-    try:
-        v = tt - float(tg @ np.linalg.solve(gg, tg))
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("conditioning covariance is singular beyond the "
-                          "regularization floor") from exc
-    return v if v > 0.0 else 0.0
+def _breakdown(cov: JointCovariance, terms: Iterable[_Term]) -> RateBreakdown:
+    values = _cmi_terms(cov.matrix[np.newaxis], terms, cov.labels)
+    return combine_breakdown(*(_nonnegative(float(v[0])) for v in values))
 
 
 def rate_general_oracle(
@@ -290,12 +349,7 @@ def rate_general_oracle(
     Total on degenerate parameters (zero powers, |rho_12| = 1): the
     regularization floor turns them into the correct limits.
     """
-    cov = build_joint_covariance_general(p, rho)
-    main = mi_gaussian(cov, ["X_l"], ["Y_l"])
-    leak_joint = mi_gaussian(cov, ["X_l"], ["Y_1e", "Y_2e"], ["X_1e", "X_2e"])
-    leak_1 = mi_gaussian(cov, ["X_l", "X_1e", "X_2e"], ["Y_1e"])
-    leak_2 = mi_gaussian(cov, ["X_l", "X_1e", "X_2e"], ["Y_2e"])
-    return combine_breakdown(main, leak_joint, leak_1, leak_2)
+    return _breakdown(build_joint_covariance_general(p, rho), _GENERAL_TERMS)
 
 
 def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
@@ -304,17 +358,7 @@ def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
     Single-eavesdropper leakage pairs each eavesdropper's listening output
     with its cross-band output.
     """
-    cov = build_joint_covariance_orthogonal(p)
-    main = mi_gaussian(cov, ["X_l"], ["Y_l"])
-    leak_joint = mi_gaussian(
-        cov,
-        ["X_l"],
-        ["Y_1e_m", "Y_1e_c", "Y_2e_m", "Y_2e_c"],
-        ["X_1e", "X_2e"],
-    )
-    leak_1 = mi_gaussian(cov, ["X_l", "X_1e", "X_2e"], ["Y_1e_m", "Y_1e_c"])
-    leak_2 = mi_gaussian(cov, ["X_l", "X_1e", "X_2e"], ["Y_2e_m", "Y_2e_c"])
-    return combine_breakdown(main, leak_joint, leak_1, leak_2)
+    return _breakdown(build_joint_covariance_orthogonal(p), _ORTHOGONAL_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +381,10 @@ def general_rate_terms_grid(
     factorizations instead of LU decompositions.  The tests pin this
     equivalence pointwise.
 
-    Entries whose correlation triple is not positive semidefinite do not
-    describe a covariance; those come back as NaN.
+    Points near the boundary of the valid set go through the same batched
+    log-det route as :func:`rate_general_oracle`, so there the two agree
+    exactly.  Entries whose correlation triple is not finite or lies outside
+    the valid set do not describe a covariance; those come back as NaN.
     """
     r1 = np.asarray(rho_1, dtype=float)
     r2 = np.asarray(rho_2, dtype=float)
@@ -473,46 +519,31 @@ def general_rate_terms_grid(
     # above lose all significance (true determinants shrink to the
     # regularization floor while the summands stay order one), and the
     # garbage can come out finite.  Those points, plus anything non-finite,
-    # go through the slogdet route instead.  With condition numbers near
-    # 1/REG_FLOOR the identity cannot be certified to NEG_TOL there, so
-    # small negative values are clamped rather than raised.
-    det_rho = (
-        1.0
-        + 2.0 * r1 * r2 * r12
-        - r1 * r1
-        - r2 * r2
-        - r12 * r12
-    )
-    bad = (det_rho < _FACTORED_MIN_RHO_DET) | ~(
+    # go through the scalar oracle's log-det route as one stack instead.
+    # With condition numbers near 1/REG_FLOOR the identity cannot be
+    # certified to NEG_TOL there, so small negative values are clamped
+    # rather than raised.
+    bad = (correlation_determinant(r1, r2, r12) < _FACTORED_MIN_RHO_DET) | ~(
         np.isfinite(main)
         & np.isfinite(leak_joint)
         & np.isfinite(leak_s1)
         & np.isfinite(leak_s2)
     )
-    if np.any(bad):
-        for i in np.flatnonzero(bad.ravel()):
-            t1 = float(r1.flat[i])
-            t2 = float(r2.flat[i])
-            t12 = float(r12.flat[i])
-            if (
-                max(abs(t1), abs(t2), abs(t12)) > 1.0
-                or correlation_determinant(t1, t2, t12) < -PSD_SLACK
-            ):
-                # Not a covariance at all; the caller is expected to mask
-                # such points out, so flag them instead of guessing.
-                main.flat[i] = math.nan
-                leak_joint.flat[i] = math.nan
-                leak_s1.flat[i] = math.nan
-                leak_s2.flat[i] = math.nan
-                continue
-            rho = CorrelationTriple(t1, t2, t12)
-            cov = build_joint_covariance_general(p, rho)
-            inputs = ["X_l", "X_1e", "X_2e"]
-            main.flat[i] = max(0.0, _cmi_value(cov, ["X_l"], ["Y_l"]))
-            leak_joint.flat[i] = max(
-                0.0,
-                _cmi_value(cov, ["X_l"], ["Y_1e", "Y_2e"], ["X_1e", "X_2e"]),
-            )
-            leak_s1.flat[i] = max(0.0, _cmi_value(cov, inputs, ["Y_1e"]))
-            leak_s2.flat[i] = max(0.0, _cmi_value(cov, inputs, ["Y_2e"]))
+    idx = np.flatnonzero(bad)
+    if idx.size:
+        t1, t2, t12 = r1.flat[idx], r2.flat[idx], r12.flat[idx]
+        valid = (
+            np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t12)) <= 1.0
+        ) & (correlation_determinant(t1, t2, t12) >= -PSD_SLACK)
+        outputs = (main, leak_joint, leak_s1, leak_s2)
+        # Not a covariance at all; the caller is expected to mask such
+        # points out, so flag them instead of guessing.
+        for arr in outputs:
+            arr.flat[idx[~valid]] = math.nan
+        if valid.any():
+            stack = _general_covariances(p, t1[valid], t2[valid], t12[valid])
+            _check_covariances(stack)
+            values = _cmi_terms(stack, _GENERAL_TERMS, GENERAL_LABELS)
+            for arr, value in zip(outputs, values):
+                arr.flat[idx[valid]] = np.where(value > 0.0, value, 0.0)
     return main, leak_joint, leak_s1, leak_s2

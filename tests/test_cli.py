@@ -296,3 +296,45 @@ def test_unreadable_output_path_is_io_error(tmp_path, capsys):
                str(tmp_path / "missing_dir" / "x.csv")])
     assert rc == 1
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"start": 0.0, "stop": 1.0, "step": float("nan")},
+        {"start": 0.0, "stop": float("inf"), "step": 0.5},
+        {"start": 0.0, "stop": 1e6, "step": 1e-3},
+        {"start": -1.0, "stop": 1.0, "step": 0.5},
+    ],
+    ids=["nan-step", "infinite-stop", "too-many-rows", "P_l-out-of-domain"],
+)
+def test_sweep_bad_range_exits_with_one_line(tmp_path, capsys, sweep):
+    path = write_config(tmp_path, {
+        "kind": "general-gaussian",
+        "orthogonal": ORTHO_BLOCK,
+        "general": GENERAL_BLOCK,
+        "sweep": dict(sweep, parameter="P_l"),
+    })
+    rc = main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(("config error", "domain error"))
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_dm_over_budget_exits_with_one_line(tmp_path, capsys):
+    from importlib.resources import files
+    (tmp_path / "ch.dmc").write_text(
+        (files("wiretap_rates") / "configs" / "bsc_degraded.dmc").read_text()
+    )
+    path = write_config(tmp_path, {
+        "kind": "dm",
+        "dm": {"channel_file": "ch.dmc", "grid_resolution": 0.05,
+               "max_evaluations": 3},
+    })
+    rc = main(["dm", "--config", path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("budget error")

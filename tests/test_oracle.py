@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,18 @@ from wiretap_rates.audit import (
     draw_general_params,
     draw_orthogonal_params,
 )
-from wiretap_rates.core import CorrelationTriple, DomainError, ZERO_RHO, theta
+from wiretap_rates import oracle
+from wiretap_rates.cli import load_config
+from wiretap_rates.core import (
+    PSD_SLACK,
+    CorrelationTriple,
+    DomainError,
+    ZERO_RHO,
+    correlation_determinant,
+    theta,
+)
 from wiretap_rates.gaussian import GeneralGaussianParams
+from wiretap_rates.optimize import correlation_grid_axis
 from wiretap_rates.oracle import (
     GENERAL_LABELS,
     ORTHOGONAL_LABELS,
@@ -21,7 +32,6 @@ from wiretap_rates.oracle import (
     mi_gaussian,
     rate_general_oracle,
     rate_orthogonal_oracle,
-    schur_conditional_variance,
 )
 from refpoints import GEN_POINT, OG_POINT
 
@@ -114,17 +124,6 @@ def test_mi_gaussian_accepts_integer_indices():
     assert mi_gaussian(cov, [0], [3]) == mi_gaussian(cov, ["X_l"], ["Y_l"])
 
 
-def test_schur_conditional_variance_two_variables():
-    P, N = 2.0, 1.0
-    m = np.array([[P, P], [P, P + N]])
-    cov = JointCovariance(("X", "Y"), m)
-    # var(X | Y) = P - P^2/(P+N)
-    assert schur_conditional_variance(cov, "X", ["Y"]) == pytest.approx(
-        P - P * P / (P + N), rel=1e-9
-    )
-    assert schur_conditional_variance(cov, "X", []) == pytest.approx(P)
-
-
 def test_oracle_routes_are_independent_of_regularization_scale():
     # scaling all powers and noises by a common factor leaves rates unchanged
     rng = AuditRng(31)
@@ -141,7 +140,6 @@ def test_oracle_routes_are_independent_of_regularization_scale():
 
 def test_degenerate_powers_evaluate_to_limits():
     # zero eavesdropper power: joint leakage collapses to the listening terms
-    import dataclasses
     p = dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0)
     b = rate_general_oracle(p, ZERO_RHO)
     expect = theta(
@@ -154,7 +152,6 @@ def test_grid_matches_scalar_oracle_interior():
     axis = np.array([-0.6, -0.3, 0.0, 0.3, 0.6])
     r1, r2, r12 = np.meshgrid(axis, axis, axis, indexing="ij")
     main, joint, s1, s2 = general_rate_terms_grid(GEN_POINT, r1, r2, r12)
-    from wiretap_rates.core import correlation_determinant
     worst = 0.0
     for i in range(axis.size):
         for j in range(axis.size):
@@ -193,23 +190,55 @@ def test_grid_boundary_points_stay_finite():
         assert np.all(arr >= 0.0)
 
 
-def test_grid_near_boundary_matches_scalar_loosely():
-    # just inside the feasibility surface the factored route hands over to
-    # the fallback; agreement with the scalar route stays far below the
-    # audit tolerance
-    eps = 1e-4
-    t = CorrelationTriple(1.0 - eps, 1.0 - eps, 1.0 - eps)
-    main, joint, s1, s2 = general_rate_terms_grid(
-        GEN_POINT,
-        np.array([t.rho_1]),
-        np.array([t.rho_2]),
-        np.array([t.rho_12]),
-    )
-    o = rate_general_oracle(GEN_POINT, t)
-    assert abs(main[0] - o.main_rate) <= 1e-6
-    assert abs(joint[0] - o.leak_joint) <= 1e-6
-    assert abs(s1[0] - o.leak_single_1) <= 1e-6
-    assert abs(s2[0] - o.leak_single_2) <= 1e-6
+@pytest.mark.parametrize("P_l", [0.0, 1.0, 20.0])
+def test_grid_fallback_points_equal_scalar_oracle(P_l):
+    # Just inside the feasibility surface the factored route hands points
+    # over to the scalar oracle's log-det route, so every such point of the
+    # fig3a search grid, and one a hair from the all-ones corner, must equal
+    # the scalar oracle exactly.  Infeasible points come back NaN.  Where the
+    # input covariance is singular, the joint leakage can evaluate below
+    # -NEG_TOL: the scalar route refuses that term and the grid clamps it.
+    p = dataclasses.replace(load_config("fig3a").general, P_l=P_l)
+    axis = correlation_grid_axis(0.05)
+    grids = np.meshgrid(axis, axis, axis, indexing="ij")
+    r1, r2, r12 = (np.append(g.ravel(), 1.0 - 1e-4) for g in grids)
+    terms = general_rate_terms_grid(p, r1, r2, r12)
+    det = correlation_determinant(r1, r2, r12)
+    invalid = det < -PSD_SLACK
+    for arr in terms:
+        assert np.all(np.isnan(arr[invalid]))
+        assert np.all(np.isfinite(arr[~invalid]))
+    fallback = np.flatnonzero(~invalid & (det < oracle._FACTORED_MIN_RHO_DET))
+    assert fallback.size > 200 and fallback[-1] == r1.size - 1
+    refused = 0
+    for k in fallback:
+        rho = CorrelationTriple(r1[k], r2[k], r12[k])
+        try:
+            o = rate_general_oracle(p, rho)
+        except DomainError:
+            refused += 1
+            cov = build_joint_covariance_general(p, rho)
+            want = tuple(_mi_or_refused(cov, *t) for t in GRID_TERMS)
+        else:
+            want = (o.main_rate, o.leak_joint, o.leak_single_1, o.leak_single_2)
+        assert tuple(arr[k] for arr in terms) == want
+    assert refused < fallback.size // 5
+
+
+GRID_TERMS = (
+    (["X_l"], ["Y_l"], []),
+    (["X_l"], ["Y_1e", "Y_2e"], ["X_1e", "X_2e"]),
+    (["X_l", "X_1e", "X_2e"], ["Y_1e"], []),
+    (["X_l", "X_1e", "X_2e"], ["Y_2e"], []),
+)
+
+
+def _mi_or_refused(cov, A, B, C):
+    try:
+        return mi_gaussian(cov, A, B, C)
+    except DomainError as exc:
+        assert "covariance is inconsistent" in str(exc)
+        return 0.0
 
 
 def test_grid_preserves_input_shape():
