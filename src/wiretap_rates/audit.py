@@ -27,12 +27,7 @@ from .gaussian import (
     single_eavesdropper_leakage,
 )
 from .optimize import is_valid_correlation
-from .oracle import (
-    build_joint_covariance_general,
-    mi_gaussian,
-    rate_general_oracle,
-    rate_orthogonal_oracle,
-)
+from .oracle import rate_general_oracle, rate_orthogonal_oracle
 
 __all__ = [
     "AUDIT_TOL",
@@ -206,27 +201,22 @@ def audit_general(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS,
         ):
             rows.append(_row(i, name, c, o, required=True))
 
-        cov = build_joint_covariance_general(p, rho)
-        inputs = ["X_l", "X_1e", "X_2e"]
-        s1_oracle = mi_gaussian(cov, inputs, ["Y_1e"])
-        s2_oracle = mi_gaussian(cov, inputs, ["Y_2e"])
+        oracle_rho = rate_general_oracle(p, rho)
         s1 = single_eavesdropper_leakage(1, p, rho, rho2_both)
         s2 = single_eavesdropper_leakage(2, p, rho, rho2_both)
-        rows.append(_row(i, "general/rho/single_1", s1, s1_oracle, required=True))
-        rows.append(_row(i, "general/rho/single_2", s2, s2_oracle,
+        rows.append(_row(i, "general/rho/single_1", s1, oracle_rho.leak_single_1,
+                         required=True))
+        rows.append(_row(i, "general/rho/single_2", s2, oracle_rho.leak_single_2,
                          required=not rho2_both))
 
-        main_oracle = mi_gaussian(cov, ["X_l"], ["Y_l"])
-        joint_oracle = mi_gaussian(cov, ["X_l"], ["Y_1e", "Y_2e"],
-                                   ["X_1e", "X_2e"])
         try:
             closed_rho = rate_general_closed(p, rho, rho2_both)
             main_c, joint_c = closed_rho.main_rate, closed_rho.leak_joint
         except DomainError:
             main_c = joint_c = math.nan
-        rows.append(_row(i, "general/rho/main", main_c, main_oracle,
+        rows.append(_row(i, "general/rho/main", main_c, oracle_rho.main_rate,
                          required=False))
-        rows.append(_row(i, "general/rho/joint", joint_c, joint_oracle,
+        rows.append(_row(i, "general/rho/joint", joint_c, oracle_rho.leak_joint,
                          required=False))
     return AuditReport(seed, draws, tuple(rows))
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "DomainError",
     "PSD_SLACK",
@@ -21,6 +23,7 @@ __all__ = [
     "RateBreakdown",
     "combine_breakdown",
     "correlation_determinant",
+    "valid_correlation",
 ]
 
 
@@ -55,6 +58,18 @@ def correlation_determinant(rho_1: float, rho_2: float, rho_12: float) -> float:
     )
 
 
+def valid_correlation(rho_1, rho_2, rho_12) -> np.ndarray:
+    """Elementwise: whether each triple forms a valid correlation matrix.
+
+    Valid means finite entries in [-1, 1] and a determinant of at least
+    -PSD_SLACK.  Takes floats or equally shaped arrays.
+    """
+    r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
+    with np.errstate(invalid="ignore", over="ignore"):
+        bounded = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r12)) <= 1.0
+        return bounded & (correlation_determinant(r1, r2, r12) >= -PSD_SLACK)
+
+
 @dataclass(frozen=True)
 class CorrelationTriple:
     """Pairwise correlations (rho_1, rho_2, rho_12) of (X_l, X_1e, X_2e).
@@ -74,15 +89,11 @@ class CorrelationTriple:
     rho_12: float
 
     def __post_init__(self) -> None:
-        for name in ("rho_1", "rho_2", "rho_12"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or abs(v) > 1.0:
-                raise DomainError(f"{name} must lie in [-1, 1], got {v!r}")
-        det = correlation_determinant(self.rho_1, self.rho_2, self.rho_12)
-        if det < -PSD_SLACK:
+        if not valid_correlation(self.rho_1, self.rho_2, self.rho_12):
             raise DomainError(
-                "correlation triple is not positive semidefinite: "
-                f"det={det!r} for ({self.rho_1}, {self.rho_2}, {self.rho_12})"
+                "correlation triple needs finite entries in [-1, 1] and a "
+                f"determinant >= -{PSD_SLACK}, got "
+                f"({self.rho_1}, {self.rho_2}, {self.rho_12})"
             )
 
     @property

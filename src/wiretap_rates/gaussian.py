@@ -261,7 +261,7 @@ def rate_general_closed(
 
     Preconditions: P_1e > 0, P_2e > 0 and |rho_12| < 1.  Degenerate
     parameters should be evaluated through the covariance route instead,
-    which regularizes them.  For some admissible correlation triples the
+    which takes them to their limits.  For some admissible correlation triples the
     printed expression leaves its own domain (a negative theta argument or a
     non-positive main-term denominator); a DomainError naming the offending
     quantity is raised in that case.

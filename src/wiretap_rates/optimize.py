@@ -14,24 +14,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     CorrelationTriple,
     DomainError,
-    PSD_SLACK,
     RateBreakdown,
     combine_breakdown,
-    correlation_determinant,
+    valid_correlation,
 )
-from .gaussian import (
-    GeneralGaussianParams,
-    rate_general_closed,
-    single_eavesdropper_leakage,
-)
-from .oracle import general_rate_terms_grid, rate_general_oracle
+from .gaussian import GeneralGaussianParams
+from .oracle import general_rate_terms_grid
 
 __all__ = [
     "SearchConfig",
@@ -98,12 +93,10 @@ class OptimizationResult:
 def is_valid_correlation(rho_1: float, rho_2: float, rho_12: float) -> bool:
     """Whether the triple forms a positive-semidefinite correlation matrix.
 
-    Entries must lie in [-1, 1] and the determinant must be >= -PSD_SLACK.
+    Entries must lie in [-1, 1] and the determinant must be >= -PSD_SLACK;
+    see :func:`wiretap_rates.core.valid_correlation`.
     """
-    for v in (rho_1, rho_2, rho_12):
-        if not math.isfinite(v) or abs(v) > 1.0:
-            return False
-    return correlation_determinant(rho_1, rho_2, rho_12) >= -PSD_SLACK
+    return bool(valid_correlation(rho_1, rho_2, rho_12))
 
 
 def correlation_grid_axis(resolution: float) -> np.ndarray:
@@ -125,34 +118,55 @@ GridObjective = Callable[
 ]
 
 
-def _terms_from_scalar(
-    objective: Callable[[CorrelationTriple], RateBreakdown],
-) -> GridObjective:
-    def run(r1: np.ndarray, r2: np.ndarray, r12: np.ndarray):
-        main = np.empty(r1.shape)
-        joint = np.empty(r1.shape)
-        s1 = np.empty(r1.shape)
-        s2 = np.empty(r1.shape)
-        for k in range(r1.size):
-            b = objective(CorrelationTriple(float(r1[k]), float(r2[k]), float(r12[k])))
-            main[k] = b.main_rate
-            joint[k] = b.leak_joint
-            s1[k] = b.leak_single_1
-            s2[k] = b.leak_single_2
-        return main, joint, s1, s2
-
-    return run
+# A search point: (secure rate, (rho_1, rho_2, rho_12), the four terms).
+_Point = tuple[float, tuple[float, float, float], tuple[float, float, float, float]]
 
 
-def _secure(main, joint, s1, s2):
-    return np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
+def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndarray):
+    """Secure rates at the given triples, and the search point at an index."""
+    main, joint, s1, s2 = terms(r1, r2, r12)
+    sec = np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
+    # A nan would win argmin and then lose every comparison; exclude it.
+    sec = np.where(np.isfinite(sec), sec, np.inf)
+
+    def point(k: int) -> _Point:
+        return (
+            float(sec[k]),
+            (float(r1[k]), float(r2[k]), float(r12[k])),
+            (float(main[k]), float(joint[k]), float(s1[k]), float(s2[k])),
+        )
+
+    return sec, point
 
 
-def minimize_rate(
-    objective: Callable[[CorrelationTriple], RateBreakdown],
-    cfg: SearchConfig,
-    grid_objective: GridObjective | None = None,
-) -> OptimizationResult:
+def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point) -> tuple[_Point, int]:
+    """Coordinate descent from ``best``; the final point and the evaluations."""
+    evaluations = 0
+    step = cfg.coarse_resolution
+    for _ in range(cfg.refine_iterations):
+        step *= cfg.refine_shrink
+        for _sweep in range(_MAX_SWEEPS_PER_PASS):
+            sweep_start = best[0]
+            for ax in range(3):
+                cands = []
+                for delta in (-step, step):
+                    c = list(best[1])
+                    c[ax] = min(1.0, max(-1.0, c[ax] + delta))
+                    if is_valid_correlation(*c):
+                        cands.append(c)
+                if not cands:
+                    continue
+                sec, point = _evaluate(terms, *np.array(cands).T)
+                evaluations += len(cands)
+                k = int(np.argmin(sec))
+                if sec[k] < best[0]:
+                    best = point(k)
+            if sweep_start - best[0] < cfg.tolerance:
+                break
+    return best, evaluations
+
+
+def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult:
     """Minimize a secrecy-rate objective over valid correlation triples.
 
     The coarse stage walks the full grid at ``cfg.coarse_resolution`` in
@@ -160,21 +174,25 @@ def minimize_rate(
     valid set; the first strictly smallest rate wins, so ties resolve to the
     lexicographically smallest triple.  Coordinate descent then shrinks the
     step by ``cfg.refine_shrink`` each pass and sweeps the three coordinates,
-    accepting only strictly improving, valid moves.  The reported rate can
-    therefore never exceed any coarse grid point's rate.
+    accepting only strictly improving, valid moves.  When the coarse
+    minimum lies on an edge of the valid set (some |rho| = 1), a second
+    descent starts from the best grid point off the edges, and the lower
+    result wins.  The reported rate can therefore never exceed any coarse
+    grid point's rate.
 
-    ``grid_objective``, when given, must evaluate the same objective over
-    equally shaped coordinate arrays and return the four term arrays
-    (main, leak_joint, leak_single_1, leak_single_2); it is used for every
-    evaluation instead of the scalar callable.  Objective errors propagate.
+    ``terms`` evaluates the objective over equally shaped arrays of
+    (rho_1, rho_2, rho_12) and returns the four term arrays (main,
+    leak_joint, leak_single_1, leak_single_2) that the secure rate combines
+    as in :func:`wiretap_rates.core.combine_breakdown`.  Objective errors
+    propagate.
     """
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
-    terms = grid_objective if grid_objective is not None else _terms_from_scalar(objective)
 
-    best_val = math.inf
-    best_triple: tuple[float, float, float] | None = None
-    best_terms: tuple[float, float, float, float] | None = None
+    # The first strictly smallest grid point overall, and off the edges of
+    # the valid set (every |rho| < 1).
+    best: _Point | None = None
+    best_off_edge: _Point | None = None
     evaluations = 0
 
     # Chunk over leading rho_1 values to bound memory at fine resolutions.
@@ -187,148 +205,51 @@ def minimize_rate(
         r1 = np.repeat(r1_vals, n * n)
         r2 = np.tile(g2, r1_vals.size)
         r12 = np.tile(g12, r1_vals.size)
-        mask = correlation_determinant(r1, r2, r12) >= -PSD_SLACK
+        mask = valid_correlation(r1, r2, r12)
         if not mask.any():
             continue
         vr1, vr2, vr12 = r1[mask], r2[mask], r12[mask]
-        main, joint, s1, s2 = terms(vr1, vr2, vr12)
-        sec = _secure(main, joint, s1, s2)
+        sec, point = _evaluate(terms, vr1, vr2, vr12)
         evaluations += int(vr1.size)
-        # A nan would win argmin and then lose every comparison; exclude it.
-        sec = np.where(np.isfinite(sec), sec, np.inf)
         k = int(np.argmin(sec))
-        if sec[k] < best_val:
-            best_val = float(sec[k])
-            best_triple = (float(vr1[k]), float(vr2[k]), float(vr12[k]))
-            best_terms = (float(main[k]), float(joint[k]), float(s1[k]), float(s2[k]))
+        if best is None or sec[k] < best[0]:
+            best = point(k)
+        # The chunk's first minimum is also its first minimum off the edges
+        # unless it lies on one.
+        if max(abs(vr1[k]), abs(vr2[k]), abs(vr12[k])) == 1.0:
+            on_edge = np.maximum(np.maximum(np.abs(vr1), np.abs(vr2)), np.abs(vr12)) == 1.0
+            k = int(np.argmin(np.where(on_edge, np.inf, sec)))
+            if on_edge[k]:
+                continue
+        if best_off_edge is None or sec[k] < best_off_edge[0]:
+            best_off_edge = point(k)
 
-    assert best_triple is not None  # origin is always valid, grid is never empty
+    assert best is not None  # origin is always valid, grid is never empty
 
-    step = cfg.coarse_resolution
-    for _ in range(cfg.refine_iterations):
-        step *= cfg.refine_shrink
-        for _sweep in range(_MAX_SWEEPS_PER_PASS):
-            sweep_start = best_val
-            for ax in range(3):
-                cands: list[tuple[float, float, float]] = []
-                for delta in (-step, step):
-                    c = list(best_triple)
-                    c[ax] = min(1.0, max(-1.0, c[ax] + delta))
-                    if is_valid_correlation(*c):
-                        cands.append(tuple(c))
-                if not cands:
-                    continue
-                cr1 = np.array([c[0] for c in cands])
-                cr2 = np.array([c[1] for c in cands])
-                cr12 = np.array([c[2] for c in cands])
-                main, joint, s1, s2 = terms(cr1, cr2, cr12)
-                sec = _secure(main, joint, s1, s2)
-                evaluations += len(cands)
-                sec = np.where(np.isfinite(sec), sec, np.inf)
-                k = int(np.argmin(sec))
-                if sec[k] < best_val:
-                    best_val = float(sec[k])
-                    best_triple = cands[k]
-                    best_terms = (float(main[k]), float(joint[k]), float(s1[k]), float(s2[k]))
-            if sweep_start - best_val < cfg.tolerance:
-                break
+    # On an edge of the valid set (some |rho| = 1) the rate can tie exactly
+    # with points off it, and coordinate descent cannot follow the edge:
+    # staying on it takes two coordinates moving together.  So when the grid
+    # minimum sits on an edge, the best point off the edges is refined too,
+    # and the lower result wins (the edge start on a tie).
+    starts = [best]
+    if best_off_edge is not None and max(map(abs, best[1])) == 1.0:
+        starts.append(best_off_edge)
+    descents = [_descend(terms, cfg, start) for start in starts]
+    evaluations += sum(used for _, used in descents)
+    _, rho, rate_terms = min((end for end, _ in descents), key=lambda end: end[0])
 
-    assert best_terms is not None
-    rho_star = CorrelationTriple(*best_triple)
-    rate = combine_breakdown(*best_terms)
-    boundary = rho_star.determinant <= cfg.coarse_resolution ** 2
+    rho_star = CorrelationTriple(*rho)
     return OptimizationResult(
         rho_star=rho_star,
-        rate=rate,
+        rate=combine_breakdown(*rate_terms),
         evaluations=evaluations,
-        on_boundary=boundary,
+        on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
     )
 
 
-def _closed_terms_grid(p: GeneralGaussianParams, rho2_both: bool) -> GridObjective:
-    """Vectorized verbatim closed form; raises where the expression is undefined."""
-    if p.P_1e <= 0.0 or p.P_2e <= 0.0:
-        raise DomainError(
-            "closed-form objective requires strictly positive eavesdropper powers"
-        )
-
-    def run(r1: np.ndarray, r2: np.ndarray, r12: np.ndarray):
-        g1, g2 = p.h_1e_l, p.h_2e_l
-        sp_l1 = math.sqrt(p.P_l * p.P_1e)
-        sp_l2 = math.sqrt(p.P_l * p.P_2e)
-        sp_12 = math.sqrt(p.P_1e * p.P_2e)
-
-        edge = np.abs(r12) >= 1.0
-        num = (
-            p.h_l ** 2 * p.P_l
-            + r1 ** 2 * g1 ** 2 * p.P_1e
-            + r2 ** 2 * g2 ** 2 * p.P_2e
-            + 2.0 * p.h_l * g1 * r1 * sp_l1
-            + 2.0 * p.h_l * g2 * r2 * sp_l2
-        )
-        den = (
-            g1 ** 2 * p.P_1e * (1.0 - r1 ** 2)
-            + g2 ** 2 * p.P_2e * (1.0 - r2 ** 2)
-            + 2.0 * g1 * g2 * r12 * sp_12
-            + p.N_l
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            residual = 1.0 - (
-                r1 ** 2 * p.P_1e ** 2
-                + r2 ** 2 * p.P_2e ** 2
-                + 2.0 * r1 * r2 * r12 * p.P_1e * p.P_2e
-            ) / (p.P_1e * p.P_2e * (1.0 - r12 ** 2))
-        joint_arg = p.P_l * residual * (p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e)
-        bad = edge | (den <= 0.0) | (num < 0.0) | (joint_arg < 0.0) | ~np.isfinite(joint_arg)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise DomainError(
-                "closed-form rate is undefined at rho="
-                f"({float(r1[k])}, {float(r2[k])}, {float(r12[k])}); "
-                "use the covariance objective for searches over this set"
-            )
-        main = 0.5 * np.log2(1.0 + num / den)
-        joint = 0.5 * np.log2(1.0 + joint_arg)
-
-        cross1 = r2
-        cross2 = r2 if rho2_both else r1
-        n1 = (
-            p.h_l_1e ** 2 * p.P_l
-            + p.h_2e_1e ** 2 * p.P_2e
-            + 2.0 * p.h_l_1e * p.h_2e_1e * cross1 * sp_l2
-        )
-        n2 = (
-            p.h_l_2e ** 2 * p.P_l
-            + p.h_1e_2e ** 2 * p.P_1e
-            + 2.0 * p.h_l_2e * p.h_1e_2e * cross2 * sp_l1
-        )
-        s1 = 0.5 * np.log2(1.0 + np.maximum(n1, 0.0) / p.N_1e)
-        s2 = 0.5 * np.log2(1.0 + np.maximum(n2, 0.0) / p.N_2e)
-        return main, joint, s1, s2
-
-    return run
-
-
-def optimize_general(
-    p: GeneralGaussianParams,
-    cfg: SearchConfig,
-    use_oracle: bool = True,
-) -> OptimizationResult:
+def optimize_general(p: GeneralGaussianParams, cfg: SearchConfig) -> OptimizationResult:
     """Worst-case coordination of the eavesdroppers in the shared-band model.
 
-    Runs :func:`minimize_rate` on the covariance-based objective by default.
-    ``use_oracle=False`` switches to the verbatim closed form, which is not
-    defined on all of the valid set for most parameters; searches over it
-    raise a DomainError at the first undefined grid point.
+    Runs :func:`minimize_rate` on :func:`general_rate_terms_grid`.
     """
-    if use_oracle:
-        return minimize_rate(
-            lambda rho: rate_general_oracle(p, rho),
-            cfg,
-            grid_objective=lambda r1, r2, r12: general_rate_terms_grid(p, r1, r2, r12),
-        )
-    return minimize_rate(
-        lambda rho: rate_general_closed(p, rho),
-        cfg,
-        grid_objective=_closed_terms_grid(p, rho2_both=False),
-    )
+    return minimize_rate(lambda r1, r2, r12: general_rate_terms_grid(p, r1, r2, r12), cfg)

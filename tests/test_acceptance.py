@@ -219,11 +219,7 @@ def test_criterion_09_optimizer_matches_exhaustive_reference():
             p = draw_general_params(rng)
             res = optimize_general(p, default)
             ref = minimize_rate(
-                lambda rho: rate_general_oracle(p, rho),
-                fine,
-                grid_objective=lambda r1, r2, r12: general_rate_terms_grid(
-                    p, r1, r2, r12
-                ),
+                lambda r1, r2, r12: general_rate_terms_grid(p, r1, r2, r12), fine
             )
             diff = abs(res.rate.secure_rate - ref.rate.secure_rate)
             assert diff <= 1e-3, (

@@ -93,8 +93,7 @@ def test_mi_gaussian_scalar_channel():
     P, N = 3.0, 0.5
     m = np.array([[P, P], [P, P + N]])
     cov = JointCovariance(("X", "Y"), m)
-    # the regularization floor shifts the value by O(1e-12)
-    assert mi_gaussian(cov, ["X"], ["Y"]) == pytest.approx(theta(P / N), abs=1e-9)
+    assert mi_gaussian(cov, ["X"], ["Y"]) == pytest.approx(theta(P / N), abs=1e-12)
 
 
 def test_mi_gaussian_symmetry_and_independence():
@@ -139,13 +138,41 @@ def test_oracle_routes_are_independent_of_regularization_scale():
 
 
 def test_degenerate_powers_evaluate_to_limits():
-    # zero eavesdropper power: joint leakage collapses to the listening terms
-    p = dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0)
-    b = rate_general_oracle(p, ZERO_RHO)
-    expect = theta(
-        p.P_l * (p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e)
+    # One case per degenerate branch of the grid (zero powers, |rho_12| = 1,
+    # |rho_2| = 1); the grid and the log-det reference must both reach the
+    # limit worked out by hand, and agree on all four terms.
+    p = GEN_POINT
+    gain = p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
+    rho = (0.3, -0.4, 0.2)
+    cases = (
+        # (params, rho, term index, limit): a zero-power input carries no
+        # information about X_l, so only the other one is conditioned on.
+        (dataclasses.replace(p, P_1e=0.0), rho, 1, theta(p.P_l * (1 - 0.4 ** 2) * gain)),
+        (dataclasses.replace(p, P_2e=0.0), rho, 1, theta(p.P_l * (1 - 0.3 ** 2) * gain)),
+        (dataclasses.replace(p, P_1e=0.0, P_2e=0.0), rho, 1, theta(p.P_l * gain)),
+        # No legitimate signal, no rate and no leakage.
+        (dataclasses.replace(p, P_l=0.0), rho, 0, 0.0),
+        (dataclasses.replace(p, P_l=0.0), rho, 1, 0.0),
+        # rho_12 = -1 ties X_2e to X_1e, so conditioning on X_1e is enough.
+        (p, (0.3, -0.3, -1.0), 1, theta(p.P_l * (1 - 0.3 ** 2) * gain)),
+        # rho_2 = 1 ties X_2e to X_l: the joint leakage vanishes and
+        # eavesdropper 1 hears both signals coherently.
+        (p, (0.3, 1.0, 0.3), 1, 0.0),
+        (
+            p,
+            (0.3, 1.0, 0.3),
+            2,
+            theta((p.h_l_1e * math.sqrt(p.P_l) + p.h_2e_1e * math.sqrt(p.P_2e)) ** 2 / p.N_1e),
+        ),
     )
-    assert b.leak_joint == pytest.approx(expect, abs=1e-6)
+    for params, triple, term, limit in cases:
+        grid = [float(t) for t in general_rate_terms_grid(params, *map(np.array, triple))]
+        b = rate_general_oracle(params, CorrelationTriple(*triple))
+        ref = (b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2)
+        case = (params, triple, term)
+        assert abs(grid[term] - limit) <= 1e-12, case
+        assert abs(ref[term] - limit) <= 1e-12, case
+        assert max(abs(g - r) for g, r in zip(grid, ref)) <= 1e-12, case
 
 
 def test_grid_matches_scalar_oracle_interior():
@@ -191,54 +218,38 @@ def test_grid_boundary_points_stay_finite():
 
 
 @pytest.mark.parametrize("P_l", [0.0, 1.0, 20.0])
-def test_grid_fallback_points_equal_scalar_oracle(P_l):
-    # Just inside the feasibility surface the factored route hands points
-    # over to the scalar oracle's log-det route, so every such point of the
-    # fig3a search grid, and one a hair from the all-ones corner, must equal
-    # the scalar oracle exactly.  Infeasible points come back NaN.  Where the
-    # input covariance is singular, the joint leakage can evaluate below
-    # -NEG_TOL: the scalar route refuses that term and the grid clamps it.
+def test_grid_matches_reference_on_search_grid(P_l):
+    # Every valid point of the fig3a search grid must match the log-det
+    # reference, which must refuse none of them.  The reference runs as one
+    # stack; rate_general_oracle, the same computation on a stack of one, is
+    # checked directly at the points on or next to the edge of the valid set.
+    # One more point a hair from the all-ones corner is ill-conditioned for
+    # both routes and gets a looser bound.  Infeasible points come back NaN.
     p = dataclasses.replace(load_config("fig3a").general, P_l=P_l)
     axis = correlation_grid_axis(0.05)
     grids = np.meshgrid(axis, axis, axis, indexing="ij")
     r1, r2, r12 = (np.append(g.ravel(), 1.0 - 1e-4) for g in grids)
     terms = general_rate_terms_grid(p, r1, r2, r12)
     det = correlation_determinant(r1, r2, r12)
-    invalid = det < -PSD_SLACK
+    valid = det >= -PSD_SLACK
     for arr in terms:
-        assert np.all(np.isnan(arr[invalid]))
-        assert np.all(np.isfinite(arr[~invalid]))
-    fallback = np.flatnonzero(~invalid & (det < oracle._FACTORED_MIN_RHO_DET))
-    assert fallback.size > 200 and fallback[-1] == r1.size - 1
-    refused = 0
-    for k in fallback:
-        rho = CorrelationTriple(r1[k], r2[k], r12[k])
-        try:
-            o = rate_general_oracle(p, rho)
-        except DomainError:
-            refused += 1
-            cov = build_joint_covariance_general(p, rho)
-            want = tuple(_mi_or_refused(cov, *t) for t in GRID_TERMS)
-        else:
-            want = (o.main_rate, o.leak_joint, o.leak_single_1, o.leak_single_2)
-        assert tuple(arr[k] for arr in terms) == want
-    assert refused < fallback.size // 5
+        assert np.all(np.isnan(arr[~valid]))
+    bound = np.full(r1.size, 1e-12)
+    bound[-1] = 1e-10
 
+    stack = oracle._general_covariances(p, r1[valid], r2[valid], r12[valid])
+    reference = oracle._cmi_terms(stack, oracle._GENERAL_TERMS)
+    for arr, value in zip(terms, reference):
+        assert value.size == 39146 and value.min() >= -oracle.NEG_TOL
+        assert np.all(np.abs(arr[valid] - np.maximum(value, 0.0)) <= bound[valid])
 
-GRID_TERMS = (
-    (["X_l"], ["Y_l"], []),
-    (["X_l"], ["Y_1e", "Y_2e"], ["X_1e", "X_2e"]),
-    (["X_l", "X_1e", "X_2e"], ["Y_1e"], []),
-    (["X_l", "X_1e", "X_2e"], ["Y_2e"], []),
-)
-
-
-def _mi_or_refused(cov, A, B, C):
-    try:
-        return mi_gaussian(cov, A, B, C)
-    except DomainError as exc:
-        assert "covariance is inconsistent" in str(exc)
-        return 0.0
+    edge = np.flatnonzero(valid & (det < 1e-6))
+    assert edge.size == 267 and edge[-1] == r1.size - 1
+    for k in edge:
+        o = rate_general_oracle(p, CorrelationTriple(r1[k], r2[k], r12[k]))
+        want = (o.main_rate, o.leak_joint, o.leak_single_1, o.leak_single_2)
+        err = max(abs(arr[k] - w) for arr, w in zip(terms, want))
+        assert err <= bound[k], (r1[k], r2[k], r12[k])
 
 
 def test_grid_preserves_input_shape():
