@@ -3,15 +3,17 @@
 Variables are ordered (X_l, X_1e, X_2e, Y_l, Y_1e, Y_2e) and joint pmf arrays
 use exactly that axis order.  Channel transition tensors are stored with the
 output axes first, (y_l, y_1e, y_2e, x_l, x_1e, x_2e), which is also the
-row-major order of the text serialization.
+row-major order of the text serialization.  Information values come from
+one evaluator over stacks of joint pmfs, of which the one-shot functions
+are batches of one.
 """
 
 from __future__ import annotations
 
-import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,10 +56,9 @@ class GridBudgetError(RuntimeError):
 def _check_pmf_axis(arr: np.ndarray, axes: tuple[int, ...], what: str) -> None:
     if np.min(arr) < -_SUM_TOL:
         raise DomainError(f"{what} has a negative entry ({float(np.min(arr))!r})")
-    sums = arr.sum(axis=axes)
-    if np.max(np.abs(sums - 1.0)) > 1e-9:
-        raise DomainError(f"{what} does not normalize to 1 (max error "
-                          f"{float(np.max(np.abs(sums - 1.0)))!r})")
+    error = float(np.max(np.abs(arr.sum(axis=axes) - 1.0)))
+    if error > 1e-9:
+        raise DomainError(f"{what} does not normalize to 1 (max error {error!r})")
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,16 @@ class DMChannel:
         Index order is (y_l, y_1e, y_2e, x_l, x_1e, x_2e), slowest to fastest.
         Lines starting with '#' are comments.
         """
-        buf = io.StringIO()
-        buf.write("# discrete memoryless channel p(y_l y_1e y_2e | x_l x_1e x_2e)\n")
-        buf.write("# sizes: y_l y_1e y_2e x_l x_1e x_2e\n")
-        buf.write(" ".join(str(s) for s in self.transition.shape) + "\n")
-        for v in self.transition.ravel(order="C"):
-            buf.write(repr(float(v)) + "\n")
-        return buf.getvalue()
+        sizes = " ".join(str(s) for s in self.transition.shape)
+        return (
+            "# discrete memoryless channel p(y_l y_1e y_2e | x_l x_1e x_2e)\n"
+            "# sizes: y_l y_1e y_2e x_l x_1e x_2e\n"
+            f"{sizes}\n" + "".join(f"{float(v)!r}\n" for v in self.transition.ravel())
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "DMChannel":
-        tokens: list[str] = []
-        for line in text.splitlines():
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                tokens.extend(stripped.split())
+        tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
         if len(tokens) < 6:
             raise DomainError("channel text is missing the six alphabet sizes")
         try:
@@ -155,19 +151,19 @@ class LegitimateInputDist:
         object.__setattr__(self, "r", r)
 
 
+def _joints(ch: DMChannel, r: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """(K, x_l, x_1e, x_2e, y_l, y_1e, y_2e) joint pmfs of law r with each of qs."""
+    return np.einsum("abc,kbc,defabc->kabcdef", r, qs, ch.transition)
+
+
 def joint_distribution(
     ch: DMChannel, r: LegitimateInputDist, q: EavesdropperInputDist
 ) -> np.ndarray:
     """Joint pmf over (X_l, X_1e, X_2e, Y_l, Y_1e, Y_2e)."""
-    if r.r.shape != (ch.input_sizes[0], ch.input_sizes[1], ch.input_sizes[2]):
-        raise DomainError(
-            f"legitimate input law shape {r.r.shape} does not match channel inputs"
-        )
-    if q.q.shape != ch.input_sizes[1:]:
-        raise DomainError(
-            f"eavesdropper input law shape {q.q.shape} does not match channel inputs"
-        )
-    return np.einsum("abc,bc,defabc->abcdef", r.r, q.q, ch.transition)
+    if r.r.shape != ch.input_sizes or q.q.shape != ch.input_sizes[1:]:
+        raise DomainError(f"input law shapes {r.r.shape} and {q.q.shape} do not "
+                          f"match channel inputs {ch.input_sizes}")
+    return _joints(ch, r.r, q.q[np.newaxis])[0]
 
 
 def _entropy(pmf: np.ndarray) -> float:
@@ -176,6 +172,47 @@ def _entropy(pmf: np.ndarray) -> float:
     if p.size == 0:
         return 0.0
     return float(-(p * np.log2(p)).sum())
+
+
+# Axis tuples (A, B, C) of I(A; B | C) for the main rate, the joint leakage
+# and the two single-eavesdropper leakages, in RateBreakdown order.
+_RATE_TERMS = (
+    ((X_L,), (Y_L,), ()),
+    ((X_L,), (Y_1E, Y_2E), (X_1E, X_2E)),
+    ((X_L, X_1E, X_2E), (Y_1E,), ()),
+    ((X_L, X_1E, X_2E), (Y_2E,), ()),
+)
+
+
+def _cmi_bits(
+    joints: np.ndarray, terms: Iterable[tuple[tuple[int, ...], ...]]
+) -> list[np.ndarray]:
+    """I(A; B | C) in bits for each (A, B, C) on a (K, ...) stack of joint pmfs.
+
+    Returns one length-K array per term.  Each distinct marginal is summed
+    once for the whole stack, and its entropy one pmf at a time, so every
+    value is the one its pmf gives alone (whole-stack sums would round
+    differently and move exact ties).  Round-off below 0 is truncated to 0;
+    a value below -1e-10 raises.
+    """
+    jm = np.clip(joints, 0.0, None)
+    entropies: dict[frozenset[int], np.ndarray] = {}
+
+    def h(subset: tuple[int, ...]) -> np.ndarray:
+        key = frozenset(subset)
+        if key not in entropies:
+            drop = tuple(i + 1 for i in range(jm.ndim - 1) if i not in key)
+            entropies[key] = np.array([_entropy(p) for p in jm.sum(axis=drop)])
+        return entropies[key]
+
+    values = []
+    for a, b, c in terms:
+        value = h(a + c) + h(b + c) - h(c) - h(a + b + c)
+        if (value < -1e-10).any():
+            raise DomainError(f"conditional mutual information evaluated to "
+                              f"{float(value.min())!r}; joint pmf is inconsistent")
+        values.append(np.where(value > 0.0, value, 0.0))
+    return values
 
 
 def mutual_info_discrete(
@@ -193,19 +230,10 @@ def mutual_info_discrete(
     allv = a + b + c
     if len(set(allv)) != len(allv):
         raise DomainError("variable sets must be disjoint")
+    joint = np.asarray(joint, dtype=float)
     if any(not 0 <= v < joint.ndim for v in allv):
         raise DomainError("variable index out of range for the joint pmf")
-    jm = np.clip(np.asarray(joint, dtype=float), 0.0, None)
-
-    def h(subset: tuple[int, ...]) -> float:
-        drop = tuple(i for i in range(jm.ndim) if i not in subset)
-        return _entropy(jm.sum(axis=drop) if drop else jm)
-
-    value = h(a + c) + h(b + c) - h(c) - h(a + b + c)
-    if value < -1e-10:
-        raise DomainError(f"conditional mutual information evaluated to {value!r}; "
-                          "joint pmf is inconsistent")
-    return value if value > 0.0 else 0.0
+    return float(_cmi_bits(joint[np.newaxis], [(a, b, c)])[0][0])
 
 
 def rate_dm_fixed(
@@ -217,12 +245,24 @@ def rate_dm_fixed(
     joint leak    I(X_l; Y_1e, Y_2e | X_1e, X_2e)
     single leak   I(X_l, X_1e, X_2e; Y_je)
     """
-    joint = joint_distribution(ch, r, q)
-    main = mutual_info_discrete(joint, (X_L,), (Y_L,))
-    leak_joint = mutual_info_discrete(joint, (X_L,), (Y_1E, Y_2E), (X_1E, X_2E))
-    leak_1 = mutual_info_discrete(joint, (X_L, X_1E, X_2E), (Y_1E,))
-    leak_2 = mutual_info_discrete(joint, (X_L, X_1E, X_2E), (Y_2E,))
-    return combine_breakdown(main, leak_joint, leak_1, leak_2)
+    values = _cmi_bits(joint_distribution(ch, r, q)[np.newaxis], _RATE_TERMS)
+    return combine_breakdown(*(float(v[0]) for v in values))
+
+
+#: Joint-pmf cells per evaluator stack; bounds the memory of a search call.
+_STACK_CELLS = 250_000
+
+
+def _secure_rates(ch: DMChannel, r: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``rate_dm_fixed(ch, r, q).secure_rate`` for each q of a (Q, ...) stack."""
+    step = max(1, _STACK_CELLS // ch.transition.size)
+    rates = []
+    for start in range(0, len(qs), step):
+        joints = _joints(ch, r, qs[start : start + step])
+        main, joint, single_1, single_2 = _cmi_bits(joints, _RATE_TERMS)
+        gap = main - np.minimum(joint, np.maximum(single_1, single_2))
+        rates.append(np.where(gap > 0.0, gap, 0.0))
+    return np.concatenate(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -232,57 +272,28 @@ def rate_dm_fixed(
 def simplex_grid(k: int, m: int) -> np.ndarray:
     """All probability vectors over k outcomes with entries that are
     multiples of 1/m, in ascending lexicographic order of the underlying
-    integer compositions."""
+    integer compositions, read off the k - 1 bar positions among m + k - 1
+    slots (stars and bars)."""
     if k < 1 or m < 1:
         raise DomainError("simplex grid needs k >= 1 and m >= 1")
-    combos: list[list[int]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            combos.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], m, k)
-    return np.array(combos, dtype=float) / m
+    slots = m + k - 1
+    bars = np.array(list(itertools.combinations(range(slots), k - 1)), dtype=int)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
+    return (np.diff(edges, axis=1) - 1) / m
 
 
-def eavesdropper_input_grid(
-    n_x1e: int, n_x2e: int, m: int
-) -> list[EavesdropperInputDist]:
-    """Gridded joint laws over the two eavesdropper alphabets."""
-    flat = simplex_grid(n_x1e * n_x2e, m)
-    return [EavesdropperInputDist(row.reshape(n_x1e, n_x2e)) for row in flat]
+def eavesdropper_input_grid(n_x1e: int, n_x2e: int, m: int) -> np.ndarray:
+    """Gridded joint laws q(x_1e, x_2e) as a (count, n_x1e, n_x2e) array."""
+    return simplex_grid(n_x1e * n_x2e, m).reshape(-1, n_x1e, n_x2e)
 
 
 def legitimate_input_grid(
     n_xl: int, n_x1e: int, n_x2e: int, m: int
-) -> list[LegitimateInputDist]:
-    """Gridded conditional laws r(x_l | x_1e, x_2e).
-
-    The per-context simplices are combined in row-major context order, the
-    whole list again lexicographic.
-    """
-    base = simplex_grid(n_xl, m)
-    contexts = n_x1e * n_x2e
-    out: list[LegitimateInputDist] = []
-    idx = [0] * contexts
-
-    while True:
-        r = np.empty((n_xl, n_x1e, n_x2e))
-        for c in range(contexts):
-            r[:, c // n_x2e, c % n_x2e] = base[idx[c]]
-        out.append(LegitimateInputDist(r))
-        pos = contexts - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < len(base):
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return out
+) -> Iterator[np.ndarray]:
+    """Gridded conditional laws r(x_l | x_1e, x_2e), yielded one at a time;
+    per-context simplices in row-major context order, again lexicographic."""
+    for rows in itertools.product(simplex_grid(n_xl, m), repeat=n_x1e * n_x2e):
+        yield np.stack(rows, axis=1).reshape(n_xl, n_x1e, n_x2e)
 
 
 @dataclass(frozen=True)
@@ -311,61 +322,51 @@ def sup_inf_rate(
     """Grid sup over legitimate laws of the inf over eavesdropper laws.
 
     Both laws run over exhaustive simplex grids with step 1/m,
-    m = round(1/grid_resolution).  Ties break toward the earliest grid
-    point in enumeration order on both sides.  The outer grid at step 1/m
-    is contained in the one at step 1/(2m), so along such nested grids
-    (m -> 2m) the result can only grow whenever the inner minimization is
-    trivial.  It is not monotone in ``grid_resolution`` otherwise: on a
-    channel with 2x2x2 inputs and BSC(0.2) collusion taps, m = 2 gives
-    0.3121 and m = 3 gives 0.2825.  The finer-grid inner recheck at r_star
-    is reported as ``refined_rate`` to expose any inner coarseness.
+    m = round(1/grid_resolution), counted against ``max_evaluations`` before
+    any is built.  Each legitimate law is scored against the whole inner
+    grid at once.  Ties break toward the earliest grid point in enumeration
+    order on both sides.  The outer grid at step 1/m is contained in the one
+    at step 1/(2m), so along such nested grids (m -> 2m) the result can only
+    grow whenever the inner minimization is trivial.  It is not monotone in
+    ``grid_resolution`` otherwise: on a channel with 2x2x2 inputs and
+    BSC(0.2) collusion taps, m = 2 gives 0.3121 and m = 3 gives 0.2825.  The
+    finer-grid inner recheck at r_star is reported as ``refined_rate`` to
+    expose any inner coarseness.
     """
     if not (0.0 < grid_resolution <= 1.0):
         raise DomainError(f"grid resolution must lie in (0, 1], got {grid_resolution!r}")
     m = max(1, round(1.0 / grid_resolution))
     n_xl, n_x1e, n_x2e = ch.input_sizes
-    r_grid = legitimate_input_grid(n_xl, n_x1e, n_x2e, m)
-    q_grid = eavesdropper_input_grid(n_x1e, n_x2e, m)
-    q_fine = eavesdropper_input_grid(n_x1e, n_x2e, 2 * m)
-    total = len(r_grid) * len(q_grid) + len(q_fine)
+    n_q = n_x1e * n_x2e  # simplex grids over k outcomes have C(m + k - 1, m) points
+    n_outer = math.comb(m + n_xl - 1, m) ** n_q
+    n_inner = math.comb(m + n_q - 1, m)
+    n_recheck = math.comb(2 * m + n_q - 1, 2 * m)
+    total = n_outer * n_inner + n_recheck
     if total > max_evaluations:
         raise GridBudgetError(
             f"sup-inf grid needs {total} evaluations "
-            f"({len(r_grid)} outer x {len(q_grid)} inner + {len(q_fine)} recheck), "
+            f"({n_outer} outer x {n_inner} inner + {n_recheck} recheck), "
             f"budget is {max_evaluations}"
         )
 
+    q_grid = eavesdropper_input_grid(n_x1e, n_x2e, m)
     best_rate = -math.inf
-    best_r = None
-    best_q = None
+    best_r = best_q = None
     evaluations = 0
-    for r in r_grid:
-        inner = math.inf
-        inner_q = None
-        for q in q_grid:
-            v = rate_dm_fixed(ch, r, q).secure_rate
-            evaluations += 1
-            if v < inner:
-                inner = v
-                inner_q = q
-        if inner > best_rate:
-            best_rate = inner
-            best_r = r
-            best_q = inner_q
+    for r in legitimate_input_grid(n_xl, n_x1e, n_x2e, m):
+        rates = _secure_rates(ch, r, q_grid)
+        evaluations += rates.size
+        i = int(np.argmin(rates))
+        if rates[i] > best_rate:
+            best_rate, best_r, best_q = float(rates[i]), r, q_grid[i]
 
-    assert best_r is not None and best_q is not None
-    refined = math.inf
-    for q in q_fine:
-        v = rate_dm_fixed(ch, best_r, q).secure_rate
-        evaluations += 1
-        if v < refined:
-            refined = v
+    refined = _secure_rates(ch, best_r, eavesdropper_input_grid(n_x1e, n_x2e, 2 * m))
     return SupInfResult(
         rate=best_rate,
-        r_star=best_r,
-        q_star=best_q,
-        refined_rate=refined,
-        evaluations=evaluations,
+        r_star=LegitimateInputDist(best_r),
+        q_star=EavesdropperInputDist(best_q),
+        refined_rate=float(refined.min()),
+        evaluations=evaluations + refined.size,
     )
 
 
@@ -420,8 +421,7 @@ def reduce_perfectcolluding(main: np.ndarray) -> DMChannel:
         raise DomainError("main component must have axes (y_l, y_1e_m, y_2e_m, x_l)")
     _check_pmf_axis(main, (0, 1, 2), "main component")
     n_yl, n1, n2, n_xl = main.shape
-    t = np.zeros((n_yl, n1 * n2, n2 * n1, n_xl, 1, 1))
-    for a in range(n1):
-        for c in range(n2):
-            t[:, a * n2 + c, c * n1 + a, :, 0, 0] = main[:, a, c, :]
-    return DMChannel(t)
+    t = np.zeros((n_yl, n1 * n2, n2 * n1, n_xl))
+    a, c = np.ogrid[:n1, :n2]
+    t[:, a * n2 + c, c * n1 + a] = main
+    return DMChannel(t[..., np.newaxis, np.newaxis])

@@ -24,6 +24,7 @@ from wiretap_rates.discrete import (
     DMChannel,
     EavesdropperInputDist,
     LegitimateInputDist,
+    build_orthogonal_dm,
     mutual_info_discrete,
     rate_dm_fixed,
     reduce_noncolluding,
@@ -195,7 +196,7 @@ def test_criterion_07_degraded_bsc_sup_inf():
 
 
 def test_criterion_08_dm_reductions():
-    with _criterion(8, "discrete collusion extremes bracket the bundled channel"):
+    with _criterion(8, "discrete collusion extremes bracket the constrained channel"):
         def bsc(p):
             return np.array([[1 - p, p], [p, 1 - p]])
 
@@ -208,6 +209,22 @@ def test_criterion_08_dm_reductions():
             return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
         direct = h2(0.3) - h2(0.1)
         assert abs(nc_rate - direct) <= 0.02, f"nc {nc_rate:.4f} vs {direct:.4f}"
+
+        # 2x2x2 inputs: each eavesdropper hears the other's input through a
+        # BSC collusion tap, so the inner minimization is not trivial.
+        main = np.einsum("al,bl,cl->abcl", bsc(0.0814529893346886),
+                         bsc(0.2848376476115765), bsc(0.2573006997984823))
+        taps = np.einsum("ab,cd->acdb", bsc(0.1798911899110049),
+                         bsc(0.4447534225762359))
+        ch = build_orthogonal_dm(main, taps)
+        step = 1.0 / 3.0
+        r_pc = sup_inf_rate(reduce_perfectcolluding(main), step).rate
+        r_c = sup_inf_rate(ch, step).rate
+        # The point mass at (0, 0) is on the inner grid, so r_c <= r_nc.
+        r_nc = sup_inf_rate(reduce_noncolluding(ch), step).rate
+        assert r_c - r_pc > 0.01 and r_nc - r_c > 0.01, (
+            f"R_pc {r_pc:.4f}, R_constrained {r_c:.4f}, R_nc {r_nc:.4f}"
+        )
 
 
 def test_criterion_09_optimizer_matches_exhaustive_reference():

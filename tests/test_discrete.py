@@ -4,6 +4,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
+from wiretap_rates import discrete
 from wiretap_rates.discrete import (
     DMChannel,
     EavesdropperInputDist,
@@ -178,12 +179,15 @@ def test_simplex_grid_count():
 
 def test_input_grids_shapes():
     qs = eavesdropper_input_grid(2, 1, 2)
-    assert len(qs) == 3
-    assert qs[0].q.shape == (2, 1)
-    rs = legitimate_input_grid(2, 2, 1, 2)
+    assert qs.shape == (3, 2, 1)
+    rs = list(legitimate_input_grid(2, 2, 1, 2))
     # one simplex per (x_1e, x_2e) context, all combinations
     assert len(rs) == 9
-    assert rs[0].r.shape == (2, 2, 1)
+    assert rs[0].shape == (2, 2, 1)
+    # the last context varies fastest, each over the simplex grid in order
+    base = simplex_grid(2, 2)
+    assert [r[:, 1, 0].tolist() for r in rs[:3]] == base.tolist()
+    assert [r[:, 0, 0].tolist() for r in rs[::3]] == base.tolist()
 
 
 def test_sup_inf_on_bundled_channel():
@@ -201,24 +205,113 @@ def test_sup_inf_budget_guard():
         sup_inf_rate(ch, 0.02, max_evaluations=10)
 
 
-def test_sup_inf_matches_naive_double_loop():
+def tapped_channel() -> DMChannel:
     # nontrivial eavesdropper input: x_1e flips a BSC toward eavesdropper 2
     main = np.einsum("al,bl,cl->abcl", bsc(0.1), bsc(0.25), bsc(0.25))
     collusion = np.zeros((1, 2, 2, 1))
     collusion[0, :, 0, 0] = [0.9, 0.1]
     collusion[0, :, 1, 0] = [0.4, 0.6]
-    ch = build_orthogonal_dm(main, collusion)
+    return build_orthogonal_dm(main, collusion)
+
+
+def bsc_tap_channel(p_main, p_1, p_2, t_1, t_2) -> DMChannel:
+    """2x2x2 inputs: BSC listening links, eavesdropper j hears the other's
+    input through a BSC(t_j) collusion tap."""
+    main = np.einsum("al,bl,cl->abcl", bsc(p_main), bsc(p_1), bsc(p_2))
+    collusion = np.einsum("ab,cd->acdb", bsc(t_1), bsc(t_2))
+    return build_orthogonal_dm(main, collusion)
+
+
+def test_sup_inf_matches_naive_double_loop():
+    ch = tapped_channel()
     res = sup_inf_rate(ch, 0.5)
 
     m = 2
     best = -math.inf
     for r in legitimate_input_grid(2, 2, 1, m):
         inner = min(
-            rate_dm_fixed(ch, r, q).secure_rate
+            rate_dm_fixed(ch, LegitimateInputDist(r), EavesdropperInputDist(q)).secure_rate
             for q in eavesdropper_input_grid(2, 1, m)
         )
         best = max(best, inner)
     assert res.rate == pytest.approx(best, abs=1e-12)
+
+
+def test_stacked_secure_rates_equal_scalar_evaluations():
+    ch = tapped_channel()
+    qs = eavesdropper_input_grid(2, 1, 4)
+    for r in list(legitimate_input_grid(2, 2, 1, 4))[::7]:
+        stacked = discrete._secure_rates(ch, r, qs)
+        scalar = [
+            rate_dm_fixed(ch, LegitimateInputDist(r), EavesdropperInputDist(q)).secure_rate
+            for q in qs
+        ]
+        assert stacked.tolist() == scalar
+
+
+@pytest.mark.parametrize("laws_per_stack", [1, 3])
+def test_sup_inf_is_independent_of_the_stack_size(monkeypatch, laws_per_stack):
+    ch = bsc_tap_channel(0.05, 0.3, 0.25, 0.2, 0.15)
+    whole = sup_inf_rate(ch, 1.0 / 3.0)
+    monkeypatch.setattr(discrete, "_STACK_CELLS", laws_per_stack * ch.transition.size)
+    single = sup_inf_rate(ch, 1.0 / 3.0)
+    assert single.rate == whole.rate
+    assert single.refined_rate == whole.refined_rate
+    assert np.array_equal(single.r_star.r, whole.r_star.r)
+    assert np.array_equal(single.q_star.q, whole.q_star.q)
+    assert single.evaluations == whole.evaluations
+
+
+THIRD, TWO_THIRDS = 1.0 / 3.0, 2.0 / 3.0
+
+
+@pytest.mark.parametrize(
+    "taps, rate, refined_rate, r_star, q_star",
+    [
+        (
+            (0.045009356646736526, 0.3584763484933624, 0.262987751813643,
+             0.3583883758319963, 0.1136259074184674),
+            0.5170741374901873,
+            0.5132616369635199,
+            [[[TWO_THIRDS, TWO_THIRDS], [THIRD, THIRD]],
+             [[THIRD, THIRD], [TWO_THIRDS, TWO_THIRDS]]],
+            [[0.0, 0.0], [1.0, 0.0]],
+        ),
+        (
+            (0.09366497167192404, 0.22972591094473757, 0.3815144672003159,
+             0.060671304355965905, 0.28125417297538813),
+            0.2988939336366221,
+            0.29889393363662164,
+            [[[THIRD, TWO_THIRDS], [THIRD, TWO_THIRDS]],
+             [[TWO_THIRDS, THIRD], [TWO_THIRDS, THIRD]]],
+            [[0.0, 0.0], [0.0, 1.0]],
+        ),
+    ],
+    ids=["channel-5", "channel-22"],
+)
+def test_sup_inf_pinned_tie_break(taps, rate, refined_rate, r_star, q_star):
+    # At r_star the inner minimum is shared by eight laws within 7e-16 on
+    # both channels, so q_star is fixed by rounding and first-wins tie
+    # breaking: each law must get exactly the value it gets alone.
+    # Entropies summed over whole stacks move q_star on the second channel.
+    res = sup_inf_rate(bsc_tap_channel(*taps), 1.0 / 3.0)
+    assert res.rate == rate
+    assert res.refined_rate == refined_rate
+    assert res.r_star.r.tolist() == r_star
+    assert res.q_star.q.tolist() == q_star
+    assert res.evaluations == 256 * 20 + 84
+
+
+def test_sup_inf_checks_budget_before_building_grids(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("grid built before the budget check")
+
+    monkeypatch.setattr(discrete, "legitimate_input_grid", refuse)
+    monkeypatch.setattr(discrete, "simplex_grid", refuse)
+    ch = bsc_tap_channel(0.05, 0.3, 0.3, 0.2, 0.2)
+    with pytest.raises(GridBudgetError,
+                       match=r"194481 outer x 1771 inner \+ 12341 recheck"):
+        sup_inf_rate(ch, 0.05)
 
 
 def test_build_orthogonal_dm_pairs_outputs():
