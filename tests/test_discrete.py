@@ -254,12 +254,12 @@ def test_sup_inf_is_independent_of_the_stack_size(monkeypatch, laws_per_stack):
     ch = bsc_tap_channel(0.05, 0.3, 0.25, 0.2, 0.15)
     whole = sup_inf_rate(ch, 1.0 / 3.0)
     monkeypatch.setattr(discrete, "_STACK_CELLS", laws_per_stack * ch.transition.size)
-    single = sup_inf_rate(ch, 1.0 / 3.0)
-    assert single.rate == whole.rate
-    assert single.refined_rate == whole.refined_rate
-    assert np.array_equal(single.r_star.r, whole.r_star.r)
-    assert np.array_equal(single.q_star.q, whole.q_star.q)
-    assert single.evaluations == whole.evaluations
+    split = sup_inf_rate(ch, 1.0 / 3.0)
+    assert split.rate == whole.rate
+    assert split.refined_rate == whole.refined_rate
+    assert np.array_equal(split.r_star.r, whole.r_star.r)
+    assert np.array_equal(split.q_star.q, whole.q_star.q)
+    assert split.evaluations == whole.evaluations
 
 
 THIRD, TWO_THIRDS = 1.0 / 3.0, 2.0 / 3.0
