@@ -13,6 +13,7 @@ closed forms against the covariance route on random draws.
 
 from .core import (
     DomainError,
+    GridBudgetError,
     PSD_SLACK,
     CorrelationTriple,
     RateBreakdown,
@@ -52,7 +53,6 @@ from .optimize import (
 from .discrete import (
     DMChannel,
     EavesdropperInputDist,
-    GridBudgetError,
     LegitimateInputDist,
     SupInfResult,
     build_orthogonal_dm,

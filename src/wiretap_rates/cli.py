@@ -27,8 +27,8 @@ from .audit import (
     rows_to_csv,
     run_audit,
 )
-from .core import DomainError
-from .discrete import DMChannel, GridBudgetError, sup_inf_rate
+from .core import DomainError, GridBudgetError
+from .discrete import DMChannel, sup_inf_rate
 from .gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
@@ -45,25 +45,11 @@ __all__ = [
     "ScenarioConfig",
     "load_config",
     "sweep_values",
-    "general_sweep_table",
-    "orthogonal_sweep_table",
-    "dm_sweep_table",
+    "sweep_table",
     "write_csv",
     "render_svg",
     "main",
 ]
-
-_KINDS = ("orthogonal-gaussian", "general-gaussian", "dm")
-
-_BLOCKS_BY_KIND = {
-    "orthogonal-gaussian": {"orthogonal", "sweep", "output"},
-    "general-gaussian": {"general", "orthogonal", "sweep", "optimizer", "output"},
-    "dm": {"dm", "sweep", "output"},
-}
-
-_GENERAL_COLUMNS = ("R_nc", "R_pc", "R_og", "R_njg", "R_g")
-_ORTHOGONAL_COLUMNS = ("R_nc", "R_pc", "R_og")
-
 
 #: Largest number of rows a sweep may ask for.
 MAX_SWEEP_ROWS = 100_000
@@ -128,16 +114,50 @@ class ScenarioConfig:
     output: OutputSettings = OutputSettings()
 
 
-def _require_number(block: str, key: str, value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{block}.{key} must be a number, got {value!r}")
-    return float(value)
+#: Each kind's required blocks, which hold its model and the fields a sweep
+#: may set, and its optional blocks.
+_KINDS = {
+    "orthogonal-gaussian": (("orthogonal",), ("sweep", "output")),
+    "general-gaussian": (("orthogonal", "general"), ("sweep", "optimizer", "output")),
+    "dm": (("dm",), ("sweep", "output")),
+}
+
+#: The dataclass of each block, in the order load_config builds them.
+_BLOCK_TYPES = {
+    "orthogonal": OrthogonalGaussianParams,
+    "general": GeneralGaussianParams,
+    "dm": DMSettings,
+    "sweep": SweepSettings,
+    "optimizer": SearchConfig,
+    "output": OutputSettings,
+}
+
+
+def _check_value(block: str, key: str, annotation: str, value: object):
+    """``value`` as its field's annotation asks: a finite number, an
+    integer, a string, or an optional string."""
+    where = f"{block}.{key}"
+    if annotation in ("float", "int"):
+        # Also false for nan, and compares an int of any size exactly.
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        value = float(value)
+        if annotation == "float":
+            return value
+        if value != int(value):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    if isinstance(value, str) or (value is None and annotation == "str | None"):
+        return value
+    raise ConfigError(f"{where} must be a string, got {value!r}")
 
 
 def _build_dataclass(cls, raw: object, block: str):
     """Instantiate a config dataclass from a JSON object, strictly.
 
-    Every key must name a field; fields without defaults must be present.
+    Every key must name a field, every value must fit its field's
+    annotation, and fields without defaults must be present.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"block '{block}' must be an object")
@@ -150,14 +170,7 @@ def _build_dataclass(cls, raw: object, block: str):
     kwargs = {}
     for name, f in spec_fields.items():
         if name in raw:
-            v = raw[name]
-            if f.type in ("float", "int"):
-                v = _require_number(block, name, v)
-                if f.type == "int":
-                    if v != int(v):
-                        raise ConfigError(f"{block}.{name} must be an integer")
-                    v = int(v)
-            kwargs[name] = v
+            kwargs[name] = _check_value(block, name, f.type, raw[name])
         elif f.default is dataclasses.MISSING and \
                 f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"block '{block}' is missing required key '{name}'")
@@ -212,66 +225,29 @@ def load_config(spec: str) -> ScenarioConfig:
         raise ConfigError("config root must be an object")
     kind = raw.get("kind")
     if kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {_KINDS}, got {kind!r}")
-    allowed = _BLOCKS_BY_KIND[kind] | {"kind"}
-    unknown = set(raw) - allowed
+        raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+    required, optional = _KINDS[kind]
+    unknown = set(raw) - {"kind", *required, *optional}
     if unknown:
         raise ConfigError(
             f"key '{sorted(unknown)[0]}' is not allowed for kind '{kind}'"
         )
 
-    orthogonal = general = dm = channel = None
-    if kind in ("orthogonal-gaussian", "general-gaussian"):
-        if "orthogonal" not in raw:
-            raise ConfigError(f"kind '{kind}' requires an 'orthogonal' block")
-        orthogonal = _build_dataclass(
-            OrthogonalGaussianParams, raw["orthogonal"], "orthogonal"
+    blocks = {}
+    for name, cls in _BLOCK_TYPES.items():
+        if name in raw:
+            blocks[name] = _build_dataclass(cls, raw[name], name)
+        elif name in required:
+            raise ConfigError(f"kind '{kind}' requires the '{name}' block")
+    channel = _load_channel(blocks["dm"], base) if "dm" in blocks else None
+    sweep = blocks.get("sweep")
+    if sweep is not None and not any(
+        hasattr(blocks[name], sweep.parameter) for name in required
+    ):
+        raise ConfigError(
+            f"sweep.parameter '{sweep.parameter}' is not a model field"
         )
-    if kind == "general-gaussian":
-        if "general" not in raw:
-            raise ConfigError("kind 'general-gaussian' requires a 'general' block")
-        general = _build_dataclass(GeneralGaussianParams, raw["general"], "general")
-    if kind == "dm":
-        if "dm" not in raw:
-            raise ConfigError("kind 'dm' requires a 'dm' block")
-        dm = _build_dataclass(DMSettings, raw["dm"], "dm")
-        if not isinstance(dm.channel_file, str):
-            raise ConfigError("dm.channel_file must be a string")
-        channel = _load_channel(dm, base)
-
-    sweep = None
-    if "sweep" in raw:
-        sweep = _build_dataclass(SweepSettings, raw["sweep"], "sweep")
-        if not isinstance(sweep.parameter, str):
-            raise ConfigError("sweep.parameter must be a string")
-        targets = [b for b in (orthogonal, general, dm) if b is not None]
-        if not any(hasattr(b, sweep.parameter) for b in targets):
-            raise ConfigError(
-                f"sweep.parameter '{sweep.parameter}' is not a model field"
-            )
-
-    optimizer = SearchConfig()
-    if "optimizer" in raw:
-        optimizer = _build_dataclass(SearchConfig, raw["optimizer"], "optimizer")
-
-    output = OutputSettings()
-    if "output" in raw:
-        output = _build_dataclass(OutputSettings, raw["output"], "output")
-        for key in ("csv", "svg"):
-            v = getattr(output, key)
-            if v is not None and not isinstance(v, str):
-                raise ConfigError(f"output.{key} must be a string path")
-
-    return ScenarioConfig(
-        kind=kind,
-        orthogonal=orthogonal,
-        general=general,
-        dm=dm,
-        dm_channel=channel,
-        sweep=sweep,
-        optimizer=optimizer,
-        output=output,
-    )
+    return ScenarioConfig(kind=kind, dm_channel=channel, **blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +260,12 @@ def sweep_values(sweep: SweepSettings) -> list[float]:
     return [sweep.start + i * sweep.step for i in range(n)]
 
 
-def _with_param(block, name: str, value: float):
-    if block is not None and hasattr(block, name):
-        return replace(block, **{name: value})
-    return block
+def _orthogonal_row(og: OrthogonalGaussianParams) -> dict[str, float]:
+    return {
+        "R_nc": rate_noncolluding(og),
+        "R_pc": rate_perfectcolluding(og),
+        "R_og": rate_orthogonal(og).secure_rate,
+    }
 
 
 def general_point(
@@ -299,71 +277,57 @@ def general_point(
     res_njg = optimize_general(strip_jamming(gen), cfg)
     res_g = optimize_general(gen, cfg)
     row = {
-        "R_nc": rate_noncolluding(og),
-        "R_pc": rate_perfectcolluding(og),
-        "R_og": rate_orthogonal(og).secure_rate,
+        **_orthogonal_row(og),
         "R_njg": res_njg.rate.secure_rate,
         "R_g": res_g.rate.secure_rate,
     }
     return row, res_njg, res_g
 
 
-def general_sweep_table(
+def _row(cfg: ScenarioConfig) -> dict[str, float]:
+    """The rates of the config's kind at its parameter point, by column."""
+    if cfg.kind == "dm":
+        dm = cfg.dm
+        return {"R_dm": sup_inf_rate(cfg.dm_channel, dm.grid_resolution,
+                                     dm.max_evaluations).rate}
+    if cfg.kind == "general-gaussian":
+        return general_point(cfg.orthogonal, cfg.general, cfg.optimizer)[0]
+    return _orthogonal_row(cfg.orthogonal)
+
+
+def _at(cfg: ScenarioConfig, x: float) -> ScenarioConfig:
+    """The scenario with the swept parameter set to ``x`` in every model
+    block that has it."""
+    name = cfg.sweep.parameter
+    blocks = {b: getattr(cfg, b) for b in _KINDS[cfg.kind][0]}
+    return replace(cfg, **{b: replace(block, **{name: x})
+                           for b, block in blocks.items() if hasattr(block, name)})
+
+
+def sweep_table(
     cfg: ScenarioConfig,
 ) -> tuple[list[float], dict[str, list[float]]]:
-    assert cfg.sweep is not None and cfg.orthogonal is not None
-    assert cfg.general is not None
+    """The swept values, and each rate of the config's kind at every one."""
     xs = sweep_values(cfg.sweep)
-    table: dict[str, list[float]] = {c: [] for c in _GENERAL_COLUMNS}
-    for x in xs:
-        og = _with_param(cfg.orthogonal, cfg.sweep.parameter, x)
-        gen = _with_param(cfg.general, cfg.sweep.parameter, x)
-        row, _, _ = general_point(og, gen, cfg.optimizer)
-        for c in _GENERAL_COLUMNS:
-            table[c].append(row[c])
-    return xs, table
+    rows = [_row(_at(cfg, x)) for x in xs]
+    return xs, {c: [row[c] for row in rows] for c in rows[0]}
 
 
-def orthogonal_sweep_table(
-    cfg: ScenarioConfig,
-) -> tuple[list[float], dict[str, list[float]]]:
-    assert cfg.sweep is not None and cfg.orthogonal is not None
-    xs = sweep_values(cfg.sweep)
-    table: dict[str, list[float]] = {c: [] for c in _ORTHOGONAL_COLUMNS}
-    for x in xs:
-        og = _with_param(cfg.orthogonal, cfg.sweep.parameter, x)
-        table["R_nc"].append(rate_noncolluding(og))
-        table["R_pc"].append(rate_perfectcolluding(og))
-        table["R_og"].append(rate_orthogonal(og).secure_rate)
-    return xs, table
-
-
-def dm_sweep_table(
-    cfg: ScenarioConfig,
-) -> tuple[list[float], dict[str, list[float]]]:
-    """Sup-inf rate per swept value of a search setting, e.g. grid_resolution."""
-    assert cfg.sweep is not None and cfg.dm is not None
-    assert cfg.dm_channel is not None
-    xs = sweep_values(cfg.sweep)
-    rates: list[float] = []
-    for x in xs:
-        dm = _with_param(cfg.dm, cfg.sweep.parameter, x)
-        res = sup_inf_rate(cfg.dm_channel, dm.grid_resolution,
-                           dm.max_evaluations)
-        rates.append(res.rate)
-    return xs, {"R_dm": rates}
-
-
-def write_csv(path: str, param: str, xs: Sequence[float],
-              table: dict[str, list[float]]) -> None:
-    """Six-decimal CSV; first column named after the swept parameter."""
+def _csv_text(param: str, xs: Sequence[float],
+              table: dict[str, list[float]]) -> str:
     cols = list(table)
     lines = [",".join([param] + cols)]
     for i, x in enumerate(xs):
         lines.append(",".join(
             ["%.6f" % x] + ["%.6f" % table[c][i] for c in cols]
         ))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path: str, param: str, xs: Sequence[float],
+              table: dict[str, list[float]]) -> None:
+    """Six-decimal CSV; first column named after the swept parameter."""
+    Path(path).write_text(_csv_text(param, xs, table))
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -445,52 +409,46 @@ def render_svg(param: str, xs: Sequence[float],
 # Subcommands
 
 
-def _cmd_point(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if cfg.kind == "orthogonal-gaussian":
-        assert cfg.orthogonal is not None
-        b = rate_orthogonal(cfg.orthogonal)
-        print(f"kind: {cfg.kind}")
-        print(f"R_nc  = {rate_noncolluding(cfg.orthogonal):.6f}")
-        print(f"R_pc  = {rate_perfectcolluding(cfg.orthogonal):.6f}")
-        print(f"R_og  = {b.secure_rate:.6f}  (main {b.main_rate:.6f}, "
-              f"joint leak {b.leak_joint:.6f}, single leaks "
-              f"{b.leak_single_1:.6f} / {b.leak_single_2:.6f})")
+def _report(cfg: ScenarioConfig) -> int:
+    """Print the rates at the config's parameter point and what each search
+    found."""
+    print(f"kind: {cfg.kind}")
+    if cfg.kind == "dm":
+        res = sup_inf_rate(
+            cfg.dm_channel, cfg.dm.grid_resolution, cfg.dm.max_evaluations
+        )
+        print(f"sup-inf rate        = {res.rate:.6f}")
+        print(f"refined inner check = {res.refined_rate:.6f}")
+        print(f"evaluations         = {res.evaluations}")
+        print("r_star (x_l | x_1e, x_2e):")
+        for i1 in range(res.r_star.r.shape[1]):
+            for i2 in range(res.r_star.r.shape[2]):
+                col = ", ".join(f"{v:.4f}" for v in res.r_star.r[:, i1, i2])
+                print(f"  context ({i1},{i2}): [{col}]")
+        q = ", ".join(f"{v:.4f}" for v in res.q_star.q.ravel())
+        print(f"q_star (x_1e, x_2e): [{q}]")
         return 0
     if cfg.kind == "general-gaussian":
-        assert cfg.orthogonal is not None and cfg.general is not None
-        row, res_njg, res_g = general_point(
-            cfg.orthogonal, cfg.general, cfg.optimizer
-        )
-        print(f"kind: {cfg.kind}")
-        for c in _GENERAL_COLUMNS:
-            print(f"{c:5s} = {row[c]:.6f}")
-        for label, res in (("R_njg", res_njg), ("R_g", res_g)):
-            r = res.rho_star
-            print(f"{label} worst-case rho = ({r.rho_1:+.4f}, {r.rho_2:+.4f}, "
-                  f"{r.rho_12:+.4f})  evaluations={res.evaluations}"
-                  + ("  [boundary]" if res.on_boundary else ""))
-        return 0
-    return _run_dm_config(cfg)
-
-
-def _run_dm_config(cfg: ScenarioConfig) -> int:
-    assert cfg.dm is not None and cfg.dm_channel is not None
-    res = sup_inf_rate(
-        cfg.dm_channel, cfg.dm.grid_resolution, cfg.dm.max_evaluations
-    )
-    print("kind: dm")
-    print(f"sup-inf rate        = {res.rate:.6f}")
-    print(f"refined inner check = {res.refined_rate:.6f}")
-    print(f"evaluations         = {res.evaluations}")
-    print("r_star (x_l | x_1e, x_2e):")
-    for i1 in range(res.r_star.r.shape[1]):
-        for i2 in range(res.r_star.r.shape[2]):
-            col = ", ".join(f"{v:.4f}" for v in res.r_star.r[:, i1, i2])
-            print(f"  context ({i1},{i2}): [{col}]")
-    q = ", ".join(f"{v:.4f}" for v in res.q_star.q.ravel())
-    print(f"q_star (x_1e, x_2e): [{q}]")
+        row, *searches = general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
+        notes = {}
+    else:
+        row, searches = _row(cfg), []
+        b = rate_orthogonal(cfg.orthogonal)
+        notes = {"R_og": f"  (main {b.main_rate:.6f}, joint leak "
+                         f"{b.leak_joint:.6f}, single leaks "
+                         f"{b.leak_single_1:.6f} / {b.leak_single_2:.6f})"}
+    for c, v in row.items():
+        print(f"{c:5s} = {v:.6f}{notes.get(c, '')}")
+    for label, res in zip(("R_njg", "R_g"), searches):
+        r = res.rho_star
+        print(f"{label} worst-case rho = ({r.rho_1:+.4f}, {r.rho_2:+.4f}, "
+              f"{r.rho_12:+.4f})  evaluations={res.evaluations}"
+              + ("  [boundary]" if res.on_boundary else ""))
     return 0
+
+
+def _cmd_point(args: argparse.Namespace) -> int:
+    return _report(load_config(args.config))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -499,12 +457,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if cfg.kind == "dm":
             raise ConfigError("kind 'dm' needs an explicit 'sweep' block")
         cfg = replace(cfg, sweep=SweepSettings())
-    if cfg.kind == "general-gaussian":
-        xs, table = general_sweep_table(cfg)
-    elif cfg.kind == "orthogonal-gaussian":
-        xs, table = orthogonal_sweep_table(cfg)
-    else:
-        xs, table = dm_sweep_table(cfg)
+    xs, table = sweep_table(cfg)
     param = cfg.sweep.parameter
     csv_path = args.out or cfg.output.csv
     svg_path = args.svg or cfg.output.svg
@@ -517,9 +470,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"wrote {svg_path}")
     if not csv_path and not svg_path:
-        print(",".join([param] + list(table)))
-        for i, x in enumerate(xs):
-            print(",".join(["%.6f" % x] + ["%.6f" % table[c][i] for c in table]))
+        print(_csv_text(param, xs, table), end="")
     return 0
 
 
@@ -546,7 +497,7 @@ def _cmd_dm(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.kind != "dm":
         raise ConfigError(f"the dm subcommand needs kind 'dm', got '{cfg.kind}'")
-    return _run_dm_config(cfg)
+    return _report(cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "GridBudgetError",
     "PSD_SLACK",
     "theta",
     "CorrelationTriple",
@@ -29,6 +30,10 @@ __all__ = [
 
 class DomainError(ValueError):
     """An argument left the mathematical domain of an operation."""
+
+
+class GridBudgetError(RuntimeError):
+    """The requested exhaustive search exceeds the evaluation budget."""
 
 
 #: Tolerance on the correlation-matrix determinant when testing feasibility.

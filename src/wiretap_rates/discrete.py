@@ -17,10 +17,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import DomainError, RateBreakdown, combine_breakdown
+from .core import DomainError, GridBudgetError, RateBreakdown, combine_breakdown
 
 __all__ = [
-    "GridBudgetError",
     "DMChannel",
     "EavesdropperInputDist",
     "LegitimateInputDist",
@@ -49,11 +48,9 @@ X_L, X_1E, X_2E, Y_L, Y_1E, Y_2E = range(6)
 _SUM_TOL = 1e-12
 
 
-class GridBudgetError(RuntimeError):
-    """The requested exhaustive search exceeds the evaluation budget."""
-
-
 def _check_pmf_axis(arr: np.ndarray, axes: tuple[int, ...], what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} has a non-finite entry")
     if np.min(arr) < -_SUM_TOL:
         raise DomainError(f"{what} has a negative entry ({float(np.min(arr))!r})")
     error = float(np.max(np.abs(arr.sum(axis=axes) - 1.0)))
@@ -323,7 +320,8 @@ def sup_inf_rate(
 
     Both laws run over exhaustive simplex grids with step 1/m,
     m = round(1/grid_resolution), counted against ``max_evaluations`` before
-    any is built.  Each legitimate law is scored against the whole inner
+    any is built (a resolution below 1/max_evaluations is refused before
+    counting).  Each legitimate law is scored against the whole inner
     grid at once.  Ties break toward the earliest grid point in enumeration
     order on both sides.  The outer grid at step 1/m is contained in the one
     at step 1/(2m), so along such nested grids (m -> 2m) the result can only
@@ -335,6 +333,13 @@ def sup_inf_rate(
     """
     if not (0.0 < grid_resolution <= 1.0):
         raise DomainError(f"grid resolution must lie in (0, 1], got {grid_resolution!r}")
+    # The grids have more points in all than m unless every alphabet has one
+    # letter.  Checked before rounding: 1/resolution can overflow to inf.
+    if 1.0 / grid_resolution > max_evaluations:
+        raise GridBudgetError(
+            f"sup-inf grid at resolution {grid_resolution!r} needs more than "
+            f"{max_evaluations} evaluations, the budget"
+        )
     m = max(1, round(1.0 / grid_resolution))
     n_xl, n_x1e, n_x2e = ch.input_sizes
     n_q = n_x1e * n_x2e  # simplex grids over k outcomes have C(m + k - 1, m) points

@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     CorrelationTriple,
     DomainError,
+    GridBudgetError,
     RateBreakdown,
     combine_breakdown,
     valid_correlation,
@@ -29,6 +30,7 @@ from .gaussian import GeneralGaussianParams
 from .oracle import general_rate_terms_grid
 
 __all__ = [
+    "MAX_GRID_POINTS",
     "SearchConfig",
     "OptimizationResult",
     "is_valid_correlation",
@@ -39,6 +41,9 @@ __all__ = [
 
 _MAX_SWEEPS_PER_PASS = 25
 _CHUNK_TARGET = 250_000
+
+#: Most points the coarse grid may have; the 0.01 grid has 201^3 = 8.1M.
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,8 @@ class SearchConfig:
             raise DomainError("refine_iterations must be >= 0")
         if not (0.0 < self.refine_shrink < 1.0):
             raise DomainError("refine_shrink must lie in (0, 1)")
-        if self.tolerance < 0.0:
-            raise DomainError("tolerance must be >= 0")
+        if not (0.0 <= self.tolerance < math.inf):
+            raise DomainError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,19 @@ def correlation_grid_axis(resolution: float) -> np.ndarray:
     """Grid values covering [-1, 1] at the snapped resolution.
 
     The requested resolution is snapped to 2/m with m = 2*round(1/resolution)
-    so that -1, 0 and 1 are always exact grid points.
+    so that -1, 0 and 1 are always exact grid points.  The search grid is
+    the axis cubed, so an axis whose cube has more than MAX_GRID_POINTS
+    points raises GridBudgetError before any array is built.
     """
     if not (0.0 < resolution <= 1.0):
         raise DomainError(f"grid resolution must lie in (0, 1], got {resolution!r}")
-    m = max(2, 2 * round(1.0 / resolution))
+    # Capped before rounding: 1/resolution can overflow to inf.
+    m = max(2, 2 * round(min(1.0 / resolution, MAX_GRID_POINTS)))
+    if (m + 1) ** 3 > MAX_GRID_POINTS:
+        raise GridBudgetError(
+            f"correlation grid at resolution {resolution!r} has more than "
+            f"{MAX_GRID_POINTS} points"
+        )
     i = np.arange(m + 1, dtype=float)
     return (2.0 * i - m) / m
 

@@ -18,7 +18,7 @@ from wiretap_rates.audit import (
     draw_general_params,
     draw_orthogonal_params,
 )
-from wiretap_rates.cli import general_sweep_table, load_config
+from wiretap_rates.cli import SweepSettings, load_config, sweep_table
 from wiretap_rates.core import CorrelationTriple, ZERO_RHO, theta
 from wiretap_rates.discrete import (
     DMChannel,
@@ -78,7 +78,7 @@ def sweep_tables():
     tables = {}
     for name in ("fig3a", "fig3b"):
         cfg = load_config(name)
-        xs, table = general_sweep_table(cfg)
+        xs, table = sweep_table(cfg)
         tables[name] = (xs, table)
     return tables
 
@@ -173,6 +173,25 @@ def test_criterion_05_rate_ordering(sweep_tables):
             og = rate_orthogonal(p).secure_rate
             assert rate_perfectcolluding(p) <= og + 1e-12
             assert og <= rate_noncolluding(p) + 1e-12
+
+
+def test_criterion_05_strict_ordering_where_rates_are_positive():
+    # fig3a and fig3b are zero in every column (h_l equals every listening
+    # gain there), so the orderings above hold as 0 <= 0.  With h_l = 2
+    # every rate is positive and each ordering is strict.
+    with _criterion(5, "strict orderings on fig3a with h_l = 2"):
+        cfg = load_config("fig3a")
+        cfg = replace(
+            cfg,
+            orthogonal=replace(cfg.orthogonal, h_l=2.0),
+            general=replace(cfg.general, h_l=2.0),
+            sweep=SweepSettings("P_l", 0.5, 10.0, 0.5),
+        )
+        xs, table = sweep_table(cfg)
+        for i, x in enumerate(xs):
+            row = {c: v[i] for c, v in table.items()}
+            assert min(row.values()) > 0.0, f"P_l {x}: {row}"
+            assert row["R_pc"] < row["R_og"] < row["R_nc"], f"P_l {x}: {row}"
 
 
 def test_criterion_06_constrained_vs_nonjamming_orderings(sweep_tables):

@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from importlib.resources import files
 from pathlib import Path
 
 import pytest
@@ -85,15 +86,52 @@ def test_load_config_rejects_missing_key(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_non_numeric_field(tmp_path):
-    block = dict(ORTHO_BLOCK, P_l="four")
-    path = write_config(tmp_path, {"kind": "orthogonal-gaussian", "orthogonal": block})
-    with pytest.raises(ConfigError, match="P_l"):
+def dm_config(tmp_path: Path, **dm) -> str:
+    (tmp_path / "ch.dmc").write_text(
+        (files("wiretap_rates") / "configs" / "bsc_degraded.dmc").read_text()
+    )
+    return write_config(tmp_path, {
+        "kind": "dm",
+        "dm": {"channel_file": "ch.dmc", "grid_resolution": 0.1, **dm},
+    })
+
+
+def assert_one_line_error(capsys, prefix: str) -> None:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(prefix), err
+
+
+@pytest.mark.parametrize(
+    "block, key, value",
+    [
+        ("orthogonal", "P_l", "four"),
+        ("orthogonal", "P_l", True),
+        ("dm", "max_evaluations", float("nan")),
+        ("dm", "max_evaluations", float("inf")),
+        ("dm", "max_evaluations", 10 ** 400),
+        ("optimizer", "refine_iterations", float("inf")),
+        ("optimizer", "tolerance", float("nan")),
+    ],
+    ids=["string", "bool", "nan-integer", "infinite-integer", "huge-integer",
+         "infinite-iterations", "nan-tolerance"],
+)
+def test_load_config_rejects_non_numeric_field(tmp_path, capsys, block, key, value):
+    if block == "dm":
+        path = dm_config(tmp_path, **{key: value})
+    else:
+        payload = {
+            "kind": "general-gaussian",
+            "orthogonal": ORTHO_BLOCK,
+            "general": GENERAL_BLOCK,
+            "optimizer": {"coarse_resolution": 0.5},
+        }
+        payload[block] = {**payload[block], key: value}
+        path = write_config(tmp_path, payload)
+    with pytest.raises(ConfigError, match=key):
         load_config(path)
-    block = dict(ORTHO_BLOCK, P_l=True)
-    path = write_config(tmp_path, {"kind": "orthogonal-gaussian", "orthogonal": block})
-    with pytest.raises(ConfigError, match="P_l"):
-        load_config(path)
+    assert main(["point", "--config", path]) == 1
+    assert_one_line_error(capsys, "config error")
 
 
 def test_load_config_rejects_invalid_sweep(tmp_path):
@@ -324,17 +362,35 @@ def test_sweep_bad_range_exits_with_one_line(tmp_path, capsys, sweep):
 
 
 def test_dm_over_budget_exits_with_one_line(tmp_path, capsys):
-    from importlib.resources import files
-    (tmp_path / "ch.dmc").write_text(
-        (files("wiretap_rates") / "configs" / "bsc_degraded.dmc").read_text()
-    )
-    path = write_config(tmp_path, {
-        "kind": "dm",
-        "dm": {"channel_file": "ch.dmc", "grid_resolution": 0.05,
-               "max_evaluations": 3},
-    })
-    rc = main(["dm", "--config", path])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert err.startswith("budget error")
+    path = dm_config(tmp_path, grid_resolution=0.05, max_evaluations=3)
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(capsys, "budget error")
+
+
+@pytest.mark.parametrize(
+    "command, resolution",
+    [("point", 1e-4), ("point", 1e-320), ("dm", 1e-320)],
+    ids=["point-1e-4", "point-1e-320", "dm-1e-320"],
+)
+def test_grid_over_budget_exits_with_one_line(tmp_path, capsys, command, resolution):
+    if command == "dm":
+        path = dm_config(tmp_path, grid_resolution=resolution)
+    else:
+        path = write_config(tmp_path, {
+            "kind": "general-gaussian",
+            "orthogonal": ORTHO_BLOCK,
+            "general": GENERAL_BLOCK,
+            "optimizer": {"coarse_resolution": resolution},
+        })
+    assert main([command, "--config", path]) == 1
+    assert_one_line_error(capsys, "budget error")
+
+
+def test_nan_in_channel_file_is_config_error(tmp_path, capsys):
+    path = dm_config(tmp_path)
+    channel = tmp_path / "ch.dmc"
+    channel.write_text(channel.read_text().replace("0.009", "nan", 1))
+    with pytest.raises(ConfigError, match="ch.dmc"):
+        load_config(path)
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(capsys, "config error")

@@ -8,7 +8,6 @@ from wiretap_rates import discrete
 from wiretap_rates.discrete import (
     DMChannel,
     EavesdropperInputDist,
-    GridBudgetError,
     LegitimateInputDist,
     X_L,
     X_1E,
@@ -27,7 +26,7 @@ from wiretap_rates.discrete import (
     simplex_grid,
     sup_inf_rate,
 )
-from wiretap_rates.core import DomainError
+from wiretap_rates.core import DomainError, GridBudgetError
 
 
 def h2(p: float) -> float:
