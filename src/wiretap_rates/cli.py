@@ -41,6 +41,7 @@ from .optimize import OptimizationResult, SearchConfig, optimize_general
 
 __all__ = [
     "ConfigError",
+    "MAX_AUDIT_DRAWS",
     "MAX_SWEEP_ROWS",
     "ScenarioConfig",
     "load_config",
@@ -53,6 +54,9 @@ __all__ = [
 
 #: Largest number of rows a sweep may ask for.
 MAX_SWEEP_ROWS = 100_000
+
+#: Largest number of draws an audit may ask for; each keeps about 3 KB of rows.
+MAX_AUDIT_DRAWS = 100_000
 
 
 class ConfigError(ValueError):
@@ -475,6 +479,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if not 1 <= args.draws <= MAX_AUDIT_DRAWS:
+        raise ConfigError(
+            f"audit --draws must lie in [1, {MAX_AUDIT_DRAWS}], got {args.draws}"
+        )
     models = ("orthogonal", "general")
     if args.config:
         kind = load_config(args.config).kind

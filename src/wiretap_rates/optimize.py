@@ -42,7 +42,8 @@ __all__ = [
 _MAX_SWEEPS_PER_PASS = 25
 _CHUNK_TARGET = 250_000
 
-#: Most points the coarse grid may have; the 0.01 grid has 201^3 = 8.1M.
+#: Most points the coarse grid may have (the 0.01 grid has 201^3 = 8.1M),
+#: and most evaluations the descents may take (3 passes take at most 900).
 MAX_GRID_POINTS = 10_000_000
 
 
@@ -198,7 +199,18 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     leak_joint, leak_single_1, leak_single_2) that the secure rate combines
     as in :func:`wiretap_rates.core.combine_breakdown`.  Objective errors
     propagate.
+
+    Raises GridBudgetError, before the grid is built, when the descents
+    could take more than MAX_GRID_POINTS evaluations.
     """
+    # Two starts, each pass up to _MAX_SWEEPS_PER_PASS sweeps of three
+    # coordinates with two candidates each.
+    descent_budget = 2 * cfg.refine_iterations * _MAX_SWEEPS_PER_PASS * 6
+    if descent_budget > MAX_GRID_POINTS:
+        raise GridBudgetError(
+            f"{cfg.refine_iterations} refine iterations may take {descent_budget} "
+            f"descent evaluations, more than {MAX_GRID_POINTS}"
+        )
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
 

@@ -18,6 +18,9 @@ zero eigenvalues in several submatrices; whenever the information is finite
 the clamped ones cancel across the four log-determinants, so those inputs
 evaluate to their natural limits instead of failing.
 
+Every route evaluates stacks of covariances; a single covariance is a stack
+of one, so the audit's blocks and the scalar calls share each definition.
+
 :func:`general_rate_terms_grid` evaluates the same four shared-band terms
 over arrays of correlation triples from output variances, without assembling
 a covariance; the tests compare it with the log-determinant route.
@@ -33,6 +36,7 @@ import numpy as np
 
 from .core import (
     CorrelationTriple,
+    ZERO_RHO,
     DomainError,
     RateBreakdown,
     combine_breakdown,
@@ -111,8 +115,7 @@ _ORTHOGONAL_TERMS = _term_indices(
 class JointCovariance:
     """A labelled joint covariance matrix of transmit signals and outputs.
 
-    The matrix must be symmetric to 1e-12 and have no eigenvalue below
-    -1e-10, both relative to its largest diagonal magnitude (at least 1).
+    The matrix must pass :func:`_check_covariances`.
     """
 
     labels: tuple[str, ...]
@@ -123,11 +126,7 @@ class JointCovariance:
         n = len(self.labels)
         if m.shape != (n, n):
             raise DomainError(f"covariance shape {m.shape} does not match {n} labels")
-        scale = max(float(np.abs(m.diagonal()).max()), 1.0)
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise DomainError("covariance matrix is not symmetric")
-        if np.linalg.eigvalsh(m).min() < -1e-10 * scale:
-            raise DomainError("covariance matrix is not positive semidefinite")
+        _check_covariances(m[np.newaxis])
         object.__setattr__(self, "matrix", m)
 
     def index(self, label: str) -> int:
@@ -137,22 +136,37 @@ class JointCovariance:
             raise DomainError(f"unknown variable label {label!r}") from None
 
 
+def _check_covariances(stack: np.ndarray) -> None:
+    """Raise unless every matrix of a (K, n, n) stack is a covariance.
+
+    Each matrix must be symmetric to 1e-12 and have no eigenvalue below
+    -1e-10, both relative to its largest diagonal magnitude (at least 1).
+    """
+    scale = np.maximum(np.abs(stack.diagonal(0, 1, 2)).max(axis=1), 1.0)
+    if (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale).any():
+        raise DomainError("covariance matrix is not symmetric")
+    if (np.linalg.eigvalsh(stack)[:, 0] < -1e-10 * scale).any():
+        raise DomainError("covariance matrix is not positive semidefinite")
+
+
 def _input_covariance(
-    P_l: float,
-    P_1e: float,
-    P_2e: float,
+    powers: np.ndarray,
     rho_1: float | np.ndarray,
     rho_2: float | np.ndarray,
     rho_12: float | np.ndarray,
 ) -> np.ndarray:
     """(K, 3, 3) covariances of (X_l, X_1e, X_2e) at K correlation triples.
 
-    The correlations are equally shaped arrays of K values, or floats for K=1.
+    ``powers`` holds (P_l, P_1e, P_2e) per row: K rows, or one row shared by
+    all K triples.  The correlations are arrays of K values, or floats.
     """
-    a1 = rho_1 * math.sqrt(P_l * P_1e)
-    a2 = rho_2 * math.sqrt(P_l * P_2e)
-    a12 = rho_12 * math.sqrt(P_1e * P_2e)
-    s = np.empty((np.size(a1), 3, 3))
+    P_l, P_1e, P_2e = powers.T
+    a1, a2, a12 = np.broadcast_arrays(
+        rho_1 * np.sqrt(P_l * P_1e),
+        rho_2 * np.sqrt(P_l * P_2e),
+        rho_12 * np.sqrt(P_1e * P_2e),
+    )
+    s = np.empty((a1.size, 3, 3))
     s[:, 0, 0] = P_l
     s[:, 1, 1] = P_1e
     s[:, 2, 2] = P_2e
@@ -166,36 +180,61 @@ def _assemble(
     inputs_cov: np.ndarray, gain_rows: np.ndarray, noise_diag: np.ndarray
 ) -> np.ndarray:
     # Outputs are gain_rows @ inputs + independent noise, so each joint
-    # covariance of the stack is the usual linear-map block matrix.
-    cross = inputs_cov @ gain_rows.T
-    out = gain_rows @ cross + np.diag(noise_diag)
+    # covariance of the stack is the usual linear-map block matrix.  Gains
+    # (K or 1, m, 3) and noise variances (K or 1, m) are per matrix.
+    cross = inputs_cov @ gain_rows.transpose(0, 2, 1)
+    noise = noise_diag[:, :, np.newaxis] * np.eye(noise_diag.shape[1])
+    out = gain_rows @ cross + noise
     top = np.concatenate([inputs_cov, cross], axis=2)
     bottom = np.concatenate([cross.transpose(0, 2, 1), out], axis=2)
     return np.concatenate([top, bottom], axis=1)
 
 
 def _general_covariances(
-    p: GeneralGaussianParams,
+    ps: Sequence[GeneralGaussianParams],
     rho_1: float | np.ndarray,
     rho_2: float | np.ndarray,
     rho_12: float | np.ndarray,
 ) -> np.ndarray:
     """(K, 6, 6) joint covariances of GENERAL_LABELS at K correlation triples.
 
+    ``ps`` holds one parameter set per triple, or one set for all of them.
     Output equations: the legitimate receiver hears everything, each
     eavesdropper hears the legitimate signal and the other eavesdropper.
     """
-    gains = np.array(
+    gains = np.array([
         [
             [p.h_l, p.h_1e_l, p.h_2e_l],
             [p.h_l_1e, 0.0, p.h_2e_1e],
             [p.h_l_2e, p.h_1e_2e, 0.0],
         ]
-    )
-    noise = np.array([p.N_l, p.N_1e, p.N_2e])
-    return _assemble(
-        _input_covariance(p.P_l, p.P_1e, p.P_2e, rho_1, rho_2, rho_12), gains, noise
-    )
+        for p in ps
+    ])
+    powers = np.array([(p.P_l, p.P_1e, p.P_2e) for p in ps])
+    noise = np.array([(p.N_l, p.N_1e, p.N_2e) for p in ps])
+    return _assemble(_input_covariance(powers, rho_1, rho_2, rho_12), gains, noise)
+
+
+def _orthogonal_covariances(
+    ps: Sequence[OrthogonalGaussianParams],
+    rho_1: float | np.ndarray,
+    rho_2: float | np.ndarray,
+    rho_12: float | np.ndarray,
+) -> np.ndarray:
+    """(K, 8, 8) joint covariances of ORTHOGONAL_LABELS, as above."""
+    gains = np.array([
+        [
+            [p.h_l, 0.0, 0.0],
+            [p.h_1m, 0.0, 0.0],
+            [0.0, 0.0, p.h_1c],
+            [p.h_2m, 0.0, 0.0],
+            [0.0, p.h_2c, 0.0],
+        ]
+        for p in ps
+    ])
+    powers = np.array([(p.P_l, p.P_1e, p.P_2e) for p in ps])
+    noise = np.array([(p.N_l, p.N_1e_m, p.N_1e_c, p.N_2e_m, p.N_2e_c) for p in ps])
+    return _assemble(_input_covariance(powers, rho_1, rho_2, rho_12), gains, noise)
 
 
 def build_joint_covariance_general(
@@ -207,7 +246,7 @@ def build_joint_covariance_general(
     eavesdropper hears the legitimate signal and the other eavesdropper.
     """
     return JointCovariance(
-        GENERAL_LABELS, _general_covariances(p, *rho.as_tuple())[0]
+        GENERAL_LABELS, _general_covariances([p], *rho.as_tuple())[0]
     )
 
 
@@ -221,19 +260,10 @@ def build_joint_covariance_orthogonal(
     codebooks, which is the input law the orthogonal closed form assumes.
     """
     if rho is None:
-        rho = CorrelationTriple(0.0, 0.0, 0.0)
-    gains = np.array(
-        [
-            [p.h_l, 0.0, 0.0],
-            [p.h_1m, 0.0, 0.0],
-            [0.0, 0.0, p.h_1c],
-            [p.h_2m, 0.0, 0.0],
-            [0.0, p.h_2c, 0.0],
-        ]
+        rho = ZERO_RHO
+    return JointCovariance(
+        ORTHOGONAL_LABELS, _orthogonal_covariances([p], *rho.as_tuple())[0]
     )
-    noise = np.array([p.N_l, p.N_1e_m, p.N_1e_c, p.N_2e_m, p.N_2e_c])
-    inputs = _input_covariance(p.P_l, p.P_1e, p.P_2e, *rho.as_tuple())
-    return JointCovariance(ORTHOGONAL_LABELS, _assemble(inputs, gains, noise)[0])
 
 
 def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
@@ -318,9 +348,31 @@ def mi_gaussian(
     return _nonnegative(float(value[0]))
 
 
-def _breakdown(cov: JointCovariance, terms: Iterable[_Term]) -> RateBreakdown:
-    values = _cmi_terms(cov.matrix[np.newaxis], terms)
-    return combine_breakdown(*(_nonnegative(float(v[0])) for v in values))
+def _breakdowns(stack: np.ndarray, terms: Iterable[_Term]) -> list[RateBreakdown]:
+    """One rate breakdown per checked covariance of a (K, n, n) stack."""
+    _check_covariances(stack)
+    values = np.array(_cmi_terms(stack, terms)).T.tolist()
+    return [combine_breakdown(*map(_nonnegative, row)) for row in values]
+
+
+def _rate_general_oracles(
+    ps: Sequence[GeneralGaussianParams],
+    rho_1: float | np.ndarray,
+    rho_2: float | np.ndarray,
+    rho_12: float | np.ndarray,
+) -> list[RateBreakdown]:
+    """:func:`rate_general_oracle` at K triples, as one covariance stack.
+
+    ``ps`` holds one parameter set per triple, or one set for all of them.
+    """
+    return _breakdowns(_general_covariances(ps, rho_1, rho_2, rho_12), _GENERAL_TERMS)
+
+
+def _rate_orthogonal_oracles(
+    ps: Sequence[OrthogonalGaussianParams],
+) -> list[RateBreakdown]:
+    """:func:`rate_orthogonal_oracle` of K parameter sets, as one stack."""
+    return _breakdowns(_orthogonal_covariances(ps, 0.0, 0.0, 0.0), _ORTHOGONAL_TERMS)
 
 
 def rate_general_oracle(
@@ -335,7 +387,7 @@ def rate_general_oracle(
     Total on degenerate parameters (zero powers, |rho_12| = 1): the
     eigenvalue clamp turns them into the correct limits.
     """
-    return _breakdown(build_joint_covariance_general(p, rho), _GENERAL_TERMS)
+    return _rate_general_oracles([p], *rho.as_tuple())[0]
 
 
 def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
@@ -344,7 +396,7 @@ def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
     Single-eavesdropper leakage pairs each eavesdropper's listening output
     with its cross-band output.
     """
-    return _breakdown(build_joint_covariance_orthogonal(p), _ORTHOGONAL_TERMS)
+    return _rate_orthogonal_oracles([p])[0]
 
 
 def general_rate_terms_grid(
@@ -404,12 +456,17 @@ def general_rate_terms_grid(
 
         # joint: var(X_l | X_1e, X_2e) / P_l.  A zero-power input carries no
         # information, and with |rho_12| = 1 X_2e is a function of X_1e.
+        # Conditioning on both inputs leaves at most what either one leaves,
+        # 1 - max(rho_1^2, rho_2^2); near |rho_12| = 1 the determinant
+        # ratio is a cancelled difference over a tiny divisor, so it is held
+        # to that bound.
         if p.P_1e > 0.0 and p.P_2e > 0.0:
             residual = np.where(
                 np.abs(r12) < 1.0,
                 correlation_determinant(r1, r2, r12) / ((1.0 - r12) * (1.0 + r12)),
                 1.0 - r1 * r1,
             )
+            residual = np.minimum(residual, 1.0 - np.maximum(r1 * r1, r2 * r2))
         elif p.P_1e > 0.0:
             residual = 1.0 - r1 * r1
         elif p.P_2e > 0.0:

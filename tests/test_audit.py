@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from wiretap_rates import audit
 from wiretap_rates.audit import (
     AUDIT_TOL,
     AuditRng,
@@ -15,7 +16,9 @@ from wiretap_rates.audit import (
     rows_to_csv,
     run_audit,
 )
+from wiretap_rates.core import ZERO_RHO
 from wiretap_rates.optimize import is_valid_correlation
+from wiretap_rates.oracle import rate_general_oracle, rate_orthogonal_oracle
 
 
 def test_rng_reference_sequence():
@@ -137,3 +140,43 @@ def test_format_report_verdict_line():
     assert "PASS" in text.splitlines()[-1]
     verbose = format_report(rep, verbose=True)
     assert len(verbose.splitlines()) > len(text.splitlines())
+
+
+def per_draw_oracle_rows(seed, draws):
+    """(draw, term, oracle value) of every audit row, one oracle call each."""
+    rows = []
+    rng = AuditRng(seed)
+    for i in range(draws):
+        o = rate_orthogonal_oracle(draw_orthogonal_params(rng))
+        for term, v in (("main", o.main_rate), ("joint", o.leak_joint),
+                        ("single_1", o.leak_single_1), ("single_2", o.leak_single_2),
+                        ("secure", o.secure_rate)):
+            rows.append((i, f"orthogonal/{term}", v))
+    rng = AuditRng(seed)
+    for i in range(draws):
+        p = draw_general_params(rng)
+        rho = draw_correlation(rng)
+        z, o = rate_general_oracle(p, ZERO_RHO), rate_general_oracle(p, rho)
+        for term, v in (("zero/main", z.main_rate), ("zero/joint", z.leak_joint),
+                        ("zero/single_1", z.leak_single_1),
+                        ("zero/single_2", z.leak_single_2),
+                        ("rho/single_1", o.leak_single_1),
+                        ("rho/single_2", o.leak_single_2),
+                        ("rho/main", o.main_rate), ("rho/joint", o.leak_joint)):
+            rows.append((i, f"general/{term}", v))
+    return rows
+
+
+@pytest.mark.parametrize("rho2_both", [False, True])
+def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
+    draws = audit._BLOCK_DRAWS + 5
+    rep = run_audit(seed=6, draws=draws, rho2_both=rho2_both)
+    assert [(r.draw, r.name, r.oracle) for r in rep.rows] == \
+        per_draw_oracle_rows(6, draws)
+
+
+@pytest.mark.parametrize("block_draws", [1, 7])
+def test_audit_is_independent_of_the_block_size(monkeypatch, block_draws):
+    whole = rows_to_csv(run_audit(seed=8, draws=20, rho2_both=True))
+    monkeypatch.setattr(audit, "_BLOCK_DRAWS", block_draws)
+    assert rows_to_csv(run_audit(seed=8, draws=20, rho2_both=True)) == whole

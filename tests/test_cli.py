@@ -386,6 +386,31 @@ def test_grid_over_budget_exits_with_one_line(tmp_path, capsys, command, resolut
     assert_one_line_error(capsys, "budget error")
 
 
+@pytest.mark.parametrize("draws", ["0", "-3", "100001", "1000000000000"])
+def test_audit_draws_out_of_range_exits_with_one_line(tmp_path, capsys, draws):
+    out = tmp_path / "rows.csv"
+    assert main(["audit", "--draws", draws, "--out", str(out)]) == 1
+    assert_one_line_error(capsys, "config error")
+    assert not out.exists()
+
+
+def test_descent_over_budget_exits_before_the_grid(tmp_path, capsys, monkeypatch):
+    from wiretap_rates import optimize
+
+    def no_grid(resolution):
+        raise AssertionError("coarse grid built before the descent budget check")
+
+    monkeypatch.setattr(optimize, "correlation_grid_axis", no_grid)
+    path = write_config(tmp_path, {
+        "kind": "general-gaussian",
+        "orthogonal": ORTHO_BLOCK,
+        "general": GENERAL_BLOCK,
+        "optimizer": {"refine_iterations": 1_000_000_000},
+    })
+    assert main(["point", "--config", path]) == 1
+    assert_one_line_error(capsys, "budget error")
+
+
 def test_nan_in_channel_file_is_config_error(tmp_path, capsys):
     path = dm_config(tmp_path)
     channel = tmp_path / "ch.dmc"

@@ -53,6 +53,25 @@ def test_covariance_rejects_indefinite_matrix():
         JointCovariance(("a", "b"), m)
 
 
+@pytest.mark.parametrize(
+    "entry, value, message",
+    [((0, 3), 100.0, "positive semidefinite"), ((0, 1), None, "symmetric")],
+    ids=["indefinite", "asymmetric"],
+)
+def test_stack_check_rejects_a_bad_last_matrix(entry, value, message):
+    good = build_joint_covariance_general(GEN_POINT, ZERO_RHO).matrix
+    stack = np.stack([good] * 3)
+    oracle._check_covariances(stack)
+    i, j = entry
+    if value is None:
+        # One off-diagonal entry moved, its mirror kept.
+        stack[-1, i, j] += 1e-6
+    else:
+        stack[-1, i, j] = stack[-1, j, i] = value
+    with pytest.raises(DomainError, match=message):
+        oracle._check_covariances(stack)
+
+
 def test_covariance_unknown_label():
     cov = build_joint_covariance_general(GEN_POINT, ZERO_RHO)
     with pytest.raises(DomainError, match="unknown variable"):
@@ -237,7 +256,7 @@ def test_grid_matches_reference_on_search_grid(P_l):
     bound = np.full(r1.size, 1e-12)
     bound[-1] = 1e-10
 
-    stack = oracle._general_covariances(p, r1[valid], r2[valid], r12[valid])
+    stack = oracle._general_covariances([p], r1[valid], r2[valid], r12[valid])
     reference = oracle._cmi_terms(stack, oracle._GENERAL_TERMS)
     for arr, value in zip(terms, reference):
         assert value.size == 39146 and value.min() >= -oracle.NEG_TOL
@@ -250,6 +269,25 @@ def test_grid_matches_reference_on_search_grid(P_l):
         want = (o.main_rate, o.leak_joint, o.leak_single_1, o.leak_single_2)
         err = max(abs(arr[k] - w) for arr, w in zip(terms, want))
         assert err <= bound[k], (r1[k], r2[k], r12[k])
+
+
+def test_grid_joint_leakage_next_to_rho12_minus_one():
+    # Point-fine scenario 2 with jamming stripped, at a triple where the
+    # determinant ratio is a cancelled 6.7e-16 over 4.4e-16 (1.5, not the
+    # residual 0.654).  Conditioning on X_2e, almost -X_1e here, adds
+    # nothing to conditioning on X_1e.
+    p = GeneralGaussianParams(
+        h_l=1.5680615545279275, h_1e_l=0.0, h_2e_l=0.0,
+        h_l_1e=0.519466607956536, h_l_2e=0.41495778927001953,
+        h_2e_1e=0.46551868440836525, h_1e_2e=0.47106149691352006,
+        P_l=2.9248571223002573, P_1e=0.7104023156669221, P_2e=1.9180396732321934,
+        N_l=0.9608154623398999, N_1e=0.8275659483781101, N_2e=0.9670013327469336,
+    )
+    rho = (-0.588, 0.5880000000000001, -0.9999999999999998)
+    joint = general_rate_terms_grid(p, *map(np.array, rho))[1]
+    gain = p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
+    want = 0.5 * math.log2(1.0 + p.P_l * (1.0 - rho[0] ** 2) * gain)
+    assert abs(joint - want) <= 1e-12
 
 
 def test_grid_preserves_input_shape():
