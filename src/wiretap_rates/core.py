@@ -67,12 +67,17 @@ def valid_correlation(rho_1, rho_2, rho_12) -> np.ndarray:
     """Elementwise: whether each triple forms a valid correlation matrix.
 
     Valid means finite entries in [-1, 1] and a determinant of at least
-    -PSD_SLACK.  Takes floats or equally shaped arrays.
+    -PSD_SLACK.  Takes floats or broadcastable arrays.
     """
     r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
     with np.errstate(invalid="ignore", over="ignore"):
-        bounded = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r12)) <= 1.0
-        return bounded & (correlation_determinant(r1, r2, r12) >= -PSD_SLACK)
+        return _valid_given_determinant(r1, r2, r12, correlation_determinant(r1, r2, r12))
+
+
+def _valid_given_determinant(r1, r2, r12, det) -> np.ndarray:
+    """:func:`valid_correlation` of float arrays whose determinant is ``det``."""
+    bounded = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r12)) <= 1.0
+    return bounded & (det >= -PSD_SLACK)
 
 
 @dataclass(frozen=True)

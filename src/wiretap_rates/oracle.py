@@ -40,8 +40,8 @@ from .core import (
     DomainError,
     RateBreakdown,
     combine_breakdown,
+    _valid_given_determinant,
     correlation_determinant,
-    valid_correlation,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
 
@@ -407,11 +407,12 @@ def general_rate_terms_grid(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized shared-band rate terms over arrays of correlation triples.
 
-    Takes equally shaped arrays of correlation values and returns arrays
-    (main, leak_joint, leak_single_1, leak_single_2), the terms of
-    :func:`rate_general_oracle`.  Each term observes channel outputs, each
-    output carries independent noise, and so each term is half the log2 of
-    an output variance over its variance given the conditioned inputs:
+    Takes broadcastable arrays of correlation values and returns arrays
+    (main, leak_joint, leak_single_1, leak_single_2) of their broadcast
+    shape, the terms of :func:`rate_general_oracle`.  Each term observes
+    channel outputs, each output carries independent noise, and so each term
+    is half the log2 of an output variance over its variance given the
+    conditioned inputs:
 
     main      var(Y_l | X_l) is N_l plus the jamming X_l does not explain,
               g^T S_{E|X_l} g with g = (h_1e_l, h_2e_l) and S_{E|X_l} the
@@ -421,18 +422,19 @@ def general_rate_terms_grid(
               v = var(X_l | X_1e, X_2e) in independent noises:
               1/2 * log2(1 + v * (h_l_1e^2 / N_1e + h_l_2e^2 / N_2e)).
 
-    No determinant of an assembled covariance is taken, so the terms keep
-    full precision up to the boundary of the valid set.  Entries whose
-    triple is not a valid correlation triple come back as NaN.
+    On grid views (k,1,1), (1,n,1), (1,1,n) only the main and joint terms
+    cost k*n*n.  No determinant of an assembled covariance is taken, so the
+    terms keep full precision up to the edge of the valid set.  Entries at
+    triples outside it come back as NaN.
     """
-    r1 = np.asarray(rho_1, dtype=float)
-    r2 = np.asarray(rho_2, dtype=float)
-    r12 = np.asarray(rho_12, dtype=float)
-    valid = valid_correlation(r1, r2, r12)
+    r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
     # Standard deviations of the inputs, folded into the gains below.
     sd_l, sd_1, sd_2 = math.sqrt(p.P_l), math.sqrt(p.P_1e), math.sqrt(p.P_2e)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = correlation_determinant(r1, r2, r12)
+        valid = _valid_given_determinant(r1, r2, r12, det)
+
         # main: cov(Y_l, X_l) / sd_l and var(Y_l | X_l).
         j1, j2 = p.h_1e_l * sd_1, p.h_2e_l * sd_2
         explained = p.h_l * sd_l + j1 * r1 + j2 * r2 if p.P_l > 0.0 else 0.0
@@ -463,7 +465,7 @@ def general_rate_terms_grid(
         if p.P_1e > 0.0 and p.P_2e > 0.0:
             residual = np.where(
                 np.abs(r12) < 1.0,
-                correlation_determinant(r1, r2, r12) / ((1.0 - r12) * (1.0 + r12)),
+                det / ((1.0 - r12) * (1.0 + r12)),
                 1.0 - r1 * r1,
             )
             residual = np.minimum(residual, 1.0 - np.maximum(r1 * r1, r2 * r2))

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from refpoints import GEN_POINT
-from wiretap_rates.core import CorrelationTriple, DomainError
+from wiretap_rates import optimize
+from wiretap_rates.core import (
+    CorrelationTriple,
+    DomainError,
+    combine_breakdown,
+    valid_correlation,
+)
 from wiretap_rates.optimize import (
     SearchConfig,
     correlation_grid_axis,
@@ -23,6 +29,21 @@ def quadratic_objective(target):
         return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
     return f
+
+
+def flat(r1, r2, r12):
+    return tuple(np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
+
+
+DIP_TARGET = (-0.4, -0.4, -0.4)
+
+
+def dip(r1, r2, r12):
+    """Rate 1 except in a dip of radius 0.15 around DIP_TARGET."""
+    t = DIP_TARGET
+    d2 = (r1 - t[0]) ** 2 + (r2 - t[1]) ** 2 + (r12 - t[2]) ** 2
+    q = np.minimum(1.0, d2 / 0.15 ** 2)
+    return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
 
 def test_grid_axis_contains_exact_anchors():
@@ -90,9 +111,6 @@ def test_minimize_refines_off_grid_minimum():
 
 
 def test_minimize_constant_objective_breaks_ties_lexicographically():
-    def flat(r1, r2, r12):
-        return tuple(np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
-
     res = minimize_rate(flat, SearchConfig(coarse_resolution=0.5))
     # first valid triple in (rho_1, rho_2, rho_12) order: both eavesdroppers
     # anti-aligned with the source forces their mutual correlation to 1
@@ -105,16 +123,9 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
     # ties and the grid minimum is the edge corner (-1, -1, 1), from which
     # every axis move leaves the valid set.  Descent from the best point off
     # the edges finds the dip.
-    target = (-0.4, -0.4, -0.4)
-
-    def dip(r1, r2, r12):
-        d2 = (r1 - target[0]) ** 2 + (r2 - target[1]) ** 2 + (r12 - target[2]) ** 2
-        q = np.minimum(1.0, d2 / 0.15 ** 2)
-        return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
-
     res = minimize_rate(dip, SearchConfig(coarse_resolution=0.5))
     assert res.rate.secure_rate < 1e-6
-    assert res.rho_star.as_tuple() == pytest.approx(target, abs=1e-3)
+    assert res.rho_star.as_tuple() == pytest.approx(DIP_TARGET, abs=1e-3)
 
 
 def test_minimize_is_deterministic():
@@ -133,3 +144,147 @@ def test_optimize_general_never_exceeds_fixed_points():
         fixed = rate_general_oracle(GEN_POINT, CorrelationTriple(*tup))
         assert res.rate.secure_rate <= fixed.secure_rate + 1e-12
     assert is_valid_correlation(*res.rho_star.as_tuple())
+
+
+def materialized_minimize_rate(terms, cfg):
+    """minimize_rate as a walk over materialized triples.
+
+    Each chunk of rho_1 rows is meshgridded, flattened, compressed to its
+    valid triples and searched by first-wins argmin, and descent evaluates
+    only its valid candidates.  Scalar or lower-dimensional terms are
+    broadcast to the triples.
+    """
+    axis = correlation_grid_axis(cfg.coarse_resolution)
+    n = axis.size
+
+    def evaluate(r1, r2, r12):
+        out = [np.broadcast_to(t, r1.shape) for t in terms(r1, r2, r12)]
+        main, joint, s1, s2 = out
+        sec = np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
+        sec = np.where(np.isfinite(sec), sec, np.inf)
+
+        def point(k):
+            return float(sec[k]), (r1[k], r2[k], r12[k]), tuple(float(t[k]) for t in out)
+
+        return sec, point
+
+    best = best_off_edge = None
+    evaluations = 0
+    rows = max(1, optimize._CHUNK_TARGET // (n * n))
+    for start in range(0, n, rows):
+        grids = np.meshgrid(axis[start : start + rows], axis, axis, indexing="ij")
+        r1, r2, r12 = (g.ravel() for g in grids)
+        mask = valid_correlation(r1, r2, r12)
+        r1, r2, r12 = r1[mask], r2[mask], r12[mask]
+        sec, point = evaluate(r1, r2, r12)
+        evaluations += sec.size
+        k = int(np.argmin(sec))
+        if best is None or sec[k] < best[0]:
+            best = point(k)
+        on_edge = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r12)) == 1.0
+        if on_edge[k]:
+            k = int(np.argmin(np.where(on_edge, np.inf, sec)))
+            if on_edge[k]:
+                continue
+        if best_off_edge is None or sec[k] < best_off_edge[0]:
+            best_off_edge = point(k)
+
+    def descend(best):
+        used, step = 0, cfg.coarse_resolution
+        for _ in range(cfg.refine_iterations):
+            step *= cfg.refine_shrink
+            for _sweep in range(optimize._MAX_SWEEPS_PER_PASS):
+                sweep_start = best[0]
+                for ax in range(3):
+                    cands = []
+                    for delta in (-step, step):
+                        c = list(best[1])
+                        c[ax] = min(1.0, max(-1.0, c[ax] + delta))
+                        if is_valid_correlation(*c):
+                            cands.append(c)
+                    if cands:
+                        sec, point = evaluate(*np.array(cands).T)
+                        used += len(cands)
+                        k = int(np.argmin(sec))
+                        if sec[k] < best[0]:
+                            best = point(k)
+                if sweep_start - best[0] < cfg.tolerance:
+                    break
+        return best, used
+
+    starts = [best]
+    if best_off_edge is not None and max(map(abs, best[1])) == 1.0:
+        starts.append(best_off_edge)
+    descents = [descend(start) for start in starts]
+    evaluations += sum(used for _, used in descents)
+    _, rho, rate_terms = min((end for end, _ in descents), key=lambda end: end[0])
+    rho_star = CorrelationTriple(*map(float, rho))
+    return optimize.OptimizationResult(
+        rho_star=rho_star,
+        rate=combine_breakdown(*rate_terms),
+        evaluations=evaluations,
+        on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
+    )
+
+
+def with_nan(where):
+    """A quadratic objective whose main term is NaN where ``where`` holds.
+
+    Its minimum, (-0.55, 0, 0.1), lies in or next to the NaN regions below.
+    """
+    base = quadratic_objective((-0.55, 0.0, 0.1))
+
+    def f(r1, r2, r12):
+        main, joint, s1, s2 = base(r1, r2, r12)
+        return np.where(where(r1, r2, r12), math.nan, main), joint, s1, s2
+
+    return f
+
+
+def low_dim(r1, r2, r12):
+    """Scalars and terms of fewer correlations; ties along rho_12 remain."""
+    joint = 10.0 - (r1 - 0.3) ** 2 - (r2 + 0.2) ** 2
+    return 10.0, joint, np.float64(50.0), 50.0 + 0.0 * r12
+
+
+PARITY_OBJECTIVES = {
+    "quadratic": quadratic_objective((0.313, -0.207, 0.093)),
+    "flat": flat,
+    "dip": dip,
+    # The first rows, so the first valid cells of the first chunk(s).
+    "nan-first-rows": with_nan(lambda r1, r2, r12: r1 + r2 < -0.5),
+    # Every cell of the rho_1 = -1 row, a whole chunk in one-row chunks.
+    "nan-first-chunk": with_nan(lambda r1, r2, r12: r1 + 0.0 * r2 == -1.0),
+    # Every cell of a middle row, next to the minimum.
+    "nan-middle-chunk": with_nan(lambda r1, r2, r12: r1 + 0.0 * r2 == -0.5),
+    # Every cell: the grid minimum is no finite point, so the search must
+    # still start from the first valid cell and fail on its rate terms.
+    "nan-everywhere": with_nan(lambda r1, r2, r12: r1 + r2 + r12 < 4.0),
+    "low-dim": low_dim,
+}
+
+
+def search_outcome(search, terms, cfg):
+    try:
+        res = search(terms, cfg)
+    except DomainError as err:
+        return str(err)
+    return res.rho_star, res.rate, res.evaluations, res.on_boundary
+
+
+@pytest.mark.parametrize("rows_per_chunk", ["default", 1])
+@pytest.mark.parametrize("name", sorted(PARITY_OBJECTIVES))
+def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypatch):
+    # One row per chunk puts chunk boundaries inside the 0.5 and 0.1 grids,
+    # which the default chunk size holds whole.
+    if rows_per_chunk == 1:
+        monkeypatch.setattr(optimize, "_CHUNK_TARGET", 1)
+    terms = PARITY_OBJECTIVES[name]
+    for res in (0.5, 0.1):
+        for refine in (0, 3):
+            cfg = SearchConfig(coarse_resolution=res, refine_iterations=refine)
+            got = search_outcome(minimize_rate, terms, cfg)
+            want = search_outcome(materialized_minimize_rate, terms, cfg)
+            assert got == want, (res, refine)
+            if name == "nan-everywhere":
+                assert "main_rate must be finite" in got

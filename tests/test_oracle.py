@@ -299,3 +299,41 @@ def test_grid_preserves_input_shape():
         assert arr.shape == (2, 5)
     # constant inputs give constant outputs
     assert np.ptp(main) == 0.0
+    # broadcastable inputs give outputs of the broadcast shape, also where a
+    # term reads only one correlation or none (both eavesdroppers silent)
+    for params in (GEN_POINT, dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0)):
+        terms = general_rate_terms_grid(params, np.full((2, 1), 0.1), np.zeros((1, 5)), 0.0)
+        for arr in terms:
+            assert arr.shape == (2, 5)
+
+
+_FIG3A = load_config("fig3a").general
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dataclasses.replace(_FIG3A, P_l=0.0),
+        dataclasses.replace(_FIG3A, P_l=1.0),
+        dataclasses.replace(_FIG3A, P_l=20.0),
+        dataclasses.replace(GEN_POINT, P_1e=0.0),
+        dataclasses.replace(GEN_POINT, P_2e=0.0),
+        dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0),
+        dataclasses.replace(GEN_POINT, P_l=0.0),
+    ],
+    ids=["fig3a-P_l-0", "fig3a-P_l-1", "fig3a-P_l-20",
+         "P_1e-0", "P_2e-0", "P_1e-P_2e-0", "P_l-0"],
+)
+def test_grid_on_broadcast_views_equals_grid_on_meshgrid(params):
+    # The search passes the axis as (k,1,1), (1,n,1), (1,1,n) views; every
+    # value, NaN positions included, must equal the meshgrid evaluation.  In
+    # the degenerate branches some terms depend on fewer correlations.
+    axis = correlation_grid_axis(0.1)
+    views = (axis[3:9, None, None], axis[None, :, None], axis[None, None, :])
+    meshed = np.meshgrid(axis[3:9], axis, axis, indexing="ij")
+    broadcast = general_rate_terms_grid(params, *views)
+    full = general_rate_terms_grid(params, *meshed)
+    for got, want in zip(broadcast, full):
+        assert got.shape == want.shape == (6, axis.size, axis.size)
+        np.testing.assert_array_equal(got, want)
+    assert np.isnan(full[0]).any() and not np.isnan(full[0]).all()
