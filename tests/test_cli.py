@@ -278,6 +278,12 @@ def test_dm_command_on_bundled_config(capsys):
     assert "0.41" in out
 
 
+def test_dm_command_on_bundled_tap_config(capsys):
+    rc = main(["dm", "--config", "dm_bsc_taps"])
+    assert rc == 0
+    assert "sup-inf rate        = 0.517074\n" in capsys.readouterr().out
+
+
 def test_dm_command_rejects_gaussian_config(tmp_path, capsys):
     rc = main(["dm", "--config", ortho_config(tmp_path)])
     assert rc == 1

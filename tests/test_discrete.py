@@ -147,6 +147,49 @@ def test_mutual_info_rejects_overlapping_axes():
         mutual_info_discrete(joint, [0], [0])
 
 
+@pytest.mark.parametrize(
+    "joint, message",
+    [
+        ([[0.5, -0.5], [0.5, 0.5]], "joint pmf has a negative entry"),
+        ([[0.9, 0.0], [0.0, 0.9]], "joint pmf does not normalize to 1"),
+        ([[np.nan, 0.5], [0.25, 0.25]], "joint pmf has a non-finite entry"),
+    ],
+    ids=["negative", "total-1.8", "nan"],
+)
+def test_mutual_info_rejects_a_joint_that_is_not_a_pmf(joint, message):
+    with pytest.raises(DomainError, match=message):
+        mutual_info_discrete(np.array(joint), [0], [1])
+
+
+def test_mutual_info_leaves_the_joint_unchanged():
+    # Round-off below 0 is clipped inside the evaluator, never in the caller's array.
+    joint = np.array([[0.5, -1e-13], [0.25, 0.25 + 1e-13]])
+    before = joint.copy()
+    mutual_info_discrete(joint, [0], [1])
+    assert np.array_equal(joint, before)
+
+
+# Positive cells per row around numpy's 8-way unrolled and 128-element
+# pairwise summation blocks, where sums with zeros left in place round
+# differently from sums of the positive cells alone.
+@pytest.mark.parametrize("width", [128, 300])
+def test_grouped_entropies_equal_one_pmf_sums(width):
+    rng = np.random.default_rng(width)
+    rows = []
+    for count in [0, 1, 7, 8, 9, 127, 128, 9, 1, 0, 128, 7]:
+        row = np.zeros(width)
+        cells = np.sort(rng.choice(width, size=count, replace=False))
+        row[cells] = rng.random(count)
+        rows.append(row / max(row.sum(), 1.0))
+    pmfs = np.array(rows)
+
+    def reference(row):
+        p = row[row > 0]
+        return -(p * np.log2(p)).sum()
+
+    assert discrete._entropies(pmfs).tolist() == [reference(row) for row in pmfs]
+
+
 def test_rate_dm_fixed_on_degraded_bsc():
     ch = bundled_channel()
     r, q = uniform_inputs(ch)
@@ -239,20 +282,25 @@ def test_sup_inf_matches_naive_double_loop():
 def test_stacked_secure_rates_equal_scalar_evaluations():
     ch = tapped_channel()
     qs = eavesdropper_input_grid(2, 1, 4)
-    for r in list(legitimate_input_grid(2, 2, 1, 4))[::7]:
-        stacked = discrete._secure_rates(ch, r, qs)
-        scalar = [
+    rs = np.array(list(legitimate_input_grid(2, 2, 1, 4))[::7])
+    stacked = discrete._product_rates(ch, rs, qs)
+    scalar = [
+        [
             rate_dm_fixed(ch, LegitimateInputDist(r), EavesdropperInputDist(q)).secure_rate
             for q in qs
         ]
-        assert stacked.tolist() == scalar
+        for r in rs
+    ]
+    assert stacked.tolist() == scalar
 
 
-@pytest.mark.parametrize("laws_per_stack", [1, 3])
-def test_sup_inf_is_independent_of_the_stack_size(monkeypatch, laws_per_stack):
+# 47 joints per stack hold two outer laws of 20 eavesdropper laws each and
+# end inside the third.
+@pytest.mark.parametrize("joints_per_stack", [1, 3, 47])
+def test_sup_inf_is_independent_of_the_stack_size(monkeypatch, joints_per_stack):
     ch = bsc_tap_channel(0.05, 0.3, 0.25, 0.2, 0.15)
     whole = sup_inf_rate(ch, 1.0 / 3.0)
-    monkeypatch.setattr(discrete, "_STACK_CELLS", laws_per_stack * ch.transition.size)
+    monkeypatch.setattr(discrete, "_STACK_CELLS", joints_per_stack * ch.transition.size)
     split = sup_inf_rate(ch, 1.0 / 3.0)
     assert split.rate == whole.rate
     assert split.refined_rate == whole.refined_rate
@@ -299,6 +347,13 @@ def test_sup_inf_pinned_tie_break(taps, rate, refined_rate, r_star, q_star):
     assert res.r_star.r.tolist() == r_star
     assert res.q_star.q.tolist() == q_star
     assert res.evaluations == 256 * 20 + 84
+
+
+def test_bundled_tap_channel_is_the_channel_5_construction():
+    taps = (0.045009356646736526, 0.3584763484933624, 0.262987751813643,
+            0.3583883758319963, 0.1136259074184674)
+    text = (files("wiretap_rates") / "configs" / "bsc_taps.dmc").read_text()
+    assert text == bsc_tap_channel(*taps).to_text()
 
 
 def test_sup_inf_checks_budget_before_building_grids(monkeypatch):
