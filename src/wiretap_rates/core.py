@@ -63,21 +63,23 @@ def correlation_determinant(rho_1: float, rho_2: float, rho_12: float) -> float:
     )
 
 
-def valid_correlation(rho_1, rho_2, rho_12) -> np.ndarray:
+def valid_correlation(rho_1, rho_2, rho_12) -> np.ndarray | bool:
     """Elementwise: whether each triple forms a valid correlation matrix.
 
     Valid means finite entries in [-1, 1] and a determinant of at least
-    -PSD_SLACK.  Takes floats or broadcastable arrays.
+    -PSD_SLACK.  Takes broadcastable arrays, or three floats, which give a
+    bool from the same float expressions without a round trip through numpy.
     """
-    r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
+    rhos = (rho_1, rho_2, rho_12)
+    if all(isinstance(r, float) for r in rhos):
+        # A NaN fails the bounds, so the determinant only sees [-1, 1].
+        return all(abs(r) <= 1.0 for r in rhos) and correlation_determinant(*rhos) >= -PSD_SLACK
+    r1, r2, r12 = (np.asarray(r, dtype=float) for r in rhos)
     with np.errstate(invalid="ignore", over="ignore"):
-        return _valid_given_determinant(r1, r2, r12, correlation_determinant(r1, r2, r12))
-
-
-def _valid_given_determinant(r1, r2, r12, det) -> np.ndarray:
-    """:func:`valid_correlation` of float arrays whose determinant is ``det``."""
-    bounded = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r12)) <= 1.0
-    return bounded & (det >= -PSD_SLACK)
+        valid = correlation_determinant(r1, r2, r12) >= -PSD_SLACK
+    # Each bound is tested on its own axis, before broadcasting.
+    valid &= (np.abs(r1) <= 1.0) & (np.abs(r2) <= 1.0) & (np.abs(r12) <= 1.0)
+    return valid
 
 
 @dataclass(frozen=True)

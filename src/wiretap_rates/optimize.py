@@ -99,11 +99,7 @@ class OptimizationResult:
 
 
 def is_valid_correlation(rho_1: float, rho_2: float, rho_12: float) -> bool:
-    """Whether the triple forms a positive-semidefinite correlation matrix.
-
-    Entries must lie in [-1, 1] and the determinant must be >= -PSD_SLACK;
-    see :func:`wiretap_rates.core.valid_correlation`.
-    """
+    """Whether the triple is valid; see :func:`wiretap_rates.core.valid_correlation`."""
     return bool(valid_correlation(rho_1, rho_2, rho_12))
 
 
@@ -128,8 +124,8 @@ def correlation_grid_axis(resolution: float) -> np.ndarray:
     return (2.0 * i - m) / m
 
 
-# (main, leak_joint, leak_single_1, leak_single_2) over broadcastable arrays
-# of (rho_1, rho_2, rho_12); values at invalid triples are ignored.
+# (main, leak_joint, leak_single_1, leak_single_2), each broadcastable to the
+# triples (rho_1, rho_2, rho_12); values at invalid triples are ignored.
 GridObjective = Callable[
     [np.ndarray, np.ndarray, np.ndarray],
     tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -143,19 +139,23 @@ _Point = tuple[float, tuple[float, float, float], tuple[float, float, float, flo
 def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndarray):
     """Secure rates over the broadcast triples, their validity, and ``point``.
 
-    Rates are +inf at invalid triples and where not finite: a nan would win
-    argmin and then lose every comparison.  ``point(k)`` is the search point
-    at flat index k of the broadcast shape.
+    The one place the valid set is applied: rates are +inf at invalid triples
+    and where not finite (a nan would win argmin and then lose every
+    comparison).  ``point(k)`` is the search point at flat index k.
     """
     valid = valid_correlation(r1, r2, r12)
     main, joint, s1, s2 = terms(r1, r2, r12)
-    sec = np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
-    sec = np.where(valid & np.isfinite(sec), sec, np.inf)
+    sec = np.minimum(joint, np.maximum(s1, s2), out=np.empty(valid.shape))
+    np.subtract(main, sec, out=sec)
+    np.maximum(sec, 0.0, out=sec)
+    np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
+    arrays = [np.asarray(a) for a in (sec, r1, r2, r12, main, joint, s1, s2)]
 
     def point(k: int) -> _Point:
         at = np.unravel_index(k, sec.shape)
-        arrays = (sec, r1, r2, r12, main, joint, s1, s2)
-        v = [float(np.broadcast_to(a, sec.shape)[at]) for a in arrays]
+        # Each array at cell k: its trailing axes, 0 along an axis of length 1.
+        v = [float(a[tuple(i % n for i, n in zip(at[sec.ndim - a.ndim :], a.shape))])
+             for a in arrays]
         return v[0], tuple(v[1:4]), tuple(v[4:])
 
     return sec, valid, point
@@ -238,7 +238,7 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
         # The chunk's first minimum is also its first minimum off the edges
         # unless it lies on one.
         if max(map(abs, found[1])) == 1.0:
-            on_edge = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), np.abs(r12)) == 1.0
+            on_edge = (np.abs(r1) == 1.0) | (np.abs(r2) == 1.0) | (np.abs(r12) == 1.0)
             k = _first_min(np.where(on_edge, np.inf, sec), valid)
             if on_edge.flat[k]:
                 continue

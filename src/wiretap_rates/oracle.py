@@ -23,7 +23,7 @@ of one, so the audit's blocks and the scalar calls share each definition.
 
 :func:`general_rate_terms_grid` evaluates the same four shared-band terms
 over arrays of correlation triples from output variances, without assembling
-a covariance; the tests compare it with the log-determinant route.
+a covariance or masking invalid triples; tests compare it with the log-det route.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .core import (
     DomainError,
     RateBreakdown,
     combine_breakdown,
-    _valid_given_determinant,
     correlation_determinant,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
@@ -422,30 +421,29 @@ def general_rate_terms_grid(
               v = var(X_l | X_1e, X_2e) in independent noises:
               1/2 * log2(1 + v * (h_l_1e^2 / N_1e + h_l_2e^2 / N_2e)).
 
-    On grid views (k,1,1), (1,n,1), (1,1,n) only the main and joint terms
-    cost k*n*n.  No determinant of an assembled covariance is taken, so the
-    terms keep full precision up to the edge of the valid set.  Entries at
-    triples outside it come back as NaN.
+    Each term has the shape its own correlations broadcast to, so on grid
+    views (k,1,1), (1,n,1), (1,1,n) only the main and joint terms, built in
+    place, cost k*n*n.  No determinant of an assembled covariance is taken,
+    so the terms keep full precision up to the edge of the valid set.
+    Values at triples outside it are unspecified; the search masks them.
     """
     r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
     # Standard deviations of the inputs, folded into the gains below.
     sd_l, sd_1, sd_2 = math.sqrt(p.P_l), math.sqrt(p.P_1e), math.sqrt(p.P_2e)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = correlation_determinant(r1, r2, r12)
-        valid = _valid_given_determinant(r1, r2, r12, det)
-
         # main: cov(Y_l, X_l) / sd_l and var(Y_l | X_l).
         j1, j2 = p.h_1e_l * sd_1, p.h_2e_l * sd_2
         explained = p.h_l * sd_l + j1 * r1 + j2 * r2 if p.P_l > 0.0 else 0.0
-        unexplained = (
-            j1 * j1 * (1.0 - r1 * r1)
-            + j2 * j2 * (1.0 - r2 * r2)
-            + 2.0 * j1 * j2 * (r12 - r1 * r2)
-        )
-        main = 0.5 * np.log2(
-            1.0 + explained * explained / (p.N_l + np.maximum(unexplained, 0.0))
-        )
+        main = np.asarray(r12 - r1 * r2)
+        main *= 2.0 * j1 * j2
+        main += j1 * j1 * (1.0 - r1 * r1) + j2 * j2 * (1.0 - r2 * r2)
+        np.maximum(main, 0.0, out=main)
+        main += p.N_l
+        np.divide(explained * explained, main, out=main)
+        main += 1.0
+        np.log2(main, out=main)
+        main *= 0.5
 
         # single_j: signal power at Y_je, split into the part along X_l and
         # the rest of the other eavesdropper's input.
@@ -463,21 +461,20 @@ def general_rate_terms_grid(
         # ratio is a cancelled difference over a tiny divisor, so it is held
         # to that bound.
         if p.P_1e > 0.0 and p.P_2e > 0.0:
-            residual = np.where(
-                np.abs(r12) < 1.0,
-                det / ((1.0 - r12) * (1.0 + r12)),
-                1.0 - r1 * r1,
-            )
-            residual = np.minimum(residual, 1.0 - np.maximum(r1 * r1, r2 * r2))
+            joint = np.asarray(correlation_determinant(r1, r2, r12))
+            joint /= (1.0 - r12) * (1.0 + r12)
+            np.copyto(joint, 1.0 - r1 * r1, where=np.abs(r12) >= 1.0)
+            np.minimum(joint, 1.0 - np.maximum(r1 * r1, r2 * r2), out=joint)
         elif p.P_1e > 0.0:
-            residual = 1.0 - r1 * r1
+            joint = np.asarray(1.0 - r1 * r1)
         elif p.P_2e > 0.0:
-            residual = 1.0 - r2 * r2
+            joint = np.asarray(1.0 - r2 * r2)
         else:
-            residual = 1.0
-        snr_gain = p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
-        joint = 0.5 * np.log2(1.0 + p.P_l * np.maximum(residual, 0.0) * snr_gain)
-
-    return tuple(
-        np.where(valid, term, math.nan) for term in (main, joint, single_1, single_2)
-    )
+            joint = np.ones(())
+        np.maximum(joint, 0.0, out=joint)
+        joint *= p.P_l
+        joint *= p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
+        joint += 1.0
+        np.log2(joint, out=joint)
+        joint *= 0.5
+    return main, joint, single_1, single_2

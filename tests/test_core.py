@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from wiretap_rates.core import (
     combine_breakdown,
     correlation_determinant,
     theta,
+    valid_correlation,
 )
 
 snr = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
@@ -75,6 +77,27 @@ def test_triple_accepts_boundary_within_slack():
     t = CorrelationTriple(1.0, 1.0, 1.0)
     assert t.determinant == 0.0
     assert CorrelationTriple(0.5, 0.5, -0.5).determinant >= -PSD_SLACK
+
+
+EDGE_RHOS = [-math.inf, -1.5, -1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0 - 2.0 ** -53, 1.0,
+             1.0 + 2.0 ** -52, math.inf, math.nan]
+
+
+def test_valid_correlation_floats_match_arrays():
+    # Three floats take a plain-float path; it must agree with the array
+    # path elementwise, at the bounds, at NaN and infinities, and on the
+    # singular triples where the determinant is 0.
+    r1, r2, r12 = np.meshgrid(EDGE_RHOS, EDGE_RHOS, EDGE_RHOS, indexing="ij")
+    array_valid = valid_correlation(r1, r2, r12)
+    assert array_valid.any() and not array_valid.all()
+    for (i, j, k), want in np.ndenumerate(array_valid):
+        got = valid_correlation(EDGE_RHOS[i], EDGE_RHOS[j], EDGE_RHOS[k])
+        assert isinstance(got, bool) and got == want, (i, j, k)
+
+
+@given(st.tuples(*[st.floats(min_value=-1.01, max_value=1.01)] * 3))
+def test_valid_correlation_float_path_matches_array_path(rho):
+    assert valid_correlation(*rho) == bool(valid_correlation(*map(np.array, rho)))
 
 
 def test_combine_breakdown_joint_binds():

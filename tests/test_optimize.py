@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,15 @@ import pytest
 
 from refpoints import GEN_POINT
 from wiretap_rates import optimize
+from wiretap_rates.cli import load_config
 from wiretap_rates.core import (
     CorrelationTriple,
     DomainError,
     combine_breakdown,
+    correlation_determinant,
     valid_correlation,
 )
+from wiretap_rates.gaussian import GeneralGaussianParams, strip_jamming
 from wiretap_rates.optimize import (
     SearchConfig,
     correlation_grid_axis,
@@ -126,6 +130,110 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
     res = minimize_rate(dip, SearchConfig(coarse_resolution=0.5))
     assert res.rate.secure_rate < 1e-6
     assert res.rho_star.as_tuple() == pytest.approx(DIP_TARGET, abs=1e-3)
+
+
+def lowest_outside(r1, r2, r12):
+    """Finite everywhere; the secure rate is max(2 + det, 0), so every
+    invalid triple (det < -PSD_SLACK) beats every valid one."""
+    det = correlation_determinant(r1, r2, r12)
+    return 12.0 + det, np.full(det.shape, 10.0), 50.0, 50.0
+
+
+def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
+    # The objective returns finite values everywhere, so only the search's
+    # own mask keeps the invalid triples out.
+    axis = correlation_grid_axis(0.1)
+    views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
+    sec, valid, _ = optimize._evaluate(lowest_outside, *views)
+    want = valid_correlation(*np.meshgrid(axis, axis, axis, indexing="ij"))
+    np.testing.assert_array_equal(valid, want)
+    assert 0 < np.count_nonzero(valid) < valid.size
+    assert np.all(sec[~valid] == np.inf)
+    assert np.all(np.isfinite(sec[valid]))
+
+    for refine in (0, 3):
+        res = minimize_rate(lowest_outside, SearchConfig(coarse_resolution=0.1,
+                                                         refine_iterations=refine))
+        assert is_valid_correlation(*res.rho_star.as_tuple())
+        assert res.rate.secure_rate >= 2.0 - 1e-12
+        if refine == 0:
+            assert res.evaluations == np.count_nonzero(want)
+        else:
+            assert res.evaluations > np.count_nonzero(want)
+
+
+# Two shared-band scenarios of the point-fine benchmark pool (16 and 23),
+# chosen because regrouping a sum or product in the grid terms moves their
+# results: a plain shared-band point can hide such a change.
+POOL_PARAMS = {
+    "scenario-16": GeneralGaussianParams(
+        h_l=1.7126768603441191, h_1e_l=0.15073648919453786, h_2e_l=0.1327827879446411,
+        h_l_1e=0.3307906366961495, h_l_2e=0.5597547293499034,
+        h_2e_1e=0.5776538979333501, h_1e_2e=0.3873611673312065,
+        P_l=2.1265771481461813, P_1e=1.3657906357217666, P_2e=0.9591565618012711,
+        N_l=0.8182755600462116, N_1e=0.8859317426970704, N_2e=0.9480307830275063,
+    ),
+    "scenario-23": GeneralGaussianParams(
+        h_l=1.7772109521262298, h_1e_l=0.24034395500480965, h_2e_l=0.12969174657107563,
+        h_l_1e=0.5470146125847845, h_l_2e=0.6490548888907485,
+        h_2e_1e=0.37305119825675326, h_1e_2e=0.5367823421472653,
+        P_l=1.5395659899082863, P_1e=1.3432343870627155, P_2e=0.6437861192947286,
+        N_l=1.0407104809423788, N_1e=0.8505943811252303, N_2e=0.9471747673758043,
+    ),
+    "fig3a-P_l-20": dataclasses.replace(load_config("fig3a").general, P_l=20.0),
+}
+
+# (rho_star, (main, joint, single_1, single_2) as float.hex, evaluations,
+# on_boundary) of optimize_general at coarse_resolution 0.05.  Any change to
+# the search or the grid terms that moves a bit of these fails here.
+PINNED_SEARCHES = {
+    ("scenario-16", "jamming"): (
+        (0.0504, 0.04, 0.99),
+        ("0x1.7e2f479b64419p+0", "0x1.f06e8a66a4915p-2",
+         "0x1.714251c0dfa51p-2", "0x1.f06f3eeba38a0p-2"),
+        39198, False),
+    ("scenario-16", "no-jamming"): (
+        (0.060000000000000005, -0.060000000000000005, -1.0),
+        ("0x1.8dd9cab1fc75dp+0", "0x1.f1d63054d3141p-2",
+         "0x1.5520388547c48p-2", "0x1.f340862e83ce0p-2"),
+        39187, True),
+    ("scenario-23", "jamming"): (
+        (0.1, 0.04, 0.894),
+        ("0x1.31eca0d6c7197p+0", "0x1.230fd85144951p-1",
+         "0x1.790b8f9271389p-2", "0x1.230f4cb4b1e4bp-1"),
+        39181, False),
+    ("scenario-23", "no-jamming"): (
+        (0.11160000000000002, -0.10560000000000001, -0.9463999999999999),
+        ("0x1.40824dfec055bp+0", "0x1.250dee1686847p-1",
+         "0x1.598bdd2a3fc3ep-2", "0x1.251d7090db5c9p-1"),
+        39199, False),
+    ("fig3a-P_l-20", "jamming"): (
+        (-0.8, -0.8, 0.85),
+        ("0x1.d24b127196869p+0", "0x1.de34ef8d04682p+0",
+         "0x1.0f12b64be8fa8p+1", "0x1.0f12b64be8fa8p+1"),
+        39163, False),
+    ("fig3a-P_l-20", "no-jamming"): (
+        (-0.7, 0.0, -0.1),
+        ("0x1.191bba891f171p+1", "0x1.19fe07f9bf397p+1",
+         "0x1.198c04ea5dbd7p+1", "0x1.1072fca1e5ce6p+1"),
+        39163, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SEARCHES), ids="-".join)
+def test_optimize_general_pinned_results(case):
+    params = POOL_PARAMS[case[0]]
+    if case[1] == "no-jamming":
+        params = strip_jamming(params)
+    res = optimize_general(params, SearchConfig(coarse_resolution=0.05))
+    b = res.rate
+    got = (
+        res.rho_star.as_tuple(),
+        tuple(x.hex() for x in (b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2)),
+        res.evaluations,
+        res.on_boundary,
+    )
+    assert got == PINNED_SEARCHES[case]
 
 
 def test_minimize_is_deterministic():

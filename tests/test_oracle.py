@@ -19,6 +19,7 @@ from wiretap_rates.core import (
     ZERO_RHO,
     correlation_determinant,
     theta,
+    valid_correlation,
 )
 from wiretap_rates.gaussian import GeneralGaussianParams
 from wiretap_rates.optimize import correlation_grid_axis
@@ -197,14 +198,15 @@ def test_degenerate_powers_evaluate_to_limits():
 def test_grid_matches_scalar_oracle_interior():
     axis = np.array([-0.6, -0.3, 0.0, 0.3, 0.6])
     r1, r2, r12 = np.meshgrid(axis, axis, axis, indexing="ij")
-    main, joint, s1, s2 = general_rate_terms_grid(GEN_POINT, r1, r2, r12)
+    main, joint, s1, s2 = (
+        np.broadcast_to(t, r1.shape) for t in general_rate_terms_grid(GEN_POINT, r1, r2, r12)
+    )
     worst = 0.0
     for i in range(axis.size):
         for j in range(axis.size):
             for k in range(axis.size):
                 if correlation_determinant(axis[i], axis[j], axis[k]) < 0.0:
-                    # infeasible combinations are flagged, not evaluated
-                    assert math.isnan(main[i, j, k])
+                    # values at infeasible combinations are unspecified
                     continue
                 o = rate_general_oracle(
                     GEN_POINT, CorrelationTriple(axis[i], axis[j], axis[k])
@@ -243,16 +245,14 @@ def test_grid_matches_reference_on_search_grid(P_l):
     # stack; rate_general_oracle, the same computation on a stack of one, is
     # checked directly at the points on or next to the edge of the valid set.
     # One more point a hair from the all-ones corner is ill-conditioned for
-    # both routes and gets a looser bound.  Infeasible points come back NaN.
+    # both routes and gets a looser bound.  Infeasible points are not read.
     p = dataclasses.replace(load_config("fig3a").general, P_l=P_l)
     axis = correlation_grid_axis(0.05)
     grids = np.meshgrid(axis, axis, axis, indexing="ij")
     r1, r2, r12 = (np.append(g.ravel(), 1.0 - 1e-4) for g in grids)
-    terms = general_rate_terms_grid(p, r1, r2, r12)
+    terms = [np.broadcast_to(t, r1.shape) for t in general_rate_terms_grid(p, r1, r2, r12)]
     det = correlation_determinant(r1, r2, r12)
     valid = det >= -PSD_SLACK
-    for arr in terms:
-        assert np.all(np.isnan(arr[~valid]))
     bound = np.full(r1.size, 1e-12)
     bound[-1] = 1e-10
 
@@ -299,12 +299,15 @@ def test_grid_preserves_input_shape():
         assert arr.shape == (2, 5)
     # constant inputs give constant outputs
     assert np.ptp(main) == 0.0
-    # broadcastable inputs give outputs of the broadcast shape, also where a
-    # term reads only one correlation or none (both eavesdroppers silent)
-    for params in (GEN_POINT, dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0)):
+    # broadcastable inputs give each term the shape its own correlations
+    # broadcast to: single_1 reads rho_2, single_2 reads rho_1, and with both
+    # eavesdroppers silent the joint term reads none
+    for params, joint_shape in (
+        (GEN_POINT, (2, 5)),
+        (dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0), ()),
+    ):
         terms = general_rate_terms_grid(params, np.full((2, 1), 0.1), np.zeros((1, 5)), 0.0)
-        for arr in terms:
-            assert arr.shape == (2, 5)
+        assert [np.shape(arr) for arr in terms] == [(2, 5), joint_shape, (1, 5), (2, 1)]
 
 
 _FIG3A = load_config("fig3a").general
@@ -326,14 +329,20 @@ _FIG3A = load_config("fig3a").general
 )
 def test_grid_on_broadcast_views_equals_grid_on_meshgrid(params):
     # The search passes the axis as (k,1,1), (1,n,1), (1,1,n) views; every
-    # value, NaN positions included, must equal the meshgrid evaluation.  In
-    # the degenerate branches some terms depend on fewer correlations.
+    # value at a valid triple must equal the meshgrid evaluation.  In the
+    # degenerate branches some terms depend on fewer correlations.
     axis = correlation_grid_axis(0.1)
     views = (axis[3:9, None, None], axis[None, :, None], axis[None, None, :])
     meshed = np.meshgrid(axis[3:9], axis, axis, indexing="ij")
     broadcast = general_rate_terms_grid(params, *views)
     full = general_rate_terms_grid(params, *meshed)
+    valid = valid_correlation(*meshed)
+    assert valid.any() and not valid.all()
+    # the single leakages stay on their own axis
+    assert broadcast[2].shape == (1, axis.size, 1)
+    assert broadcast[3].shape == (6, 1, 1)
     for got, want in zip(broadcast, full):
-        assert got.shape == want.shape == (6, axis.size, axis.size)
-        np.testing.assert_array_equal(got, want)
-    assert np.isnan(full[0]).any() and not np.isnan(full[0]).all()
+        shape = (6, axis.size, axis.size)
+        np.testing.assert_array_equal(
+            np.broadcast_to(got, shape)[valid], np.broadcast_to(want, shape)[valid]
+        )
