@@ -21,6 +21,7 @@ from .core import (
     combine_breakdown,
     correlation_determinant,
     theta,
+    valid_correlation,
 )
 from .gaussian import (
     GeneralGaussianParams,
@@ -46,7 +47,6 @@ from .optimize import (
     OptimizationResult,
     SearchConfig,
     correlation_grid_axis,
-    is_valid_correlation,
     minimize_rate,
     optimize_general,
 )
@@ -77,6 +77,7 @@ __all__ = [
     "combine_breakdown",
     "correlation_determinant",
     "theta",
+    "valid_correlation",
     "GeneralGaussianParams",
     "OrthogonalGaussianParams",
     "rate_general_closed",
@@ -96,7 +97,6 @@ __all__ = [
     "OptimizationResult",
     "SearchConfig",
     "correlation_grid_axis",
-    "is_valid_correlation",
     "minimize_rate",
     "optimize_general",
     "DMChannel",

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .core import CorrelationTriple, ZERO_RHO, DomainError
+from .core import CorrelationTriple, ZERO_RHO, DomainError, valid_correlation
 from .gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
@@ -32,7 +32,6 @@ from .gaussian import (
     rate_orthogonal,
     single_eavesdropper_leakage,
 )
-from .optimize import is_valid_correlation
 from .oracle import _rate_general_oracles, _rate_orthogonal_oracles
 
 __all__ = [
@@ -109,7 +108,7 @@ def draw_correlation(rng: AuditRng) -> CorrelationTriple:
         r1 = rng.uniform_in(-1.0, 1.0)
         r2 = rng.uniform_in(-1.0, 1.0)
         r12 = rng.uniform_in(-1.0, 1.0)
-        if is_valid_correlation(r1, r2, r12):
+        if valid_correlation(r1, r2, r12):
             return CorrelationTriple(r1, r2, r12)
 
 

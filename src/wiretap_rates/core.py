@@ -23,6 +23,7 @@ __all__ = [
     "ZERO_RHO",
     "RateBreakdown",
     "combine_breakdown",
+    "secure_rates",
     "correlation_determinant",
     "valid_correlation",
 ]
@@ -172,3 +173,17 @@ def combine_breakdown(
         secure_rate=gap if gap > 0.0 else 0.0,
         clamped=gap < 0.0,
     )
+
+
+def secure_rates(main, joint, single_1, single_2, out=None) -> np.ndarray:
+    """The secure rate of :func:`combine_breakdown`, elementwise over
+    broadcastable arrays of the four terms; a NaN term gives a NaN rate.
+
+    Written into ``out`` when given, which must hold their broadcast shape.
+    """
+    if out is None:
+        out = np.empty(np.broadcast(main, joint, single_1, single_2).shape)
+    np.minimum(joint, np.maximum(single_1, single_2), out=out)
+    np.subtract(main, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import DomainError, GridBudgetError, RateBreakdown, combine_breakdown
+from .core import DomainError, GridBudgetError, RateBreakdown
+from .core import combine_breakdown, secure_rates
 
 __all__ = [
     "DMChannel",
@@ -283,9 +284,7 @@ def _product_rates(ch: DMChannel, rs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     for start in range(0, len(rates), step):
         pairs = np.arange(start, min(start + step, len(rates)))
         joints = _joints(ch, rs[pairs // len(qs)], qs[pairs % len(qs)])
-        main, joint, single_1, single_2 = _cmi_bits(joints, _RATE_TERMS)
-        gap = main - np.minimum(joint, np.maximum(single_1, single_2))
-        rates[pairs] = np.where(gap > 0.0, gap, 0.0)
+        rates[pairs] = secure_rates(*_cmi_bits(joints, _RATE_TERMS))
     return rates.reshape(len(rs), len(qs))
 
 

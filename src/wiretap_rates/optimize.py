@@ -24,6 +24,7 @@ from .core import (
     GridBudgetError,
     RateBreakdown,
     combine_breakdown,
+    secure_rates,
     valid_correlation,
 )
 from .gaussian import GeneralGaussianParams
@@ -33,7 +34,6 @@ __all__ = [
     "MAX_GRID_POINTS",
     "SearchConfig",
     "OptimizationResult",
-    "is_valid_correlation",
     "correlation_grid_axis",
     "minimize_rate",
     "optimize_general",
@@ -58,8 +58,10 @@ class SearchConfig:
                         point); must lie in (0, 0.5].
     refine_iterations   number of coordinate-descent passes after the grid.
     refine_shrink       per-pass step shrink factor, in (0, 1).
-    tolerance           a descent pass that improves the rate by less than
-                        this stops the refinement early.
+    tolerance           each descent pass repeats sweeps over the three
+                        coordinates until a sweep improves the rate by less
+                        than this; that ends the pass, not the refinement:
+                        the next pass still runs at the smaller step.
     """
 
     coarse_resolution: float = 0.05
@@ -86,7 +88,9 @@ class OptimizationResult:
 
     rho_star      minimizing triple.
     rate          full breakdown of the objective at rho_star.
-    evaluations   number of objective evaluations performed.
+    evaluations   number of valid triples evaluated by the coarse grid and
+                  the descents; the final read of the terms at rho_star is
+                  not counted.
     on_boundary   True when the correlation-matrix determinant at rho_star
                   is at most coarse_resolution^2, i.e. the optimum sits on
                   (or numerically at) the edge of the valid set.
@@ -96,11 +100,6 @@ class OptimizationResult:
     rate: RateBreakdown
     evaluations: int
     on_boundary: bool
-
-
-def is_valid_correlation(rho_1: float, rho_2: float, rho_12: float) -> bool:
-    """Whether the triple is valid; see :func:`wiretap_rates.core.valid_correlation`."""
-    return bool(valid_correlation(rho_1, rho_2, rho_12))
 
 
 def correlation_grid_axis(resolution: float) -> np.ndarray:
@@ -132,39 +131,28 @@ GridObjective = Callable[
 ]
 
 
-# A search point: (secure rate, (rho_1, rho_2, rho_12), the four terms).
-_Point = tuple[float, tuple[float, float, float], tuple[float, float, float, float]]
+# A search point: (secure rate, (rho_1, rho_2, rho_12)).
+_Point = tuple[float, tuple[float, float, float]]
 
 
 def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndarray):
-    """Secure rates over the broadcast triples, their validity, and ``point``.
+    """Secure rates over the broadcast triples, their validity, and the valid count.
 
     The one place the valid set is applied: rates are +inf at invalid triples
     and where not finite (a nan would win argmin and then lose every
-    comparison).  ``point(k)`` is the search point at flat index k.
+    comparison).
     """
     valid = valid_correlation(r1, r2, r12)
-    main, joint, s1, s2 = terms(r1, r2, r12)
-    sec = np.minimum(joint, np.maximum(s1, s2), out=np.empty(valid.shape))
-    np.subtract(main, sec, out=sec)
-    np.maximum(sec, 0.0, out=sec)
+    sec = secure_rates(*terms(r1, r2, r12), out=np.empty(valid.shape))
     np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
-    arrays = [np.asarray(a) for a in (sec, r1, r2, r12, main, joint, s1, s2)]
-
-    def point(k: int) -> _Point:
-        at = np.unravel_index(k, sec.shape)
-        # Each array at cell k: its trailing axes, 0 along an axis of length 1.
-        v = [float(a[tuple(i % n for i, n in zip(at[sec.ndim - a.ndim :], a.shape))])
-             for a in arrays]
-        return v[0], tuple(v[1:4]), tuple(v[4:])
-
-    return sec, valid, point
+    return sec, valid, int(np.count_nonzero(valid))
 
 
-def _first_min(sec: np.ndarray, valid: np.ndarray) -> int:
-    """Flat index of the first smallest rate; the first valid one if none is finite."""
-    k = int(np.argmin(sec))
-    return k if sec.flat[k] < np.inf else int(np.argmax(valid))
+def _grid_point(axis: np.ndarray, view: np.ndarray, k: int, first: tuple) -> _Point:
+    """The rate at flat index k of a view of the grid's rates, and its triple;
+    the view's cell [0, 0, 0] is the triple at axis indices ``first``."""
+    at = np.unravel_index(k, view.shape)
+    return float(view[at]), tuple(float(axis[f + i]) for f, i in zip(first, at))
 
 
 def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point) -> tuple[_Point, int]:
@@ -178,11 +166,11 @@ def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point) -> tuple[_Po
             for ax in range(3):
                 cands = np.array([best[1], best[1]])
                 cands[:, ax] = np.clip(cands[:, ax] + (-step, step), -1.0, 1.0)
-                sec, valid, point = _evaluate(terms, *cands.T)
-                evaluations += int(np.count_nonzero(valid))
+                sec, _, used = _evaluate(terms, *cands.T)
+                evaluations += used
                 k = int(np.argmin(sec))
                 if sec[k] < best[0]:
-                    best = point(k)
+                    best = float(sec[k]), tuple(cands[k].tolist())
             if sweep_start - best[0] < cfg.tolerance:
                 break
     return best, evaluations
@@ -201,10 +189,11 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     the coarse minimum lies on an edge of the valid set (some |rho| = 1), a
     second descent starts from the best grid point off the edges, and the
     lower result wins, so the rate never exceeds any coarse grid point's.
+    The four terms at the winning triple are then read by one more call.
 
     ``terms`` evaluates the four terms over broadcastable arrays (see
-    ``GridObjective``); the secure rate combines them as in
-    :func:`wiretap_rates.core.combine_breakdown`.  Objective errors propagate.
+    ``GridObjective``); the secure rate combines them with
+    :func:`wiretap_rates.core.secure_rates`.  Objective errors propagate.
 
     Raises GridBudgetError, before the grid is built, when the descents
     could take more than MAX_GRID_POINTS evaluations.
@@ -230,20 +219,23 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     r2, r12 = axis[None, :, None], axis[None, None, :]
     for start in range(0, n, rows_per_chunk):
         r1 = axis[start : start + rows_per_chunk, None, None]
-        sec, valid, point = _evaluate(terms, r1, r2, r12)
-        evaluations += int(np.count_nonzero(valid))
-        found = point(_first_min(sec, valid))
+        sec, valid, used = _evaluate(terms, r1, r2, r12)
+        evaluations += used
+        k = int(np.argmin(sec))
+        if sec.flat[k] == np.inf:  # no finite rate: the first valid cell
+            k = int(np.argmax(valid))
+        found = _grid_point(axis, sec, k, (start, 0, 0))
         if best is None or found[0] < best[0]:
             best = found
-        # The chunk's first minimum is also its first minimum off the edges
-        # unless it lies on one.
-        if max(map(abs, found[1])) == 1.0:
-            on_edge = (np.abs(r1) == 1.0) | (np.abs(r2) == 1.0) | (np.abs(r12) == 1.0)
-            k = _first_min(np.where(on_edge, np.inf, sec), valid)
-            if on_edge.flat[k]:
-                continue
-            found = point(k)
-        if best_off_edge is None or found[0] < best_off_edge[0]:
+        # The axis holds +-1 only at its ends, so the cells off the edges
+        # are the chunk's view of the axis rows 1 to n - 2 and the inner
+        # columns of both other correlations.
+        lo = max(start, 1)
+        inner = sec[lo - start : n - 1 - start, 1:-1, 1:-1]
+        if inner.size == 0:
+            continue
+        found = _grid_point(axis, inner, int(np.argmin(inner)), (lo, 1, 1))
+        if found[0] < (np.inf if best_off_edge is None else best_off_edge[0]):
             best_off_edge = found
 
     # On an edge of the valid set (some |rho| = 1) the rate can tie exactly
@@ -256,12 +248,13 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
         starts.append(best_off_edge)
     descents = [_descend(terms, cfg, start) for start in starts]
     evaluations += sum(used for _, used in descents)
-    _, rho, rate_terms = min((end for end, _ in descents), key=lambda end: end[0])
+    _, rho = min((end for end, _ in descents), key=lambda end: end[0])
 
     rho_star = CorrelationTriple(*rho)
+    rate_terms = terms(*(np.array([r]) for r in rho))
     return OptimizationResult(
         rho_star=rho_star,
-        rate=combine_breakdown(*rate_terms),
+        rate=combine_breakdown(*(float(np.ravel(t)[0]) for t in rate_terms)),
         evaluations=evaluations,
         on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
     )

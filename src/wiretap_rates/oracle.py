@@ -36,7 +36,6 @@ import numpy as np
 
 from .core import (
     CorrelationTriple,
-    ZERO_RHO,
     DomainError,
     RateBreakdown,
     combine_breakdown,
@@ -214,13 +213,12 @@ def _general_covariances(
     return _assemble(_input_covariance(powers, rho_1, rho_2, rho_12), gains, noise)
 
 
-def _orthogonal_covariances(
-    ps: Sequence[OrthogonalGaussianParams],
-    rho_1: float | np.ndarray,
-    rho_2: float | np.ndarray,
-    rho_12: float | np.ndarray,
-) -> np.ndarray:
-    """(K, 8, 8) joint covariances of ORTHOGONAL_LABELS, as above."""
+def _orthogonal_covariances(ps: Sequence[OrthogonalGaussianParams]) -> np.ndarray:
+    """(K, 8, 8) joint covariances of ORTHOGONAL_LABELS, one per parameter set.
+
+    The transmit signals are independent, the input law the orthogonal
+    closed form assumes.
+    """
     gains = np.array([
         [
             [p.h_l, 0.0, 0.0],
@@ -233,7 +231,7 @@ def _orthogonal_covariances(
     ])
     powers = np.array([(p.P_l, p.P_1e, p.P_2e) for p in ps])
     noise = np.array([(p.N_l, p.N_1e_m, p.N_1e_c, p.N_2e_m, p.N_2e_c) for p in ps])
-    return _assemble(_input_covariance(powers, rho_1, rho_2, rho_12), gains, noise)
+    return _assemble(_input_covariance(powers, 0.0, 0.0, 0.0), gains, noise)
 
 
 def build_joint_covariance_general(
@@ -249,20 +247,14 @@ def build_joint_covariance_general(
     )
 
 
-def build_joint_covariance_orthogonal(
-    p: OrthogonalGaussianParams, rho: CorrelationTriple | None = None
-) -> JointCovariance:
+def build_joint_covariance_orthogonal(p: OrthogonalGaussianParams) -> JointCovariance:
     """Joint covariance of the orthogonal model's eight variables.
 
     Variable order: X_l, X_1e, X_2e, Y_l, Y_1e_m, Y_1e_c, Y_2e_m, Y_2e_c.
-    ``rho`` correlates the transmit signals; the default is independent
-    codebooks, which is the input law the orthogonal closed form assumes.
+    The transmit signals are independent codebooks, which is the input law
+    the orthogonal closed form assumes.
     """
-    if rho is None:
-        rho = ZERO_RHO
-    return JointCovariance(
-        ORTHOGONAL_LABELS, _orthogonal_covariances([p], *rho.as_tuple())[0]
-    )
+    return JointCovariance(ORTHOGONAL_LABELS, _orthogonal_covariances([p])[0])
 
 
 def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
@@ -371,7 +363,7 @@ def _rate_orthogonal_oracles(
     ps: Sequence[OrthogonalGaussianParams],
 ) -> list[RateBreakdown]:
     """:func:`rate_orthogonal_oracle` of K parameter sets, as one stack."""
-    return _breakdowns(_orthogonal_covariances(ps, 0.0, 0.0, 0.0), _ORTHOGONAL_TERMS)
+    return _breakdowns(_orthogonal_covariances(ps), _ORTHOGONAL_TERMS)
 
 
 def rate_general_oracle(
@@ -455,22 +447,18 @@ def general_rate_terms_grid(
         single_2 = 0.5 * np.log2(1.0 + signal_2 / p.N_2e)
 
         # joint: var(X_l | X_1e, X_2e) / P_l.  A zero-power input carries no
-        # information, and with |rho_12| = 1 X_2e is a function of X_1e.
-        # Conditioning on both inputs leaves at most what either one leaves,
-        # 1 - max(rho_1^2, rho_2^2); near |rho_12| = 1 the determinant
-        # ratio is a cancelled difference over a tiny divisor, so it is held
-        # to that bound.
-        if p.P_1e > 0.0 and p.P_2e > 0.0:
-            joint = np.asarray(correlation_determinant(r1, r2, r12))
-            joint /= (1.0 - r12) * (1.0 + r12)
-            np.copyto(joint, 1.0 - r1 * r1, where=np.abs(r12) >= 1.0)
-            np.minimum(joint, 1.0 - np.maximum(r1 * r1, r2 * r2), out=joint)
-        elif p.P_1e > 0.0:
-            joint = np.asarray(1.0 - r1 * r1)
-        elif p.P_2e > 0.0:
-            joint = np.asarray(1.0 - r2 * r2)
-        else:
-            joint = np.ones(())
+        # information, so its correlations are zeroed, and with |rho_12| = 1
+        # X_2e is a function of X_1e.  Conditioning on both inputs leaves at
+        # most what either one leaves, 1 - max(rho_1^2, rho_2^2); near
+        # |rho_12| = 1 the determinant ratio is a cancelled difference over a
+        # tiny divisor, so it is held to that bound.
+        q1 = r1 if p.P_1e > 0.0 else 0.0
+        q2 = r2 if p.P_2e > 0.0 else 0.0
+        q12 = r12 if p.P_1e > 0.0 and p.P_2e > 0.0 else 0.0
+        joint = np.asarray(correlation_determinant(q1, q2, q12))
+        joint /= (1.0 - q12) * (1.0 + q12)
+        np.copyto(joint, 1.0 - q1 * q1, where=np.abs(q12) >= 1.0)
+        np.minimum(joint, 1.0 - np.maximum(q1 * q1, q2 * q2), out=joint)
         np.maximum(joint, 0.0, out=joint)
         joint *= p.P_l
         joint *= p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e

@@ -20,6 +20,7 @@ from wiretap_rates.audit import (
 )
 from wiretap_rates.cli import SweepSettings, load_config, sweep_table
 from wiretap_rates.core import CorrelationTriple, ZERO_RHO, theta
+from wiretap_rates.core import valid_correlation as is_valid_correlation
 from wiretap_rates.discrete import (
     DMChannel,
     EavesdropperInputDist,
@@ -40,7 +41,6 @@ from wiretap_rates.gaussian import (
 )
 from wiretap_rates.optimize import (
     SearchConfig,
-    is_valid_correlation,
     minimize_rate,
     optimize_general,
 )

@@ -16,8 +16,7 @@ from wiretap_rates.audit import (
     rows_to_csv,
     run_audit,
 )
-from wiretap_rates.core import ZERO_RHO
-from wiretap_rates.optimize import is_valid_correlation
+from wiretap_rates.core import ZERO_RHO, valid_correlation as is_valid_correlation
 from wiretap_rates.oracle import rate_general_oracle, rate_orthogonal_oracle
 
 

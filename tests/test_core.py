@@ -13,6 +13,7 @@ from wiretap_rates.core import (
     ZERO_RHO,
     combine_breakdown,
     correlation_determinant,
+    secure_rates,
     theta,
     valid_correlation,
 )
@@ -123,6 +124,55 @@ def test_combine_breakdown_zero_gap_not_clamped():
     b = combine_breakdown(0.5, 0.5, 0.5, 0.5)
     assert b.secure_rate == 0.0
     assert not b.clamped
+
+
+def test_secure_rates_equal_combine_breakdown_elementwise():
+    rng = np.random.default_rng(11)
+    # A cube of main rates over terms of fewer axes, drawn from one range so
+    # that many gaps are negative; one slice has gaps of exactly zero.
+    joint = rng.uniform(0.0, 2.0, (4, 5, 1))
+    single_1 = rng.uniform(0.0, 2.0, (1, 5, 6))
+    single_2 = rng.uniform(0.0, 2.0, 6)
+    main = rng.uniform(0.0, 2.0, (4, 5, 6))
+    main[0] = np.minimum(joint, np.maximum(single_1, single_2))[0]
+    gaps = main - np.minimum(joint, np.maximum(single_1, single_2))
+    assert (gaps < 0.0).any() and (gaps == 0.0).any() and (gaps > 0.0).any()
+
+    cases = [
+        (main, joint, single_1, single_2),
+        (main[1, 2], joint[1, 2], single_1[0, 2], single_2),
+        (main[0, 0], joint[0, 0], single_1[0, 0], single_2),
+        (1.0, 0.2, 0.5, 0.6),
+        (0.1, 0.5, 0.4, 0.3),
+        (0.5, 0.5, 0.5, 0.5),
+    ]
+    for terms in cases:
+        got = secure_rates(*terms)
+        cells = np.broadcast_arrays(*terms)
+        want = [combine_breakdown(*t).secure_rate
+                for t in zip(*(c.ravel().tolist() for c in cells))]
+        assert got.shape == cells[0].shape
+        assert got.ravel().tolist() == want
+
+    out = np.empty(main.shape)
+    assert secure_rates(main, joint, single_1, single_2, out=out) is out
+
+
+def test_secure_rates_keep_nan():
+    # The correlation search masks a cell by its NaN rate, so a NaN term
+    # must never turn into a clamped 0 or a finite rate.
+    # Main rates above, at and below the effective leakage 0.15.
+    for main in (1.0, 0.15, 0.05):
+        terms = [main, 0.2, 0.1, 0.15]
+        for k in range(4):
+            cube = [np.full((2, 3), t) for t in terms]
+            cube[k][1, 2] = math.nan
+            rates = secure_rates(*cube)
+            assert math.isnan(rates[1, 2])
+            assert np.isfinite(np.delete(rates.ravel(), 5)).all()
+            scalars = list(terms)
+            scalars[k] = math.nan
+            assert math.isnan(secure_rates(*scalars))
 
 
 def test_breakdown_rejects_negative_terms():

@@ -356,6 +356,15 @@ def test_bundled_tap_channel_is_the_channel_5_construction():
     assert text == bsc_tap_channel(*taps).to_text()
 
 
+def test_bundled_degraded_channel_is_its_bsc_construction():
+    # Main link BSC(0.1), independent BSC(0.3) listening links, and
+    # one-letter collusion links, so the eavesdroppers learn nothing from
+    # each other: the degraded case with a closed-form sup-inf rate.
+    main = np.einsum("al,bl,cl->abcl", bsc(0.1), bsc(0.3), bsc(0.3))
+    text = (files("wiretap_rates") / "configs" / "bsc_degraded.dmc").read_text()
+    assert text == build_orthogonal_dm(main, np.ones((1, 1, 1, 1))).to_text()
+
+
 def test_sup_inf_checks_budget_before_building_grids(monkeypatch):
     def refuse(*args):
         raise AssertionError("grid built before the budget check")

@@ -13,12 +13,12 @@ from wiretap_rates.core import (
     combine_breakdown,
     correlation_determinant,
     valid_correlation,
+    valid_correlation as is_valid_correlation,
 )
 from wiretap_rates.gaussian import GeneralGaussianParams, strip_jamming
 from wiretap_rates.optimize import (
     SearchConfig,
     correlation_grid_axis,
-    is_valid_correlation,
     minimize_rate,
     optimize_general,
 )
