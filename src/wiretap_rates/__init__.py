@@ -18,7 +18,6 @@ from .core import (
     CorrelationTriple,
     RateBreakdown,
     ZERO_RHO,
-    combine_breakdown,
     correlation_determinant,
     theta,
     valid_correlation,
@@ -28,7 +27,6 @@ from .gaussian import (
     OrthogonalGaussianParams,
     rate_general_closed,
     rate_noncolluding,
-    rate_nonjamming,
     rate_orthogonal,
     rate_perfectcolluding,
     single_eavesdropper_leakage,
@@ -74,7 +72,6 @@ __all__ = [
     "CorrelationTriple",
     "RateBreakdown",
     "ZERO_RHO",
-    "combine_breakdown",
     "correlation_determinant",
     "theta",
     "valid_correlation",
@@ -82,7 +79,6 @@ __all__ = [
     "OrthogonalGaussianParams",
     "rate_general_closed",
     "rate_noncolluding",
-    "rate_nonjamming",
     "rate_orthogonal",
     "rate_perfectcolluding",
     "single_eavesdropper_leakage",

@@ -149,12 +149,6 @@ class AuditReport:
         errs = [r.error for r in self.rows if r.required]
         return max(errs) if errs else 0.0
 
-    @property
-    def worst_informational_error(self) -> float:
-        errs = [r.error for r in self.rows
-                if not r.required and math.isfinite(r.error)]
-        return max(errs) if errs else 0.0
-
 
 def _row(draw: int, name: str, closed: float, oracle: float,
          required: bool) -> AuditRow:

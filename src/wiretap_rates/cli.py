@@ -27,7 +27,7 @@ from .audit import (
     rows_to_csv,
     run_audit,
 )
-from .core import DomainError, GridBudgetError
+from .core import DomainError, GridBudgetError, RateBreakdown
 from .discrete import DMChannel, sup_inf_rate
 from .gaussian import (
     GeneralGaussianParams,
@@ -218,6 +218,14 @@ def _load_channel(dm: DMSettings, base: object) -> DMChannel:
         raise ConfigError(f"channel file '{dm.channel_file}': {exc}") from None
 
 
+def _swept_blocks(kind: str, name: str) -> list[str]:
+    """The model blocks of ``kind`` with a numeric field ``name``: the blocks
+    a sweep of ``name`` sets."""
+    return [b for b in _KINDS[kind][0]
+            if any(f.name == name and f.type in ("float", "int")
+                   for f in fields(_BLOCK_TYPES[b]))]
+
+
 def load_config(spec: str) -> ScenarioConfig:
     """Load and validate a scenario, from a path or a bundled name."""
     text, base = _resolve_config_text(spec)
@@ -245,11 +253,9 @@ def load_config(spec: str) -> ScenarioConfig:
             raise ConfigError(f"kind '{kind}' requires the '{name}' block")
     channel = _load_channel(blocks["dm"], base) if "dm" in blocks else None
     sweep = blocks.get("sweep")
-    if sweep is not None and not any(
-        hasattr(blocks[name], sweep.parameter) for name in required
-    ):
+    if sweep is not None and not _swept_blocks(kind, sweep.parameter):
         raise ConfigError(
-            f"sweep.parameter '{sweep.parameter}' is not a model field"
+            f"sweep.parameter '{sweep.parameter}' is not a numeric model field"
         )
     return ScenarioConfig(kind=kind, dm_channel=channel, **blocks)
 
@@ -264,11 +270,13 @@ def sweep_values(sweep: SweepSettings) -> list[float]:
     return [sweep.start + i * sweep.step for i in range(n)]
 
 
-def _orthogonal_row(og: OrthogonalGaussianParams) -> dict[str, float]:
+def _orthogonal_row(og: OrthogonalGaussianParams,
+                    b: RateBreakdown) -> dict[str, float]:
+    """The orthogonal-model rates, R_og read from its breakdown ``b``."""
     return {
         "R_nc": rate_noncolluding(og),
         "R_pc": rate_perfectcolluding(og),
-        "R_og": rate_orthogonal(og).secure_rate,
+        "R_og": b.secure_rate,
     }
 
 
@@ -281,31 +289,34 @@ def general_point(
     res_njg = optimize_general(strip_jamming(gen), cfg)
     res_g = optimize_general(gen, cfg)
     row = {
-        **_orthogonal_row(og),
+        **_orthogonal_row(og, rate_orthogonal(og)),
         "R_njg": res_njg.rate.secure_rate,
         "R_g": res_g.rate.secure_rate,
     }
     return row, res_njg, res_g
 
 
-def _row(cfg: ScenarioConfig) -> dict[str, float]:
-    """The rates of the config's kind at its parameter point, by column."""
+def _evaluate(cfg: ScenarioConfig) -> tuple[dict[str, float], object]:
+    """The rates of the config's kind at its parameter point, by column, and
+    what produced them: the SupInfResult, the R_njg and R_g searches, or the
+    orthogonal breakdown."""
     if cfg.kind == "dm":
         dm = cfg.dm
-        return {"R_dm": sup_inf_rate(cfg.dm_channel, dm.grid_resolution,
-                                     dm.max_evaluations).rate}
+        res = sup_inf_rate(cfg.dm_channel, dm.grid_resolution, dm.max_evaluations)
+        return {"R_dm": res.rate}, res
     if cfg.kind == "general-gaussian":
-        return general_point(cfg.orthogonal, cfg.general, cfg.optimizer)[0]
-    return _orthogonal_row(cfg.orthogonal)
+        row, *searches = general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
+        return row, searches
+    b = rate_orthogonal(cfg.orthogonal)
+    return _orthogonal_row(cfg.orthogonal, b), b
 
 
 def _at(cfg: ScenarioConfig, x: float) -> ScenarioConfig:
     """The scenario with the swept parameter set to ``x`` in every model
     block that has it."""
     name = cfg.sweep.parameter
-    blocks = {b: getattr(cfg, b) for b in _KINDS[cfg.kind][0]}
-    return replace(cfg, **{b: replace(block, **{name: x})
-                           for b, block in blocks.items() if hasattr(block, name)})
+    return replace(cfg, **{b: replace(getattr(cfg, b), **{name: x})
+                           for b in _swept_blocks(cfg.kind, name)})
 
 
 def sweep_table(
@@ -313,7 +324,7 @@ def sweep_table(
 ) -> tuple[list[float], dict[str, list[float]]]:
     """The swept values, and each rate of the config's kind at every one."""
     xs = sweep_values(cfg.sweep)
-    rows = [_row(_at(cfg, x)) for x in xs]
+    rows = [_evaluate(_at(cfg, x))[0] for x in xs]
     return xs, {c: [row[c] for row in rows] for c in rows[0]}
 
 
@@ -417,10 +428,8 @@ def _report(cfg: ScenarioConfig) -> int:
     """Print the rates at the config's parameter point and what each search
     found."""
     print(f"kind: {cfg.kind}")
+    row, res = _evaluate(cfg)
     if cfg.kind == "dm":
-        res = sup_inf_rate(
-            cfg.dm_channel, cfg.dm.grid_resolution, cfg.dm.max_evaluations
-        )
         print(f"sup-inf rate        = {res.rate:.6f}")
         print(f"refined inner check = {res.refined_rate:.6f}")
         print(f"evaluations         = {res.evaluations}")
@@ -432,22 +441,19 @@ def _report(cfg: ScenarioConfig) -> int:
         q = ", ".join(f"{v:.4f}" for v in res.q_star.q.ravel())
         print(f"q_star (x_1e, x_2e): [{q}]")
         return 0
-    if cfg.kind == "general-gaussian":
-        row, *searches = general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
-        notes = {}
-    else:
-        row, searches = _row(cfg), []
-        b = rate_orthogonal(cfg.orthogonal)
-        notes = {"R_og": f"  (main {b.main_rate:.6f}, joint leak "
-                         f"{b.leak_joint:.6f}, single leaks "
-                         f"{b.leak_single_1:.6f} / {b.leak_single_2:.6f})"}
+    notes = {}
+    if cfg.kind == "orthogonal-gaussian":
+        notes["R_og"] = (f"  (main {res.main_rate:.6f}, joint leak "
+                         f"{res.leak_joint:.6f}, single leaks "
+                         f"{res.leak_single_1:.6f} / {res.leak_single_2:.6f})")
     for c, v in row.items():
         print(f"{c:5s} = {v:.6f}{notes.get(c, '')}")
-    for label, res in zip(("R_njg", "R_g"), searches):
-        r = res.rho_star
-        print(f"{label} worst-case rho = ({r.rho_1:+.4f}, {r.rho_2:+.4f}, "
-              f"{r.rho_12:+.4f})  evaluations={res.evaluations}"
-              + ("  [boundary]" if res.on_boundary else ""))
+    if cfg.kind == "general-gaussian":
+        for label, search in zip(("R_njg", "R_g"), res):
+            r = search.rho_star
+            print(f"{label} worst-case rho = ({r.rho_1:+.4f}, {r.rho_2:+.4f}, "
+                  f"{r.rho_12:+.4f})  evaluations={search.evaluations}"
+                  + ("  [boundary]" if search.on_boundary else ""))
     return 0
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "CorrelationTriple",
     "ZERO_RHO",
     "RateBreakdown",
-    "combine_breakdown",
     "secure_rates",
     "correlation_determinant",
     "valid_correlation",
@@ -69,18 +68,16 @@ def valid_correlation(rho_1, rho_2, rho_12) -> np.ndarray | bool:
 
     Valid means finite entries in [-1, 1] and a determinant of at least
     -PSD_SLACK.  Takes broadcastable arrays, or three floats, which give a
-    bool from the same float expressions without a round trip through numpy.
+    bool.  Each bound is tested on its own input, before broadcasting; a NaN
+    or infinite entry fails its bound, whatever the determinant gives.
     """
-    rhos = (rho_1, rho_2, rho_12)
-    if all(isinstance(r, float) for r in rhos):
-        # A NaN fails the bounds, so the determinant only sees [-1, 1].
-        return all(abs(r) <= 1.0 for r in rhos) and correlation_determinant(*rhos) >= -PSD_SLACK
-    r1, r2, r12 = (np.asarray(r, dtype=float) for r in rhos)
     with np.errstate(invalid="ignore", over="ignore"):
-        valid = correlation_determinant(r1, r2, r12) >= -PSD_SLACK
-    # Each bound is tested on its own axis, before broadcasting.
-    valid &= (np.abs(r1) <= 1.0) & (np.abs(r2) <= 1.0) & (np.abs(r12) <= 1.0)
-    return valid
+        return (
+            (abs(rho_1) <= 1.0)
+            & (abs(rho_2) <= 1.0)
+            & (abs(rho_12) <= 1.0)
+            & (correlation_determinant(rho_1, rho_2, rho_12) >= -PSD_SLACK)
+        )
 
 
 @dataclass(frozen=True)
@@ -131,53 +128,42 @@ class RateBreakdown:
     leak_single_1  leakage toward eavesdropper 1 alone, all transmit signals
                    counted as sources.
     leak_single_2  same for eavesdropper 2.
-    effective_leakage  min(leak_joint, max(leak_single_1, leak_single_2)).
-    secure_rate    max(0, main_rate - effective_leakage).
-    clamped        True iff the difference was negative before clamping.
+
+    The rule that combines them is derived, never stored: see
+    ``effective_leakage``, ``secure_rate`` and ``clamped``.
     """
 
     main_rate: float
     leak_joint: float
     leak_single_1: float
     leak_single_2: float
-    effective_leakage: float
-    secure_rate: float
-    clamped: bool
 
     def __post_init__(self) -> None:
-        for name in (
-            "main_rate",
-            "leak_joint",
-            "leak_single_1",
-            "leak_single_2",
-            "effective_leakage",
-            "secure_rate",
-        ):
+        for name in ("main_rate", "leak_joint", "leak_single_1", "leak_single_2"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise DomainError(f"{name} must be finite and non-negative, got {v!r}")
 
+    @property
+    def effective_leakage(self) -> float:
+        """min(leak_joint, max(leak_single_1, leak_single_2))."""
+        return min(self.leak_joint, max(self.leak_single_1, self.leak_single_2))
 
-def combine_breakdown(
-    main_rate: float, leak_joint: float, leak_single_1: float, leak_single_2: float
-) -> RateBreakdown:
-    """Assemble a RateBreakdown from the four information terms."""
-    effective = min(leak_joint, max(leak_single_1, leak_single_2))
-    gap = main_rate - effective
-    return RateBreakdown(
-        main_rate=main_rate,
-        leak_joint=leak_joint,
-        leak_single_1=leak_single_1,
-        leak_single_2=leak_single_2,
-        effective_leakage=effective,
-        secure_rate=gap if gap > 0.0 else 0.0,
-        clamped=gap < 0.0,
-    )
+    @property
+    def secure_rate(self) -> float:
+        """max(0, main_rate - effective_leakage)."""
+        gap = self.main_rate - self.effective_leakage
+        return gap if gap > 0.0 else 0.0
+
+    @property
+    def clamped(self) -> bool:
+        """True iff the difference was negative before clamping."""
+        return self.main_rate - self.effective_leakage < 0.0
 
 
 def secure_rates(main, joint, single_1, single_2, out=None) -> np.ndarray:
-    """The secure rate of :func:`combine_breakdown`, elementwise over
-    broadcastable arrays of the four terms; a NaN term gives a NaN rate.
+    """:attr:`RateBreakdown.secure_rate` elementwise over broadcastable
+    arrays of the four terms; a NaN term gives a NaN rate.
 
     Written into ``out`` when given, which must hold their broadcast shape.
     """

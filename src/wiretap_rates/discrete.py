@@ -17,8 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import DomainError, GridBudgetError, RateBreakdown
-from .core import combine_breakdown, secure_rates
+from .core import DomainError, GridBudgetError, RateBreakdown, secure_rates
 
 __all__ = [
     "DMChannel",
@@ -262,7 +261,7 @@ def rate_dm_fixed(
     single leak   I(X_l, X_1e, X_2e; Y_je)
     """
     values = _cmi_bits(joint_distribution(ch, r, q)[np.newaxis], _RATE_TERMS)
-    return combine_breakdown(*(float(v[0]) for v in values))
+    return RateBreakdown(*(float(v[0]) for v in values))
 
 
 #: Joint-pmf cells per evaluator stack; bounds the memory of a search call.

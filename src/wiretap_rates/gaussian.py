@@ -22,7 +22,6 @@ from .core import (
     CorrelationTriple,
     DomainError,
     RateBreakdown,
-    combine_breakdown,
     theta,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "rate_perfectcolluding",
     "single_eavesdropper_leakage",
     "rate_general_closed",
-    "rate_nonjamming",
     "strip_jamming",
 ]
 
@@ -174,7 +172,7 @@ def rate_orthogonal(p: OrthogonalGaussianParams) -> RateBreakdown:
     c2 = _cross_snr(p, 2)
     leak_1 = theta(s1 + c1 + s1 * c1)
     leak_2 = theta(s2 + c2 + s2 * c2)
-    return combine_breakdown(theta(_main_snr(p)), leak_joint, leak_1, leak_2)
+    return RateBreakdown(theta(_main_snr(p)), leak_joint, leak_1, leak_2)
 
 
 def rate_noncolluding(p: OrthogonalGaussianParams) -> float:
@@ -315,23 +313,9 @@ def rate_general_closed(
 
     leak_1 = single_eavesdropper_leakage(1, p, rho, rho2_both)
     leak_2 = single_eavesdropper_leakage(2, p, rho, rho2_both)
-    return combine_breakdown(main, leak_joint, leak_1, leak_2)
+    return RateBreakdown(main, leak_joint, leak_1, leak_2)
 
 
 def strip_jamming(p: GeneralGaussianParams) -> GeneralGaussianParams:
     """Copy of ``p`` with both jamming gains into the legitimate receiver zeroed."""
     return replace(p, h_1e_l=0.0, h_2e_l=0.0)
-
-
-def rate_nonjamming(
-    p: GeneralGaussianParams,
-    rho: CorrelationTriple,
-    rho2_both: bool = False,
-) -> RateBreakdown:
-    """Shared-band closed form with the jamming gains removed.
-
-    The eavesdroppers still transmit (their signals reach each other), but
-    nothing they send lands in the legitimate receiver, so the main term
-    reduces to theta(h_l^2 P_l / N_l).
-    """
-    return rate_general_closed(strip_jamming(p), rho, rho2_both)

@@ -23,7 +23,6 @@ from .core import (
     DomainError,
     GridBudgetError,
     RateBreakdown,
-    combine_breakdown,
     secure_rates,
     valid_correlation,
 )
@@ -254,7 +253,7 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     rate_terms = terms(*(np.array([r]) for r in rho))
     return OptimizationResult(
         rho_star=rho_star,
-        rate=combine_breakdown(*(float(np.ravel(t)[0]) for t in rate_terms)),
+        rate=RateBreakdown(*(float(np.ravel(t)[0]) for t in rate_terms)),
         evaluations=evaluations,
         on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
     )

@@ -38,7 +38,6 @@ from .core import (
     CorrelationTriple,
     DomainError,
     RateBreakdown,
-    combine_breakdown,
     correlation_determinant,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
@@ -343,7 +342,7 @@ def _breakdowns(stack: np.ndarray, terms: Iterable[_Term]) -> list[RateBreakdown
     """One rate breakdown per checked covariance of a (K, n, n) stack."""
     _check_covariances(stack)
     values = np.array(_cmi_terms(stack, terms)).T.tolist()
-    return [combine_breakdown(*map(_nonnegative, row)) for row in values]
+    return [RateBreakdown(*map(_nonnegative, row)) for row in values]
 
 
 def _rate_general_oracles(
@@ -376,7 +375,12 @@ def rate_general_oracle(
     single leak   I(X_l, X_1e, X_2e; Y_je) for each j
 
     Total on degenerate parameters (zero powers, |rho_12| = 1): the
-    eigenvalue clamp turns them into the correct limits.
+    eigenvalue clamp turns them into the correct limits.  Not total within
+    about 1e-9 of |rho| = 1 off those points: the assembled covariance is
+    so ill-conditioned there that a term can be off by about 1e-7 bits, and
+    one whose round-off falls below -NEG_TOL raises DomainError, as at
+    rho = (0.95, 1 - 1e-9, 0.95) for some parameters.
+    :func:`general_rate_terms_grid` keeps full precision there.
     """
     return _rate_general_oracles([p], *rho.as_tuple())[0]
 

@@ -1,10 +1,12 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+from wiretap_rates import cli
 from wiretap_rates.audit import AuditReport
 from wiretap_rates.cli import (
     ConfigError,
@@ -15,6 +17,7 @@ from wiretap_rates.cli import (
     sweep_values,
     write_csv,
 )
+from wiretap_rates.gaussian import rate_orthogonal
 
 ORTHO_BLOCK = {
     "h_l": 1.0, "h_1m": 0.8, "h_2m": 0.6, "h_1c": 0.5, "h_2c": 0.7,
@@ -149,6 +152,26 @@ def test_load_config_rejects_invalid_sweep(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("kind, parameter", [
+    ("orthogonal-gaussian", "__doc__"),
+    ("orthogonal-gaussian", "__post_init__"),
+    ("dm", "channel_file"),
+])
+def test_sweep_of_a_non_numeric_field_is_config_error(tmp_path, capsys, kind, parameter):
+    sweep = {"parameter": parameter, "start": 0.1, "stop": 0.2, "step": 0.1}
+    if kind == "dm":
+        path = dm_config(tmp_path)
+        payload = json.loads(Path(path).read_text())
+        path = write_config(tmp_path, {**payload, "sweep": sweep})
+    else:
+        path = ortho_config(tmp_path, sweep=sweep)
+    with pytest.raises(ConfigError, match=parameter):
+        load_config(path)
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    assert_one_line_error(capsys, "config error")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
@@ -187,11 +210,15 @@ def test_render_svg_structure():
     assert len(polylines) == len(table)
 
 
-def test_point_command_orthogonal(tmp_path, capsys):
+def test_point_command_orthogonal(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "rate_orthogonal",
+                        lambda og: calls.append(og) or rate_orthogonal(og))
     rc = main(["point", "--config", ortho_config(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "R_og" in out and "R_nc" in out
+    assert len(calls) == 1  # the printed breakdown is the one R_og comes from
 
 
 def test_point_command_general(tmp_path, capsys):
@@ -268,6 +295,42 @@ def test_dm_sweep_emits_single_rate_column(tmp_path, capsys):
     assert lines[0] == "grid_resolution,R_dm"
     assert len(lines) == 5
     capsys.readouterr()
+
+
+def point_rates(out: str) -> dict[str, str]:
+    """The six-decimal rates a ``point`` report prints, by CSV column; the
+    dm kind's one rate is its sup-inf rate."""
+    out = out.replace("sup-inf rate", "R_dm")
+    return dict(re.findall(r"^(R_\w+) += (\S+)", out, flags=re.MULTILINE))
+
+
+@pytest.mark.parametrize("name", ["fig3a", "fig3b", "dm_bsc", "orthogonal"])
+def test_point_equals_one_row_sweep_at_its_own_value(tmp_path, capsys, name):
+    configs = files("wiretap_rates") / "configs"
+    if name == "orthogonal":
+        payload = {"kind": "orthogonal-gaussian", "orthogonal": ORTHO_BLOCK}
+        block, parameter = "orthogonal", "P_l"
+    elif name == "dm_bsc":
+        payload = json.loads((configs / "dm_bsc.json").read_text())
+        payload["dm"]["channel_file"] = str(configs / payload["dm"]["channel_file"])
+        block, parameter = "dm", "grid_resolution"
+    else:
+        payload = json.loads((configs / f"{name}.json").read_text())
+        del payload["output"]  # the sweep would write its SVG there
+        block, parameter = "general", payload["sweep"]["parameter"]
+    value = payload[block][parameter]
+    payload["sweep"] = {"parameter": parameter, "start": value, "stop": value,
+                        "step": 1.0}
+    path = write_config(tmp_path, payload)
+    assert main(["point", "--config", path]) == 0
+    want = point_rates(capsys.readouterr().out)
+    out = tmp_path / "row.csv"
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, row = out.read_text().splitlines()
+    columns = header.split(",")[1:]
+    assert columns == list(want)
+    assert dict(zip(columns, row.split(",")[1:])) == want
 
 
 def test_dm_command_on_bundled_config(capsys):

@@ -11,7 +11,6 @@ from wiretap_rates.core import (
     DomainError,
     RateBreakdown,
     ZERO_RHO,
-    combine_breakdown,
     correlation_determinant,
     secure_rates,
     theta,
@@ -85,8 +84,8 @@ EDGE_RHOS = [-math.inf, -1.5, -1.0, -0.9, -0.5, 0.0, 0.5, 0.9, 1.0 - 2.0 ** -53,
 
 
 def test_valid_correlation_floats_match_arrays():
-    # Three floats take a plain-float path; it must agree with the array
-    # path elementwise, at the bounds, at NaN and infinities, and on the
+    # Three floats give a bool; it must agree with the array result
+    # elementwise, at the bounds, at NaN and infinities, and on the
     # singular triples where the determinant is 0.
     r1, r2, r12 = np.meshgrid(EDGE_RHOS, EDGE_RHOS, EDGE_RHOS, indexing="ij")
     array_valid = valid_correlation(r1, r2, r12)
@@ -102,26 +101,26 @@ def test_valid_correlation_float_path_matches_array_path(rho):
 
 
 def test_combine_breakdown_joint_binds():
-    b = combine_breakdown(1.0, 0.2, 0.5, 0.6)
+    b = RateBreakdown(1.0, 0.2, 0.5, 0.6)
     assert b.effective_leakage == 0.2
     assert b.secure_rate == pytest.approx(0.8)
     assert not b.clamped
 
 
 def test_combine_breakdown_single_binds():
-    b = combine_breakdown(1.0, 0.9, 0.5, 0.6)
+    b = RateBreakdown(1.0, 0.9, 0.5, 0.6)
     assert b.effective_leakage == 0.6
     assert b.secure_rate == pytest.approx(0.4)
 
 
 def test_combine_breakdown_clamps_negative_gap():
-    b = combine_breakdown(0.1, 0.5, 0.4, 0.3)
+    b = RateBreakdown(0.1, 0.5, 0.4, 0.3)
     assert b.secure_rate == 0.0
     assert b.clamped
 
 
 def test_combine_breakdown_zero_gap_not_clamped():
-    b = combine_breakdown(0.5, 0.5, 0.5, 0.5)
+    b = RateBreakdown(0.5, 0.5, 0.5, 0.5)
     assert b.secure_rate == 0.0
     assert not b.clamped
 
@@ -149,7 +148,7 @@ def test_secure_rates_equal_combine_breakdown_elementwise():
     for terms in cases:
         got = secure_rates(*terms)
         cells = np.broadcast_arrays(*terms)
-        want = [combine_breakdown(*t).secure_rate
+        want = [RateBreakdown(*t).secure_rate
                 for t in zip(*(c.ravel().tolist() for c in cells))]
         assert got.shape == cells[0].shape
         assert got.ravel().tolist() == want
@@ -177,15 +176,8 @@ def test_secure_rates_keep_nan():
 
 def test_breakdown_rejects_negative_terms():
     with pytest.raises(DomainError):
-        RateBreakdown(
-            main_rate=-0.1,
-            leak_joint=0.0,
-            leak_single_1=0.0,
-            leak_single_2=0.0,
-            effective_leakage=0.0,
-            secure_rate=0.0,
-            clamped=False,
-        )
+        RateBreakdown(main_rate=-0.1, leak_joint=0.0, leak_single_1=0.0,
+                      leak_single_2=0.0)
 
 
 leak = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
@@ -193,7 +185,7 @@ leak = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
 @given(leak, leak, leak, leak)
 def test_combine_breakdown_effective_never_exceeds_joint(m, j, s1, s2):
-    b = combine_breakdown(m, j, s1, s2)
+    b = RateBreakdown(m, j, s1, s2)
     assert b.effective_leakage <= j
     assert b.effective_leakage <= max(s1, s2)
     assert 0.0 <= b.secure_rate <= m

@@ -10,7 +10,8 @@ from wiretap_rates.cli import load_config
 from wiretap_rates.core import (
     CorrelationTriple,
     DomainError,
-    combine_breakdown,
+    PSD_SLACK,
+    RateBreakdown,
     correlation_determinant,
     valid_correlation,
     valid_correlation as is_valid_correlation,
@@ -79,6 +80,13 @@ def test_is_valid_correlation():
     assert not is_valid_correlation(0.9, 0.9, -0.9)
     assert not is_valid_correlation(1.1, 0.0, 0.0)
     assert not is_valid_correlation(math.nan, 0.0, 0.0)
+    # Just past 1 the determinant is within PSD_SLACK of 0, so only the
+    # bound on each entry rejects these.
+    past_one = 1.0 + 2.0 ** -52
+    for rho in ((past_one, 1.0, 1.0), (1.0, past_one, 1.0), (1.0, 1.0, past_one)):
+        assert correlation_determinant(*rho) >= -PSD_SLACK
+        assert not is_valid_correlation(*rho)
+        assert not is_valid_correlation(*map(np.array, rho))
 
 
 def test_search_config_validation():
@@ -329,7 +337,7 @@ def materialized_minimize_rate(terms, cfg):
     rho_star = CorrelationTriple(*map(float, rho))
     return optimize.OptimizationResult(
         rho_star=rho_star,
-        rate=combine_breakdown(*rate_terms),
+        rate=RateBreakdown(*rate_terms),
         evaluations=evaluations,
         on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
     )
