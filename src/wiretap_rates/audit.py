@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -186,17 +186,17 @@ def audit_orthogonal(seed: int = DEFAULT_SEED,
     return AuditReport(seed, draws, tuple(rows))
 
 
-def audit_general(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS,
-                  rho2_both: bool = False) -> AuditReport:
+def audit_general(seed: int = DEFAULT_SEED,
+                  draws: int = DEFAULT_DRAWS) -> AuditReport:
     """Closed shared-band terms against the covariance route.
 
     Per draw: all four terms at the uncorrelated point (required), then the
     single-eavesdropper leakages at a random valid correlation triple
-    (required, unless ``rho2_both`` selects the variant that reuses rho_2
-    for both eavesdroppers, which tracks the covariance route only through
-    eavesdropper 1), and the main and joint terms at the same triple
-    (informational: the printed forms deviate from the covariance route
-    whenever both correlations are active, and can be undefined there).
+    (required), the reading of eavesdropper 2's leakage that reuses rho_2
+    (informational: the two readings agree only while rho_1 = rho_2), and
+    the main and joint terms at the same triple (informational: the printed
+    forms deviate from the covariance route whenever both correlations are
+    active, and can be undefined there).
     """
     rng = AuditRng(seed)
     rows: list[AuditRow] = []
@@ -212,7 +212,7 @@ def audit_general(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS,
         for i, ((p, rho), oracle0, oracle_rho) in enumerate(
             zip(block, oracles0, oracles_rho), start
         ):
-            closed0 = rate_general_closed(p, ZERO_RHO, rho2_both)
+            closed0 = rate_general_closed(p, ZERO_RHO)
             for name, c, o in (
                 ("general/zero/main", closed0.main_rate, oracle0.main_rate),
                 ("general/zero/joint", closed0.leak_joint, oracle0.leak_joint),
@@ -221,15 +221,19 @@ def audit_general(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS,
             ):
                 rows.append(_row(i, name, c, o, required=True))
 
-            s1 = single_eavesdropper_leakage(1, p, rho, rho2_both)
-            s2 = single_eavesdropper_leakage(2, p, rho, rho2_both)
-            rows.append(_row(i, "general/rho/single_1", s1, oracle_rho.leak_single_1,
-                             required=True))
-            rows.append(_row(i, "general/rho/single_2", s2, oracle_rho.leak_single_2,
-                             required=not rho2_both))
+            s1 = single_eavesdropper_leakage(1, p, rho)
+            s2 = single_eavesdropper_leakage(2, p, rho)
+            s2_alt = single_eavesdropper_leakage(2, p, rho, rho2_both=True)
+            o2 = oracle_rho.leak_single_2
+            for name, c, o, required in (
+                ("general/rho/single_1", s1, oracle_rho.leak_single_1, True),
+                ("general/rho/single_2", s2, o2, True),
+                ("general/rho/single_2_alt", s2_alt, o2, False),
+            ):
+                rows.append(_row(i, name, c, o, required))
 
             try:
-                closed_rho = rate_general_closed(p, rho, rho2_both)
+                closed_rho = rate_general_closed(p, rho)
                 main_c, joint_c = closed_rho.main_rate, closed_rho.leak_joint
             except DomainError:
                 main_c = joint_c = math.nan
@@ -240,18 +244,9 @@ def audit_general(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS,
     return AuditReport(seed, draws, tuple(rows))
 
 
-def run_audit(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS,
-              rho2_both: bool = False,
-              models: Sequence[str] = ("orthogonal", "general")) -> AuditReport:
-    """Selected model audits under one seed, concatenated into one report."""
-    rows: tuple[AuditRow, ...] = ()
-    for m in models:
-        if m == "orthogonal":
-            rows += audit_orthogonal(seed, draws).rows
-        elif m == "general":
-            rows += audit_general(seed, draws, rho2_both).rows
-        else:
-            raise ValueError(f"unknown audit model {m!r}")
+def run_audit(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS) -> AuditReport:
+    """Both model audits under one seed, concatenated into one report."""
+    rows = audit_orthogonal(seed, draws).rows + audit_general(seed, draws).rows
     return AuditReport(seed, draws, rows)
 
 

@@ -2,9 +2,9 @@
 
 Scenario configs are JSON with a ``kind`` selecting the model and blocks of
 dataclass fields; unknown keys anywhere are rejected.  Exit codes: 0 on
-success, 1 on configuration problems (including parameters a sweep takes out
-of their domain and searches over their evaluation budget), 2 when a
-numerical audit fails.
+success, 1 on usage errors and configuration problems (including parameters
+a sweep takes out of their domain and searches over their evaluation
+budget), 2 when a numerical audit fails.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .audit import (
     run_audit,
 )
 from .core import DomainError, GridBudgetError, RateBreakdown
-from .discrete import DMChannel, sup_inf_rate
+from .discrete import DEFAULT_MAX_EVALUATIONS, DMChannel, sup_inf_rate
 from .gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
@@ -55,7 +55,7 @@ __all__ = [
 #: Largest number of rows a sweep may ask for.
 MAX_SWEEP_ROWS = 100_000
 
-#: Largest number of draws an audit may ask for; each keeps about 3 KB of rows.
+#: Most draws an audit may ask for; each keeps about 3.5 KB of rows.
 MAX_AUDIT_DRAWS = 100_000
 
 
@@ -97,7 +97,7 @@ def _row_span(sweep: SweepSettings) -> float:
 class DMSettings:
     channel_file: str
     grid_resolution: float
-    max_evaluations: int = 2_000_000
+    max_evaluations: int = DEFAULT_MAX_EVALUATIONS
 
 
 @dataclass(frozen=True)
@@ -184,6 +184,14 @@ def _build_dataclass(cls, raw: object, block: str):
         raise ConfigError(f"block '{block}': {exc}") from None
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of ``path``, a Path or a bundled resource."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} is not UTF-8 text: {exc}") from None
+
+
 def _resolve_config_text(spec: str) -> tuple[str, object]:
     """Return the config text and the directory to resolve files against.
 
@@ -192,12 +200,12 @@ def _resolve_config_text(spec: str) -> tuple[str, object]:
     """
     p = Path(spec)
     if p.is_file():
-        return p.read_text(), p.parent
+        return _read_text(p, f"config '{spec}'"), p.parent
     root = files("wiretap_rates") / "configs"
     for name in (spec, spec + ".json"):
         cand = root / name
         if cand.is_file():
-            return cand.read_text(), root
+            return _read_text(cand, f"config '{spec}'"), root
     raise ConfigError(
         f"config '{spec}' is neither a file nor a bundled config name"
     )
@@ -205,13 +213,11 @@ def _resolve_config_text(spec: str) -> tuple[str, object]:
 
 def _load_channel(dm: DMSettings, base: object) -> DMChannel:
     p = Path(dm.channel_file)
-    if p.is_file():
-        text = p.read_text()
-    else:
-        cand = base / dm.channel_file  # type: ignore[operator]
-        if not cand.is_file():
+    if not p.is_file():
+        p = base / dm.channel_file  # type: ignore[operator]
+        if not p.is_file():
             raise ConfigError(f"channel file '{dm.channel_file}' not found")
-        text = cand.read_text()
+    text = _read_text(p, f"channel file '{dm.channel_file}'")
     try:
         return DMChannel.from_text(text)
     except DomainError as exc:
@@ -219,10 +225,10 @@ def _load_channel(dm: DMSettings, base: object) -> DMChannel:
 
 
 def _swept_blocks(kind: str, name: str) -> list[str]:
-    """The model blocks of ``kind`` with a numeric field ``name``: the blocks
+    """The model blocks of ``kind`` with a float field ``name``: the blocks
     a sweep of ``name`` sets."""
     return [b for b in _KINDS[kind][0]
-            if any(f.name == name and f.type in ("float", "int")
+            if any(f.name == name and f.type == "float"
                    for f in fields(_BLOCK_TYPES[b]))]
 
 
@@ -231,12 +237,12 @@ def load_config(spec: str) -> ScenarioConfig:
     text, base = _resolve_config_text(spec)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"config '{spec}' is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     kind = raw.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
     required, optional = _KINDS[kind]
     unknown = set(raw) - {"kind", *required, *optional}
@@ -255,7 +261,7 @@ def load_config(spec: str) -> ScenarioConfig:
     sweep = blocks.get("sweep")
     if sweep is not None and not _swept_blocks(kind, sweep.parameter):
         raise ConfigError(
-            f"sweep.parameter '{sweep.parameter}' is not a numeric model field"
+            f"sweep.parameter '{sweep.parameter}' is not a float model field"
         )
     return ScenarioConfig(kind=kind, dm_channel=channel, **blocks)
 
@@ -489,17 +495,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"audit --draws must lie in [1, {MAX_AUDIT_DRAWS}], got {args.draws}"
         )
-    models = ("orthogonal", "general")
-    if args.config:
-        kind = load_config(args.config).kind
-        if kind == "orthogonal-gaussian":
-            models = ("orthogonal",)
-        elif kind == "general-gaussian":
-            models = ("general",)
-        else:
-            raise ConfigError("the audit covers the Gaussian closed forms; "
-                              "kind 'dm' has none")
-    report = run_audit(args.seed, args.draws, args.rho2_both, models)
+    report = run_audit(args.seed, args.draws)
     if args.out:
         Path(args.out).write_text(rows_to_csv(report))
         print(f"wrote {args.out} ({len(report.rows)} rows)")
@@ -514,8 +510,16 @@ def _cmd_dm(args: argparse.Namespace) -> int:
     return _report(cfg)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's 2 is a failed audit here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wiretap-rates",
         description="Secrecy rates for wiretap channels with constrained "
                     "colluding eavesdroppers.",
@@ -534,15 +538,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_sweep)
 
     a = sub.add_parser("audit", help="closed forms vs covariance cross-check")
-    a.add_argument("--config",
-                   help="scenario whose kind selects the model family; "
-                        "both families without it")
     a.add_argument("--seed", type=int, default=DEFAULT_SEED)
     a.add_argument("--draws", type=int, default=DEFAULT_DRAWS)
     a.add_argument("--out", help="write the per-draw rows as CSV")
-    a.add_argument("--rho2-both", action="store_true", dest="rho2_both",
-                   help="audit the variant reusing rho_2 in both single-"
-                        "eavesdropper terms")
     a.add_argument("--verbose", action="store_true")
     a.set_defaults(fn=_cmd_audit)
 

@@ -29,6 +29,7 @@ __all__ = [
     "simplex_grid",
     "legitimate_input_grid",
     "eavesdropper_input_grid",
+    "DEFAULT_MAX_EVALUATIONS",
     "SupInfResult",
     "sup_inf_rate",
     "build_orthogonal_dm",
@@ -107,6 +108,8 @@ class DMChannel:
             shape = tuple(int(t) for t in tokens[:6])
         except ValueError as exc:
             raise DomainError(f"bad alphabet size in channel text: {exc}") from None
+        if min(shape) < 1:  # two negative sizes would multiply to a count
+            raise DomainError("alphabet sizes must be at least 1")
         count = math.prod(shape)
         values = tokens[6:]
         if len(values) != count:
@@ -269,6 +272,9 @@ def rate_dm_fixed(
 #: 250,000 raised its peak RSS by 20%.
 _STACK_CELLS = 50_000
 
+#: Grid evaluations a sup-inf search may make unless told otherwise.
+DEFAULT_MAX_EVALUATIONS = 2_000_000
+
 
 def _product_rates(ch: DMChannel, rs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """(len(rs), len(qs)) array of ``rate_dm_fixed(ch, r, q).secure_rate`` for
@@ -339,7 +345,7 @@ class SupInfResult:
 def sup_inf_rate(
     ch: DMChannel,
     grid_resolution: float,
-    max_evaluations: int = 2_000_000,
+    max_evaluations: int = DEFAULT_MAX_EVALUATIONS,
 ) -> SupInfResult:
     """Grid sup over legitimate laws of the inf over eavesdropper laws.
 

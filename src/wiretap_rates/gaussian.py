@@ -247,7 +247,6 @@ def single_eavesdropper_leakage(
 def rate_general_closed(
     p: GeneralGaussianParams,
     rho: CorrelationTriple,
-    rho2_both: bool = False,
 ) -> RateBreakdown:
     """Closed-form shared-band secrecy rate at a fixed correlation triple.
 
@@ -311,8 +310,8 @@ def rate_general_closed(
         )
     leak_joint = theta(joint_arg)
 
-    leak_1 = single_eavesdropper_leakage(1, p, rho, rho2_both)
-    leak_2 = single_eavesdropper_leakage(2, p, rho, rho2_both)
+    leak_1 = single_eavesdropper_leakage(1, p, rho)
+    leak_2 = single_eavesdropper_leakage(2, p, rho)
     return RateBreakdown(main, leak_joint, leak_1, leak_2)
 
 

@@ -17,6 +17,7 @@ from wiretap_rates.audit import (
     run_audit,
 )
 from wiretap_rates.core import ZERO_RHO, valid_correlation as is_valid_correlation
+from wiretap_rates.gaussian import single_eavesdropper_leakage
 from wiretap_rates.oracle import rate_general_oracle, rate_orthogonal_oracle
 
 
@@ -88,13 +89,30 @@ def test_audit_orthogonal_rows():
 
 def test_audit_general_rows():
     rep = audit_general(seed=1, draws=4)
-    assert len(rep.rows) == 32
+    assert len(rep.rows) == 36
     required = [r for r in rep.rows if r.required]
     info = [r for r in rep.rows if not r.required]
     # per draw: four zero-correlation terms and two single leakages
     assert len(required) == 24
-    assert {r.name for r in info} == {"general/rho/main", "general/rho/joint"}
+    assert {r.name for r in info} == {"general/rho/main", "general/rho/joint",
+                                      "general/rho/single_2_alt"}
     assert rep.passed
+
+
+def test_audit_reports_the_rho2_both_reading_as_information():
+    rep = audit_general(seed=3, draws=6)
+    rng = AuditRng(3)
+    draws = [(draw_general_params(rng), draw_correlation(rng)) for _ in range(6)]
+    alt = [r for r in rep.rows if r.name == "general/rho/single_2_alt"]
+    single_2 = [r for r in rep.rows if r.name == "general/rho/single_2"]
+    assert [r.draw for r in alt] == list(range(6))
+    for r, s, (p, rho) in zip(alt, single_2, draws):
+        assert not r.required
+        assert r.closed == single_eavesdropper_leakage(2, p, rho, rho2_both=True)
+        assert r.oracle == s.oracle
+    # The two readings differ wherever rho_1 != rho_2, and only the
+    # covariance-consistent one is required.
+    assert max(r.error for r in alt) > 1e-3
 
 
 def test_audit_row_ok_semantics():
@@ -111,10 +129,6 @@ def test_audit_row_ok_semantics():
 def test_run_audit_model_selection():
     both = run_audit(seed=2, draws=2)
     assert {r.name.split("/")[0] for r in both.rows} == {"orthogonal", "general"}
-    only = run_audit(seed=2, draws=2, models=("orthogonal",))
-    assert {r.name.split("/")[0] for r in only.rows} == {"orthogonal"}
-    with pytest.raises(ValueError):
-        run_audit(seed=2, draws=2, models=("bogus",))
 
 
 def test_rows_to_csv_shape():
@@ -161,21 +175,21 @@ def per_draw_oracle_rows(seed, draws):
                         ("zero/single_2", z.leak_single_2),
                         ("rho/single_1", o.leak_single_1),
                         ("rho/single_2", o.leak_single_2),
+                        ("rho/single_2_alt", o.leak_single_2),
                         ("rho/main", o.main_rate), ("rho/joint", o.leak_joint)):
             rows.append((i, f"general/{term}", v))
     return rows
 
 
-@pytest.mark.parametrize("rho2_both", [False, True])
-def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
+def test_batched_audit_equals_per_draw_oracle_calls():
     draws = audit._BLOCK_DRAWS + 5
-    rep = run_audit(seed=6, draws=draws, rho2_both=rho2_both)
+    rep = run_audit(seed=6, draws=draws)
     assert [(r.draw, r.name, r.oracle) for r in rep.rows] == \
         per_draw_oracle_rows(6, draws)
 
 
 @pytest.mark.parametrize("block_draws", [1, 7])
 def test_audit_is_independent_of_the_block_size(monkeypatch, block_draws):
-    whole = rows_to_csv(run_audit(seed=8, draws=20, rho2_both=True))
+    whole = rows_to_csv(run_audit(seed=8, draws=20))
     monkeypatch.setattr(audit, "_BLOCK_DRAWS", block_draws)
-    assert rows_to_csv(run_audit(seed=8, draws=20, rho2_both=True)) == whole
+    assert rows_to_csv(run_audit(seed=8, draws=20)) == whole

@@ -156,6 +156,7 @@ def test_load_config_rejects_invalid_sweep(tmp_path):
     ("orthogonal-gaussian", "__doc__"),
     ("orthogonal-gaussian", "__post_init__"),
     ("dm", "channel_file"),
+    ("dm", "max_evaluations"),
 ])
 def test_sweep_of_a_non_numeric_field_is_config_error(tmp_path, capsys, kind, parameter):
     sweep = {"parameter": parameter, "start": 0.1, "stop": 0.2, "step": 0.1}
@@ -359,32 +360,16 @@ def test_audit_command_writes_rows(tmp_path, capsys):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "draw,term,closed,oracle,abs_error"
-    # 5 orthogonal + 8 general rows per draw
-    assert len(lines) == 1 + 2 * 13
+    # 5 orthogonal + 9 general rows per draw
+    assert len(lines) == 1 + 2 * 14
     assert "PASS" in capsys.readouterr().out
-
-
-def test_audit_command_config_selects_family(tmp_path, capsys):
-    out = tmp_path / "rows.csv"
-    rc = main(["audit", "--draws", "2", "--config", ortho_config(tmp_path),
-               "--out", str(out)])
-    assert rc == 0
-    body = out.read_text()
-    assert "orthogonal/" in body and "general/" not in body
-    capsys.readouterr()
-
-
-def test_audit_command_rejects_dm_config(capsys):
-    rc = main(["audit", "--config", "dm_bsc"])
-    assert rc == 1
-    assert "config error" in capsys.readouterr().err
 
 
 def test_audit_command_failure_exit_code(monkeypatch, capsys):
     import wiretap_rates.cli as cli
     from wiretap_rates.audit import AuditRow
 
-    def fake(seed, draws, rho2_both, models):
+    def fake(seed, draws):
         row = AuditRow(0, "orthogonal/main", 1.0, 2.0, 1.0, True)
         return AuditReport(seed, draws, (row,))
 
@@ -392,6 +377,29 @@ def test_audit_command_failure_exit_code(monkeypatch, capsys):
     rc = main(["audit", "--draws", "1"])
     assert rc == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["point"],
+    ["audit", "--draws", "x"],
+    ["audit", "--rho2-both"],
+    ["audit", "--config", "fig3a"],
+    ["bogus"],
+], ids=["point-without-config", "draws-not-an-integer", "rho2-both",
+        "audit-config", "unknown-command"])
+def test_usage_error_exits_one(capsys, argv):
+    # 2 is the exit code of a failed audit.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--help"])
+    assert exc.value.code == 0
+    assert "--draws" in capsys.readouterr().out
 
 
 def test_unreadable_output_path_is_io_error(tmp_path, capsys):
@@ -485,6 +493,25 @@ def test_nan_in_channel_file_is_config_error(tmp_path, capsys):
     channel = tmp_path / "ch.dmc"
     channel.write_text(channel.read_text().replace("0.009", "nan", 1))
     with pytest.raises(ConfigError, match="ch.dmc"):
+        load_config(path)
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(capsys, "config error")
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "channel-not-utf8",
+                                  "config-too-deep", "kind-not-a-string"])
+def test_malformed_config_file_exits_with_one_line(tmp_path, capsys, case):
+    path = dm_config(tmp_path)
+    if case == "config-not-utf8":
+        Path(path).write_bytes(b"\xff" + Path(path).read_bytes())
+    elif case == "channel-not-utf8":
+        channel = tmp_path / "ch.dmc"
+        channel.write_bytes(b"\xff" + channel.read_bytes())
+    elif case == "config-too-deep":
+        Path(path).write_text("[" * 100_000 + "]" * 100_000)
+    else:
+        write_config(tmp_path, {"kind": []})
+    with pytest.raises(ConfigError):
         load_config(path)
     assert main(["dm", "--config", path]) == 1
     assert_one_line_error(capsys, "config error")

@@ -82,6 +82,12 @@ def test_from_text_rejects_wrong_count():
         DMChannel.from_text("\n".join(lines + ["0.5"]))
 
 
+@pytest.mark.parametrize("sizes", ["-1 -1 1 1 1 1", "1 1 1 -2 -1 1"])
+def test_from_text_rejects_sizes_below_one(sizes):
+    with pytest.raises(DomainError, match="at least 1"):
+        DMChannel.from_text(f"{sizes}\n1.0\n1.0\n")
+
+
 def test_from_text_ignores_comments_and_blank_lines():
     ch = bundled_channel()
     text = "# a comment\n\n" + ch.to_text() + "\n# trailing\n"
