@@ -181,11 +181,22 @@ def per_draw_oracle_rows(seed, draws):
     return rows
 
 
-def test_batched_audit_equals_per_draw_oracle_calls():
+@pytest.mark.parametrize("rho2_both", [False, True])
+def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
     draws = audit._BLOCK_DRAWS + 5
     rep = run_audit(seed=6, draws=draws)
     assert [(r.draw, r.name, r.oracle) for r in rep.rows] == \
         per_draw_oracle_rows(6, draws)
+    # Each reading of eavesdropper 2's leak has its own row: single_2 is the
+    # covariance-consistent one, single_2_alt the one that reuses rho_2.
+    name = "general/rho/single_2_alt" if rho2_both else "general/rho/single_2"
+    rng = AuditRng(6)
+    expected = []
+    for _ in range(draws):
+        p = draw_general_params(rng)
+        rho = draw_correlation(rng)
+        expected.append(single_eavesdropper_leakage(2, p, rho, rho2_both=rho2_both))
+    assert [r.closed for r in rep.rows if r.name == name] == expected
 
 
 @pytest.mark.parametrize("block_draws", [1, 7])
