@@ -13,7 +13,9 @@ import argparse
 import dataclasses
 import json
 import math
+import reprlib
 import sys
+import threading
 from dataclasses import dataclass, fields, replace
 from importlib.resources import files
 from pathlib import Path
@@ -61,6 +63,20 @@ MAX_AUDIT_DRAWS = 100_000
 
 class ConfigError(ValueError):
     """A scenario file is malformed or inconsistent."""
+
+
+_SHOWN_CHARS = 80
+_SHORT_REPR = reprlib.Repr()
+_SHORT_REPR.maxstring = _SHORT_REPR.maxother = _SHORT_REPR.maxlong = _SHOWN_CHARS
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, cut to at most 80 characters;
+    a huge or deeply nested value is never expanded whole."""
+    text = _SHORT_REPR.repr(value)
+    if len(text) > _SHOWN_CHARS:
+        text = text[:_SHOWN_CHARS - 3] + "..."
+    return text
 
 
 @dataclass(frozen=True)
@@ -145,16 +161,16 @@ def _check_value(block: str, key: str, annotation: str, value: object):
         # Also false for nan, and compares an int of any size exactly.
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+            raise ConfigError(f"{where} must be a finite number, got {_shown(value)}")
         value = float(value)
         if annotation == "float":
             return value
         if value != int(value):
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
+            raise ConfigError(f"{where} must be an integer, got {_shown(value)}")
         return int(value)
     if isinstance(value, str) or (value is None and annotation == "str | None"):
         return value
-    raise ConfigError(f"{where} must be a string, got {value!r}")
+    raise ConfigError(f"{where} must be a string, got {_shown(value)}")
 
 
 def _build_dataclass(cls, raw: object, block: str):
@@ -169,7 +185,7 @@ def _build_dataclass(cls, raw: object, block: str):
     unknown = set(raw) - set(spec_fields)
     if unknown:
         raise ConfigError(
-            f"unknown key '{sorted(unknown)[0]}' in block '{block}'"
+            f"unknown key {_shown(sorted(unknown)[0])} in block '{block}'"
         )
     kwargs = {}
     for name, f in spec_fields.items():
@@ -212,16 +228,20 @@ def _resolve_config_text(spec: str) -> tuple[str, object]:
 
 
 def _load_channel(dm: DMSettings, base: object) -> DMChannel:
-    p = Path(dm.channel_file)
-    if not p.is_file():
-        p = base / dm.channel_file  # type: ignore[operator]
+    what = f"channel file {_shown(dm.channel_file)}"
+    try:
+        p = Path(dm.channel_file)
         if not p.is_file():
-            raise ConfigError(f"channel file '{dm.channel_file}' not found")
-    text = _read_text(p, f"channel file '{dm.channel_file}'")
+            p = base / dm.channel_file  # type: ignore[operator]
+            if not p.is_file():
+                raise ConfigError(f"{what} not found")
+    except OSError as exc:  # a name the file system refuses, e.g. too long
+        raise ConfigError(f"{what}: {exc.strerror}") from None
+    text = _read_text(p, what)
     try:
         return DMChannel.from_text(text)
     except DomainError as exc:
-        raise ConfigError(f"channel file '{dm.channel_file}': {exc}") from None
+        raise ConfigError(f"{what}: {exc}") from None
 
 
 def _swept_blocks(kind: str, name: str) -> list[str]:
@@ -237,18 +257,19 @@ def load_config(spec: str) -> ScenarioConfig:
     text, base = _resolve_config_text(spec)
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # ValueError also covers integers of more than 4300 digits.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config '{spec}' is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
-        raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
+        raise ConfigError(f"kind must be one of {tuple(_KINDS)}, got {_shown(kind)}")
     required, optional = _KINDS[kind]
     unknown = set(raw) - {"kind", *required, *optional}
     if unknown:
         raise ConfigError(
-            f"key '{sorted(unknown)[0]}' is not allowed for kind '{kind}'"
+            f"key {_shown(sorted(unknown)[0])} is not allowed for kind '{kind}'"
         )
 
     blocks = {}
@@ -261,7 +282,7 @@ def load_config(spec: str) -> ScenarioConfig:
     sweep = blocks.get("sweep")
     if sweep is not None and not _swept_blocks(kind, sweep.parameter):
         raise ConfigError(
-            f"sweep.parameter '{sweep.parameter}' is not a float model field"
+            f"sweep.parameter {_shown(sweep.parameter)} is not a float model field"
         )
     return ScenarioConfig(kind=kind, dm_channel=channel, **blocks)
 
@@ -291,9 +312,30 @@ def general_point(
     gen: GeneralGaussianParams,
     cfg: SearchConfig,
 ) -> tuple[dict[str, float], OptimizationResult, OptimizationResult]:
-    """All five rates at one parameter point (worst-case correlations)."""
-    res_njg = optimize_general(strip_jamming(gen), cfg)
-    res_g = optimize_general(gen, cfg)
+    """All five rates at one parameter point (worst-case correlations).
+
+    The R_njg search runs on a worker thread while R_g runs on this one.
+    They share no state, so the results are those of running them in order.
+    An error of either search is raised here, R_g's when both fail.
+    """
+    njg: dict[str, object] = {}
+
+    def search_njg() -> None:
+        try:
+            njg["result"] = optimize_general(strip_jamming(gen), cfg)
+        except BaseException as exc:  # re-raised on the calling thread
+            njg["error"] = exc
+
+    # A daemon, so that an interrupted process exits without waiting for it.
+    worker = threading.Thread(target=search_njg, name="R_njg search", daemon=True)
+    worker.start()
+    try:
+        res_g = optimize_general(gen, cfg)
+    finally:
+        worker.join()
+    if "error" in njg:
+        raise njg["error"]
+    res_njg = njg["result"]
     row = {
         **_orthogonal_row(og, rate_orthogonal(og)),
         "R_njg": res_njg.rate.secure_rate,
@@ -493,7 +535,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     if not 1 <= args.draws <= MAX_AUDIT_DRAWS:
         raise ConfigError(
-            f"audit --draws must lie in [1, {MAX_AUDIT_DRAWS}], got {args.draws}"
+            f"audit --draws must lie in [1, {MAX_AUDIT_DRAWS}], got {_shown(args.draws)}"
         )
     report = run_audit(args.seed, args.draws)
     if args.out:

@@ -63,20 +63,24 @@ def correlation_determinant(rho_1: float, rho_2: float, rho_12: float) -> float:
     )
 
 
-def valid_correlation(rho_1, rho_2, rho_12) -> np.ndarray | bool:
+def valid_correlation(rho_1, rho_2, rho_12, det=None) -> np.ndarray | bool:
     """Elementwise: whether each triple forms a valid correlation matrix.
 
     Valid means finite entries in [-1, 1] and a determinant of at least
     -PSD_SLACK.  Takes broadcastable arrays, or three floats, which give a
     bool.  Each bound is tested on its own input, before broadcasting; a NaN
     or infinite entry fails its bound, whatever the determinant gives.
+    ``det``, when given, is ``correlation_determinant(rho_1, rho_2, rho_12)``,
+    which a caller that needs it anyway has already computed.
     """
     with np.errstate(invalid="ignore", over="ignore"):
+        if det is None:
+            det = correlation_determinant(rho_1, rho_2, rho_12)
         return (
             (abs(rho_1) <= 1.0)
             & (abs(rho_2) <= 1.0)
             & (abs(rho_12) <= 1.0)
-            & (correlation_determinant(rho_1, rho_2, rho_12) >= -PSD_SLACK)
+            & (det >= -PSD_SLACK)
         )
 
 

@@ -23,6 +23,7 @@ from .core import (
     DomainError,
     GridBudgetError,
     RateBreakdown,
+    correlation_determinant,
     secure_rates,
     valid_correlation,
 )
@@ -122,10 +123,12 @@ def correlation_grid_axis(resolution: float) -> np.ndarray:
     return (2.0 * i - m) / m
 
 
-# (main, leak_joint, leak_single_1, leak_single_2), each broadcastable to the
-# triples (rho_1, rho_2, rho_12); values at invalid triples are ignored.
+# terms(rho_1, rho_2, rho_12, det): (main, leak_joint, leak_single_1,
+# leak_single_2), each broadcastable to the triples.  det is their correlation
+# determinant, an array of their broadcast shape that the objective may
+# overwrite.  Values at invalid triples are ignored.
 GridObjective = Callable[
-    [np.ndarray, np.ndarray, np.ndarray],
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
 
@@ -139,10 +142,12 @@ def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndar
 
     The one place the valid set is applied: rates are +inf at invalid triples
     and where not finite (a nan would win argmin and then lose every
-    comparison).
+    comparison).  The triples' determinant is computed once, for the valid
+    set and then the objective, which may overwrite it.
     """
-    valid = valid_correlation(r1, r2, r12)
-    sec = secure_rates(*terms(r1, r2, r12), out=np.empty(valid.shape))
+    det = correlation_determinant(r1, r2, r12)
+    valid = valid_correlation(r1, r2, r12, det)
+    sec = secure_rates(*terms(r1, r2, r12, det), out=np.empty(valid.shape))
     np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
     return sec, valid, int(np.count_nonzero(valid))
 
@@ -190,9 +195,9 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     lower result wins, so the rate never exceeds any coarse grid point's.
     The four terms at the winning triple are then read by one more call.
 
-    ``terms`` evaluates the four terms over broadcastable arrays (see
-    ``GridObjective``); the secure rate combines them with
-    :func:`wiretap_rates.core.secure_rates`.  Objective errors propagate.
+    ``terms`` evaluates the four terms over broadcastable triples, given
+    their determinant (see ``GridObjective``); the secure rate combines them
+    with :func:`wiretap_rates.core.secure_rates`.  Objective errors propagate.
 
     Raises GridBudgetError, before the grid is built, when the descents
     could take more than MAX_GRID_POINTS evaluations.
@@ -250,7 +255,7 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     _, rho = min((end for end, _ in descents), key=lambda end: end[0])
 
     rho_star = CorrelationTriple(*rho)
-    rate_terms = terms(*(np.array([r]) for r in rho))
+    rate_terms = terms(*(np.array([r]) for r in (*rho, rho_star.determinant)))
     return OptimizationResult(
         rho_star=rho_star,
         rate=RateBreakdown(*(float(np.ravel(t)[0]) for t in rate_terms)),
@@ -264,4 +269,6 @@ def optimize_general(p: GeneralGaussianParams, cfg: SearchConfig) -> Optimizatio
 
     Runs :func:`minimize_rate` on :func:`general_rate_terms_grid`.
     """
-    return minimize_rate(lambda r1, r2, r12: general_rate_terms_grid(p, r1, r2, r12), cfg)
+    return minimize_rate(
+        lambda r1, r2, r12, det: general_rate_terms_grid(p, r1, r2, r12, det), cfg
+    )

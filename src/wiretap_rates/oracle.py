@@ -399,6 +399,7 @@ def general_rate_terms_grid(
     rho_1: np.ndarray,
     rho_2: np.ndarray,
     rho_12: np.ndarray,
+    det: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized shared-band rate terms over arrays of correlation triples.
 
@@ -422,6 +423,12 @@ def general_rate_terms_grid(
     place, cost k*n*n.  No determinant of an assembled covariance is taken,
     so the terms keep full precision up to the edge of the valid set.
     Values at triples outside it are unspecified; the search masks them.
+
+    ``det``, when given, is ``correlation_determinant(rho_1, rho_2, rho_12)``
+    as an array of the triples' broadcast shape, which the search has
+    already computed for its valid set.  When both eavesdropper powers are
+    positive the joint term is built in it, so it is overwritten; otherwise
+    it is not read.
     """
     r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
     # Standard deviations of the inputs, folded into the gains below.
@@ -456,10 +463,13 @@ def general_rate_terms_grid(
         # most what either one leaves, 1 - max(rho_1^2, rho_2^2); near
         # |rho_12| = 1 the determinant ratio is a cancelled difference over a
         # tiny divisor, so it is held to that bound.
+        both = p.P_1e > 0.0 and p.P_2e > 0.0
         q1 = r1 if p.P_1e > 0.0 else 0.0
         q2 = r2 if p.P_2e > 0.0 else 0.0
-        q12 = r12 if p.P_1e > 0.0 and p.P_2e > 0.0 else 0.0
-        joint = np.asarray(correlation_determinant(q1, q2, q12))
+        q12 = r12 if both else 0.0
+        if det is None or not both:
+            det = correlation_determinant(q1, q2, q12)
+        joint = np.asarray(det)
         joint /= (1.0 - q12) * (1.0 + q12)
         np.copyto(joint, 1.0 - q1 * q1, where=np.abs(q12) >= 1.0)
         np.minimum(joint, 1.0 - np.maximum(q1 * q1, q2 * q2), out=joint)

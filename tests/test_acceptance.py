@@ -255,7 +255,10 @@ def test_criterion_09_optimizer_matches_exhaustive_reference():
             p = draw_general_params(rng)
             res = optimize_general(p, default)
             ref = minimize_rate(
-                lambda r1, r2, r12: general_rate_terms_grid(p, r1, r2, r12), fine
+                # The grid computes its own determinant, independently of the
+                # search's.
+                lambda r1, r2, r12, det: general_rate_terms_grid(p, r1, r2, r12),
+                fine,
             )
             diff = abs(res.rate.secure_rate - ref.rate.secure_rate)
             assert diff <= 1e-3, (

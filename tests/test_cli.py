@@ -1,13 +1,15 @@
 import json
 import re
+import threading
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
 
 import pytest
 
+from refpoints import GEN_POINT
 from wiretap_rates import cli
-from wiretap_rates.audit import AuditReport
+from wiretap_rates.audit import AuditReport, AuditRng, draw_general_params
 from wiretap_rates.cli import (
     ConfigError,
     SweepSettings,
@@ -17,7 +19,9 @@ from wiretap_rates.cli import (
     sweep_values,
     write_csv,
 )
-from wiretap_rates.gaussian import rate_orthogonal
+from wiretap_rates.core import DomainError, GridBudgetError
+from wiretap_rates.gaussian import rate_orthogonal, strip_jamming
+from wiretap_rates.optimize import optimize_general
 
 ORTHO_BLOCK = {
     "h_l": 1.0, "h_1m": 0.8, "h_2m": 0.6, "h_1c": 0.5, "h_2c": 0.7,
@@ -499,7 +503,8 @@ def test_nan_in_channel_file_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["config-not-utf8", "channel-not-utf8",
-                                  "config-too-deep", "kind-not-a-string"])
+                                  "config-too-deep", "kind-not-a-string",
+                                  "integer-of-5001-digits"])
 def test_malformed_config_file_exits_with_one_line(tmp_path, capsys, case):
     path = dm_config(tmp_path)
     if case == "config-not-utf8":
@@ -509,9 +514,124 @@ def test_malformed_config_file_exits_with_one_line(tmp_path, capsys, case):
         channel.write_bytes(b"\xff" + channel.read_bytes())
     elif case == "config-too-deep":
         Path(path).write_text("[" * 100_000 + "]" * 100_000)
+    elif case == "integer-of-5001-digits":
+        # Past Python's limit on integer string conversion, so json.loads
+        # raises a plain ValueError.
+        text = Path(path).read_text()
+        Path(path).write_text(text.replace('"grid_resolution"',
+                                           '"max_evaluations": 1' + "0" * 5000
+                                           + ', "grid_resolution"'))
     else:
         write_config(tmp_path, {"kind": []})
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["dm", "--config", path]) == 1
     assert_one_line_error(capsys, "config error")
+
+
+# Config values an error message would echo: one huge and one deeply nested
+# value, each in every place a config error quotes from the file.
+_HUGE = "x" * 2_000_000
+_DEEP = "[" * 950 + "1.0" + "]" * 950
+
+
+@pytest.mark.parametrize("case", ["string-value", "nested-value", "block-key",
+                                  "top-level-key", "kind", "sweep-parameter",
+                                  "channel-file"])
+def test_config_errors_echo_values_cut_short(tmp_path, capsys, case):
+    payload = {
+        "kind": "general-gaussian",
+        "orthogonal": ORTHO_BLOCK,
+        "general": GENERAL_BLOCK,
+        "optimizer": {"coarse_resolution": 0.5},
+    }
+    if case == "string-value":
+        payload["orthogonal"] = {**ORTHO_BLOCK, "P_l": _HUGE}
+    elif case == "block-key":
+        payload["orthogonal"] = {**ORTHO_BLOCK, _HUGE: 1.0}
+    elif case == "top-level-key":
+        payload[_HUGE] = 1.0
+    elif case == "kind":
+        payload["kind"] = _HUGE
+    elif case == "sweep-parameter":
+        payload["sweep"] = {"parameter": _HUGE}
+    elif case == "channel-file":
+        payload = json.loads(Path(dm_config(tmp_path)).read_text())
+        payload["dm"]["channel_file"] = _HUGE
+    path = write_config(tmp_path, payload)
+    if case == "nested-value":
+        text = Path(path).read_text()
+        Path(path).write_text(text.replace('"P_l": 4.0', '"P_l": ' + _DEEP, 1))
+    assert main(["point", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error"), err[:300]
+    assert len(err) < 200, err
+    if case in ("string-value", "nested-value"):
+        assert "must be a finite number" in err
+
+
+@pytest.mark.parametrize("error, prefix", [(GridBudgetError, "budget error"),
+                                           (DomainError, "domain error")],
+                         ids=["budget", "domain"])
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_search_error_on_either_thread_propagates(tmp_path, capsys, monkeypatch,
+                                                  failing, error, prefix):
+    # The R_njg search (jamming stripped) runs on the worker thread, R_g on
+    # the calling one; only the named one fails, and its error must reach
+    # the caller unchanged, with the worker joined.
+    real = cli.optimize_general
+    message = f"the {failing} search failed"
+    raised_on = []
+
+    def search(p, cfg):
+        if (p == strip_jamming(p)) == (failing == "worker"):
+            raised_on.append(threading.current_thread())
+            raise error(message)
+        return real(p, cfg)
+
+    monkeypatch.setattr(cli, "optimize_general", search)
+    path = write_config(tmp_path, {
+        "kind": "general-gaussian",
+        "orthogonal": ORTHO_BLOCK,
+        "general": GENERAL_BLOCK,
+        "optimizer": {"coarse_resolution": 0.25},
+    })
+    cfg = load_config(path)
+    before = threading.active_count()
+    with pytest.raises(error) as info:
+        cli.general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
+    assert type(info.value) is error and str(info.value) == message
+    assert threading.active_count() == before
+    assert (raised_on[0] is threading.main_thread()) == (failing == "caller")
+
+    assert main(["point", "--config", path]) == 1
+    assert capsys.readouterr().err == f"{prefix}: {message}\n"
+    assert threading.active_count() == before
+
+
+def search_outcome(res):
+    b = res.rate
+    return (
+        tuple(x.hex() for x in (b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2)),
+        tuple(x.hex() for x in res.rho_star.as_tuple()),
+        res.evaluations,
+        res.on_boundary,
+    )
+
+
+def test_point_searches_at_once_equal_searches_in_order():
+    # general_point runs R_njg and R_g on two threads; each result must be,
+    # bit for bit, what the same search gives run alone.
+    fig3a, fig3b = load_config("fig3a"), load_config("fig3b")
+    rng = AuditRng(20241018)
+    cases = [(fig3a.general, fig3a.optimizer), (fig3b.general, fig3b.optimizer),
+             (GEN_POINT, fig3a.optimizer)]
+    cases += [(draw_general_params(rng), fig3a.optimizer) for _ in range(3)]
+    for gen, cfg in cases:
+        row, res_njg, res_g = cli.general_point(fig3a.orthogonal, gen, cfg)
+        alone_njg = optimize_general(strip_jamming(gen), cfg)
+        alone_g = optimize_general(gen, cfg)
+        assert search_outcome(res_njg) == search_outcome(alone_njg), gen
+        assert search_outcome(res_g) == search_outcome(alone_g), gen
+        assert (row["R_njg"], row["R_g"]) == (alone_njg.rate.secure_rate,
+                                              alone_g.rate.secure_rate)

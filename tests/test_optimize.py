@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from refpoints import GEN_POINT
-from wiretap_rates import optimize
+from wiretap_rates import core, optimize, oracle
 from wiretap_rates.cli import load_config
 from wiretap_rates.core import (
     CorrelationTriple,
@@ -29,21 +29,21 @@ from wiretap_rates.oracle import rate_general_oracle
 def quadratic_objective(target):
     """Objective whose secure rate equals the squared distance to ``target``."""
 
-    def f(r1, r2, r12):
+    def f(r1, r2, r12, det):
         q = (r1 - target[0]) ** 2 + (r2 - target[1]) ** 2 + (r12 - target[2]) ** 2
         return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
     return f
 
 
-def flat(r1, r2, r12):
+def flat(r1, r2, r12, det):
     return tuple(np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
 
 
 DIP_TARGET = (-0.4, -0.4, -0.4)
 
 
-def dip(r1, r2, r12):
+def dip(r1, r2, r12, det):
     """Rate 1 except in a dip of radius 0.15 around DIP_TARGET."""
     t = DIP_TARGET
     d2 = (r1 - t[0]) ** 2 + (r2 - t[1]) ** 2 + (r12 - t[2]) ** 2
@@ -140,10 +140,9 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
     assert res.rho_star.as_tuple() == pytest.approx(DIP_TARGET, abs=1e-3)
 
 
-def lowest_outside(r1, r2, r12):
+def lowest_outside(r1, r2, r12, det):
     """Finite everywhere; the secure rate is max(2 + det, 0), so every
     invalid triple (det < -PSD_SLACK) beats every valid one."""
-    det = correlation_determinant(r1, r2, r12)
     return 12.0 + det, np.full(det.shape, 10.0), 50.0, 50.0
 
 
@@ -274,7 +273,8 @@ def materialized_minimize_rate(terms, cfg):
     n = axis.size
 
     def evaluate(r1, r2, r12):
-        out = [np.broadcast_to(t, r1.shape) for t in terms(r1, r2, r12)]
+        det = correlation_determinant(r1, r2, r12)
+        out = [np.broadcast_to(t, r1.shape) for t in terms(r1, r2, r12, det)]
         main, joint, s1, s2 = out
         sec = np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
         sec = np.where(np.isfinite(sec), sec, np.inf)
@@ -350,14 +350,14 @@ def with_nan(where):
     """
     base = quadratic_objective((-0.55, 0.0, 0.1))
 
-    def f(r1, r2, r12):
-        main, joint, s1, s2 = base(r1, r2, r12)
+    def f(r1, r2, r12, det):
+        main, joint, s1, s2 = base(r1, r2, r12, det)
         return np.where(where(r1, r2, r12), math.nan, main), joint, s1, s2
 
     return f
 
 
-def low_dim(r1, r2, r12):
+def low_dim(r1, r2, r12, det):
     """Scalars and terms of fewer correlations; ties along rho_12 remain."""
     joint = 10.0 - (r1 - 0.3) ** 2 - (r2 + 0.2) ** 2
     return 10.0, joint, np.float64(50.0), 50.0 + 0.0 * r12
@@ -404,3 +404,25 @@ def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypa
             assert got == want, (res, refine)
             if name == "nan-everywhere":
                 assert "main_rate must be finite" in got
+
+
+def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
+    # The validity mask and the grid's joint term share one determinant per
+    # chunk.  Chunk-sized determinants are counted wherever the function is
+    # bound; the descents and the final read evaluate smaller arrays.
+    chunk_calls = []
+
+    def counted(r1, r2, r12):
+        det = correlation_determinant(r1, r2, r12)
+        if np.ndim(det) == 3:
+            chunk_calls.append(np.shape(det))
+        return det
+
+    for module in (core, oracle, optimize):
+        monkeypatch.setattr(module, "correlation_determinant", counted, raising=False)
+    n = correlation_grid_axis(0.05).size
+    rows = max(1, optimize._CHUNK_TARGET // (n * n))
+    chunks = [(min(rows, n - start), n, n) for start in range(0, n, rows)]
+    assert len(chunks) > 1
+    optimize_general(GEN_POINT, SearchConfig(coarse_resolution=0.05))
+    assert chunk_calls == chunks

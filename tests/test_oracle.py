@@ -346,3 +346,34 @@ def test_grid_on_broadcast_views_equals_grid_on_meshgrid(params):
         np.testing.assert_array_equal(
             np.broadcast_to(got, shape)[valid], np.broadcast_to(want, shape)[valid]
         )
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        GEN_POINT,
+        _FIG3A,
+        dataclasses.replace(GEN_POINT, P_1e=0.0),
+        dataclasses.replace(GEN_POINT, P_2e=0.0),
+        dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0),
+    ],
+    ids=["gen-point", "fig3a", "P_1e-0", "P_2e-0", "P_1e-P_2e-0"],
+)
+def test_grid_given_the_search_determinant_is_bit_identical(params):
+    # The search hands the grid the determinant of its valid set.  On every
+    # cell of the 0.05 grid, the |rho_12| = 1 rows and the invalid cells
+    # included, the terms must equal, bit for bit, those of the grid
+    # computing its own; with a zero power the grid must not read it.
+    axis = correlation_grid_axis(0.05)
+    views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
+    shape = (axis.size,) * 3
+    det = correlation_determinant(*views)
+    assert det.shape == shape
+    given = general_rate_terms_grid(params, *views, det.copy())
+    own = general_rate_terms_grid(params, *views)
+    for got, want in zip(given, own):
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(np.broadcast_to(got, shape)).view(np.uint64),
+            np.ascontiguousarray(np.broadcast_to(want, shape)).view(np.uint64),
+        )
