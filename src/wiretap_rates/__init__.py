@@ -62,7 +62,7 @@ from .discrete import (
     simplex_grid,
     sup_inf_rate,
 )
-from .audit import AuditReport, AuditRng, AuditRow, rows_to_csv, run_audit
+from .audit import AuditReport, AuditRng, AuditTable, rows_to_csv, run_audit
 
 __version__ = "0.1.0"
 
@@ -110,7 +110,7 @@ __all__ = [
     "sup_inf_rate",
     "AuditReport",
     "AuditRng",
-    "AuditRow",
+    "AuditTable",
     "rows_to_csv",
     "run_audit",
     "__version__",

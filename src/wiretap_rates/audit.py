@@ -13,7 +13,7 @@ correlation matrix is positive semidefinite.
 
 Draws are taken in blocks, in the same generator order as one draw at a
 time, and each block's covariances are evaluated as one stack per family;
-the rows equal those of one oracle call per draw.
+the values equal those of one oracle call per draw.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
-from .core import CorrelationTriple, ZERO_RHO, DomainError, valid_correlation
+from .core import CorrelationTriple, ZERO_RHO, DomainError, RateBreakdown, valid_correlation
 from .gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
@@ -39,7 +39,7 @@ __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_DRAWS",
     "AuditRng",
-    "AuditRow",
+    "AuditTable",
     "AuditReport",
     "audit_orthogonal",
     "audit_general",
@@ -113,47 +113,53 @@ def draw_correlation(rng: AuditRng) -> CorrelationTriple:
 
 
 @dataclass(frozen=True)
-class AuditRow:
-    """One closed-form-versus-covariance comparison.
+class AuditTable:
+    """One model family's comparisons as ``(draws, terms)`` arrays.
 
-    ``closed`` is nan when the printed expression is undefined at the drawn
-    point; such rows are informational by construction.
+    ``closed`` is nan where the printed expression is undefined at the drawn
+    point, which only informational terms can be by construction.
     """
 
-    draw: int
-    name: str
-    closed: float
-    oracle: float
-    error: float
-    required: bool
+    names: tuple[str, ...]
+    required: tuple[bool, ...]
+    closed: np.ndarray
+    oracle: np.ndarray
 
     @property
-    def ok(self) -> bool:
-        if not self.required:
-            return True
-        return math.isfinite(self.error) and self.error <= AUDIT_TOL
+    def error(self) -> np.ndarray:
+        """|closed - oracle| per cell; nan where ``closed`` is."""
+        return np.abs(self.closed - self.oracle)
+
+
+def _passes(error: float) -> bool:
+    """The audit's pass rule; a nan error fails it."""
+    return error <= AUDIT_TOL
 
 
 @dataclass(frozen=True)
 class AuditReport:
     seed: int
     draws: int
-    rows: tuple[AuditRow, ...]
+    tables: tuple[AuditTable, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
+    def row_count(self) -> int:
+        """Comparisons in the report: one per draw and term."""
+        return sum(t.closed.size for t in self.tables)
 
     @property
     def worst_required_error(self) -> float:
-        errs = [r.error for r in self.rows if r.required]
-        return max(errs) if errs else 0.0
+        """Largest error over every required cell (nan if any is undefined)."""
+        errs = np.concatenate([t.error[:, list(t.required)].ravel() for t in self.tables])
+        return float(errs.max()) if errs.size else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return _passes(self.worst_required_error)
 
 
-def _row(draw: int, name: str, closed: float, oracle: float,
-         required: bool) -> AuditRow:
-    err = abs(closed - oracle) if math.isfinite(closed) else math.nan
-    return AuditRow(draw, name, closed, oracle, err, required)
+def _terms(b: RateBreakdown) -> tuple[float, float, float, float]:
+    return b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2
 
 
 def _blocks(draws: int, draw: Callable[[], _T]) -> Iterator[tuple[int, list[_T]]]:
@@ -163,31 +169,36 @@ def _blocks(draws: int, draw: Callable[[], _T]) -> Iterator[tuple[int, list[_T]]
         yield start, [draw() for _ in range(min(_BLOCK_DRAWS, draws - start))]
 
 
+# (name, required) per column, in the order the audit fills a row.
+_ORTHOGONAL_TERMS = tuple(
+    (f"orthogonal/{t}", True) for t in ("main", "joint", "single_1", "single_2", "secure")
+)
+_GENERAL_TERMS = (
+    *((f"general/zero/{t}", True) for t in ("main", "joint", "single_1", "single_2")),
+    ("general/rho/single_1", True), ("general/rho/single_2", True),
+    ("general/rho/single_2_alt", False), ("general/rho/main", False),
+    ("general/rho/joint", False),
+)
+
+
 def audit_orthogonal(seed: int = DEFAULT_SEED,
-                     draws: int = DEFAULT_DRAWS) -> AuditReport:
+                     draws: int = DEFAULT_DRAWS) -> AuditTable:
     """Closed orthogonal-model terms against the covariance route.
 
     Every term must agree within AUDIT_TOL at every draw.
     """
     rng = AuditRng(seed)
-    rows: list[AuditRow] = []
+    closed, oracle = np.empty((2, draws, len(_ORTHOGONAL_TERMS)))
     for start, block in _blocks(draws, lambda: draw_orthogonal_params(rng)):
-        oracles = _rate_orthogonal_oracles(block)
-        for i, (p, oracle) in enumerate(zip(block, oracles), start):
-            closed = rate_orthogonal(p)
-            for name, c, o in (
-                ("orthogonal/main", closed.main_rate, oracle.main_rate),
-                ("orthogonal/joint", closed.leak_joint, oracle.leak_joint),
-                ("orthogonal/single_1", closed.leak_single_1, oracle.leak_single_1),
-                ("orthogonal/single_2", closed.leak_single_2, oracle.leak_single_2),
-                ("orthogonal/secure", closed.secure_rate, oracle.secure_rate),
-            ):
-                rows.append(_row(i, name, c, o, required=True))
-    return AuditReport(seed, draws, tuple(rows))
+        for i, (p, o) in enumerate(zip(block, _rate_orthogonal_oracles(block)), start):
+            c = rate_orthogonal(p)
+            closed[i] = *_terms(c), c.secure_rate
+            oracle[i] = *_terms(o), o.secure_rate
+    return AuditTable(*zip(*_ORTHOGONAL_TERMS), closed, oracle)
 
 
 def audit_general(seed: int = DEFAULT_SEED,
-                  draws: int = DEFAULT_DRAWS) -> AuditReport:
+                  draws: int = DEFAULT_DRAWS) -> AuditTable:
     """Closed shared-band terms against the covariance route.
 
     Per draw: all four terms at the uncorrelated point (required), then the
@@ -199,7 +210,7 @@ def audit_general(seed: int = DEFAULT_SEED,
     active, and can be undefined there).
     """
     rng = AuditRng(seed)
-    rows: list[AuditRow] = []
+    closed, oracle = np.empty((2, draws, len(_GENERAL_TERMS)))
     # Each draw is its parameters, then its triple (tuples build left to right).
     for start, block in _blocks(
         draws, lambda: (draw_general_params(rng), draw_correlation(rng))
@@ -209,78 +220,62 @@ def audit_general(seed: int = DEFAULT_SEED,
         oracles_rho = _rate_general_oracles(
             ps, *np.array([rho.as_tuple() for _, rho in block]).T
         )
-        for i, ((p, rho), oracle0, oracle_rho) in enumerate(
-            zip(block, oracles0, oracles_rho), start
-        ):
-            closed0 = rate_general_closed(p, ZERO_RHO)
-            for name, c, o in (
-                ("general/zero/main", closed0.main_rate, oracle0.main_rate),
-                ("general/zero/joint", closed0.leak_joint, oracle0.leak_joint),
-                ("general/zero/single_1", closed0.leak_single_1, oracle0.leak_single_1),
-                ("general/zero/single_2", closed0.leak_single_2, oracle0.leak_single_2),
-            ):
-                rows.append(_row(i, name, c, o, required=True))
-
-            s1 = single_eavesdropper_leakage(1, p, rho)
-            s2 = single_eavesdropper_leakage(2, p, rho)
-            s2_alt = single_eavesdropper_leakage(2, p, rho, rho2_both=True)
-            o2 = oracle_rho.leak_single_2
-            for name, c, o, required in (
-                ("general/rho/single_1", s1, oracle_rho.leak_single_1, True),
-                ("general/rho/single_2", s2, o2, True),
-                ("general/rho/single_2_alt", s2_alt, o2, False),
-            ):
-                rows.append(_row(i, name, c, o, required))
-
+        for i, ((p, rho), o0, o) in enumerate(zip(block, oracles0, oracles_rho), start):
             try:
-                closed_rho = rate_general_closed(p, rho)
-                main_c, joint_c = closed_rho.main_rate, closed_rho.leak_joint
+                c = rate_general_closed(p, rho)
+                main_c, joint_c = c.main_rate, c.leak_joint
             except DomainError:
                 main_c = joint_c = math.nan
-            rows.append(_row(i, "general/rho/main", main_c, oracle_rho.main_rate,
-                             required=False))
-            rows.append(_row(i, "general/rho/joint", joint_c, oracle_rho.leak_joint,
-                             required=False))
-    return AuditReport(seed, draws, tuple(rows))
+            closed[i] = (*_terms(rate_general_closed(p, ZERO_RHO)),
+                         single_eavesdropper_leakage(1, p, rho),
+                         single_eavesdropper_leakage(2, p, rho),
+                         single_eavesdropper_leakage(2, p, rho, rho2_both=True),
+                         main_c, joint_c)
+            oracle[i] = (*_terms(o0), o.leak_single_1, o.leak_single_2,
+                         o.leak_single_2, o.main_rate, o.leak_joint)
+    return AuditTable(*zip(*_GENERAL_TERMS), closed, oracle)
 
 
 def run_audit(seed: int = DEFAULT_SEED, draws: int = DEFAULT_DRAWS) -> AuditReport:
-    """Both model audits under one seed, concatenated into one report."""
-    rows = audit_orthogonal(seed, draws).rows + audit_general(seed, draws).rows
-    return AuditReport(seed, draws, rows)
+    """Both model audits under one seed, one table per family."""
+    return AuditReport(seed, draws,
+                       (audit_orthogonal(seed, draws), audit_general(seed, draws)))
+
+
+def _cells(report: AuditReport) -> Iterator[tuple[int, str, float, float, float, bool]]:
+    """Every comparison as ``(draw, name, closed, oracle, error, required)``,
+    family by family, then draw by draw, then term by term."""
+    for t in report.tables:
+        for i, values in enumerate(zip(t.closed.tolist(), t.oracle.tolist(),
+                                       t.error.tolist())):
+            for cell in zip(t.names, *values, t.required):
+                yield (i, *cell)
 
 
 def rows_to_csv(report: AuditReport) -> str:
     """Per-draw rows as CSV text, floats at full precision."""
     lines = ["draw,term,closed,oracle,abs_error"]
-    for r in report.rows:
-        lines.append(f"{r.draw},{r.name},{r.closed!r},{r.oracle!r},{r.error!r}")
+    lines += (f"{d},{n},{c!r},{o!r},{e!r}" for d, n, c, o, e, _ in _cells(report))
     return "\n".join(lines) + "\n"
 
 
 def format_report(report: AuditReport, verbose: bool = False) -> str:
     """Human-readable summary; per-row lines only when verbose."""
-    lines: list[str] = []
-    lines.append(f"audit seed={report.seed} draws={report.draws} "
-                 f"rows={len(report.rows)}")
+    lines = [f"audit seed={report.seed} draws={report.draws} rows={report.row_count}"]
     if verbose:
-        for r in report.rows:
-            tag = "required" if r.required else "info"
-            state = "ok" if r.ok else "FAIL"
+        for draw, name, closed, oracle, error, required in _cells(report):
+            tag = "required" if required else "info"
+            state = "ok" if not required or _passes(error) else "FAIL"
             lines.append(
-                f"  draw {r.draw:3d}  {r.name:24s} closed={r.closed: .12e} "
-                f"oracle={r.oracle: .12e} err={r.error: .3e} [{tag}] {state}"
+                f"  draw {draw:3d}  {name:24s} closed={closed: .12e} "
+                f"oracle={oracle: .12e} err={error: .3e} [{tag}] {state}"
             )
-    by_name: dict[str, list[AuditRow]] = {}
-    for r in report.rows:
-        by_name.setdefault(r.name, []).append(r)
-    for name in sorted(by_name):
-        grp = by_name[name]
-        finite = [g.error for g in grp if math.isfinite(g.error)]
-        undefined = sum(1 for g in grp if not math.isfinite(g.error))
-        worst = max(finite) if finite else math.nan
-        tag = "required" if all(g.required for g in grp) else "info"
-        extra = f", undefined at {undefined}/{len(grp)} draws" if undefined else ""
+    columns = [c for t in report.tables for c in zip(t.names, t.required, t.error.T)]
+    for name, required, column in sorted(columns, key=lambda c: c[0]):
+        undefined = int(np.isnan(column).sum())
+        worst = float(np.fmax.reduce(column, initial=math.nan))  # nan-ignoring
+        tag = "required" if required else "info"
+        extra = f", undefined at {undefined}/{column.size} draws" if undefined else ""
         lines.append(f"  {name:24s} worst |closed-oracle| = {worst:.3e} "
                      f"[{tag}]{extra}")
     lines.append(

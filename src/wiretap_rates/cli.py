@@ -57,7 +57,8 @@ __all__ = [
 #: Largest number of rows a sweep may ask for.
 MAX_SWEEP_ROWS = 100_000
 
-#: Most draws an audit may ask for; each keeps about 3.5 KB of rows.
+#: Most draws an audit may ask for.  An audit takes about 0.6 KB per draw
+#: (peak RSS 99 MB at 100,000 draws against 37 MB at one, without --out).
 MAX_AUDIT_DRAWS = 100_000
 
 
@@ -540,7 +541,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit(args.seed, args.draws)
     if args.out:
         Path(args.out).write_text(rows_to_csv(report))
-        print(f"wrote {args.out} ({len(report.rows)} rows)")
+        print(f"wrote {args.out} ({report.row_count} rows)")
     print(format_report(report, verbose=args.verbose))
     return 0 if report.passed else 2
 

@@ -134,10 +134,6 @@ class GeneralGaussianParams:
 # Orthogonal model
 
 
-def _main_snr(p: OrthogonalGaussianParams | GeneralGaussianParams) -> float:
-    return p.h_l ** 2 * p.P_l / p.N_l
-
-
 def _listen_snr(p: OrthogonalGaussianParams, j: int) -> float:
     # SNR of the legitimate signal in eavesdropper j's listening band.
     if j == 1:
@@ -172,7 +168,7 @@ def rate_orthogonal(p: OrthogonalGaussianParams) -> RateBreakdown:
     c2 = _cross_snr(p, 2)
     leak_1 = theta(s1 + c1 + s1 * c1)
     leak_2 = theta(s2 + c2 + s2 * c2)
-    return RateBreakdown(theta(_main_snr(p)), leak_joint, leak_1, leak_2)
+    return RateBreakdown(theta(p.h_l ** 2 * p.P_l / p.N_l), leak_joint, leak_1, leak_2)
 
 
 def rate_noncolluding(p: OrthogonalGaussianParams) -> float:
@@ -181,21 +177,18 @@ def rate_noncolluding(p: OrthogonalGaussianParams) -> float:
     Equals the orthogonal-model rate with both eavesdropper powers forced to
     zero: the binding leakage is the strongest single listening band.
     """
-    worst = max(theta(_listen_snr(p, 1)), theta(_listen_snr(p, 2)))
-    gap = theta(_main_snr(p)) - worst
-    return gap if gap > 0.0 else 0.0
+    return rate_orthogonal(replace(p, P_1e=0.0, P_2e=0.0)).secure_rate
 
 
 def rate_perfectcolluding(p: OrthogonalGaussianParams) -> float:
     """Secrecy rate when the eavesdroppers pool their observations freely.
 
     Limit of the orthogonal model as both eavesdropper powers grow without
-    bound; the leakage is that of a single receiver holding both listening
-    bands.
+    bound: the single leakages grow with them, so the binding leakage is the
+    joint one, that of a single receiver holding both listening bands.
     """
-    pooled = theta(_listen_snr(p, 1) + _listen_snr(p, 2))
-    gap = theta(_main_snr(p)) - pooled
-    return gap if gap > 0.0 else 0.0
+    b = rate_orthogonal(p)
+    return RateBreakdown(b.main_rate, b.leak_joint, b.leak_joint, b.leak_joint).secure_rate
 
 
 # ---------------------------------------------------------------------------

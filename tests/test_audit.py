@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
 from wiretap_rates import audit
 from wiretap_rates.audit import (
     AUDIT_TOL,
+    AuditReport,
     AuditRng,
-    AuditRow,
+    AuditTable,
     audit_general,
     audit_orthogonal,
     draw_correlation,
@@ -75,60 +77,81 @@ def test_draw_correlation_is_feasible():
 
 
 def test_audit_orthogonal_rows():
-    rep = audit_orthogonal(seed=1, draws=3)
-    assert len(rep.rows) == 15
-    assert all(r.required for r in rep.rows)
-    assert rep.passed
-    assert rep.worst_required_error <= AUDIT_TOL
-    names = {r.name for r in rep.rows}
-    assert names == {
+    table = audit_orthogonal(seed=1, draws=3)
+    assert table.closed.shape == table.oracle.shape == (3, 5)
+    assert table.names == (
         "orthogonal/main", "orthogonal/joint", "orthogonal/single_1",
         "orthogonal/single_2", "orthogonal/secure",
-    }
+    )
+    assert all(table.required)
+    rep = AuditReport(1, 3, (table,))
+    assert rep.row_count == 15
+    assert rep.passed
+    assert rep.worst_required_error <= AUDIT_TOL
 
 
 def test_audit_general_rows():
-    rep = audit_general(seed=1, draws=4)
-    assert len(rep.rows) == 36
-    required = [r for r in rep.rows if r.required]
-    info = [r for r in rep.rows if not r.required]
+    table = audit_general(seed=1, draws=4)
+    assert table.closed.shape == table.oracle.shape == (4, 9)
     # per draw: four zero-correlation terms and two single leakages
-    assert len(required) == 24
-    assert {r.name for r in info} == {"general/rho/main", "general/rho/joint",
-                                      "general/rho/single_2_alt"}
-    assert rep.passed
+    assert sum(table.required) == 6
+    info = {n for n, req in zip(table.names, table.required) if not req}
+    assert info == {"general/rho/main", "general/rho/joint",
+                    "general/rho/single_2_alt"}
+    assert AuditReport(1, 4, (table,)).passed
 
 
 def test_audit_reports_the_rho2_both_reading_as_information():
-    rep = audit_general(seed=3, draws=6)
+    table = audit_general(seed=3, draws=6)
     rng = AuditRng(3)
     draws = [(draw_general_params(rng), draw_correlation(rng)) for _ in range(6)]
-    alt = [r for r in rep.rows if r.name == "general/rho/single_2_alt"]
-    single_2 = [r for r in rep.rows if r.name == "general/rho/single_2"]
-    assert [r.draw for r in alt] == list(range(6))
-    for r, s, (p, rho) in zip(alt, single_2, draws):
-        assert not r.required
-        assert r.closed == single_eavesdropper_leakage(2, p, rho, rho2_both=True)
-        assert r.oracle == s.oracle
+    alt = table.names.index("general/rho/single_2_alt")
+    single_2 = table.names.index("general/rho/single_2")
+    assert not table.required[alt]
+    assert table.closed[:, alt].tolist() == [
+        single_eavesdropper_leakage(2, p, rho, rho2_both=True) for p, rho in draws
+    ]
+    assert table.oracle[:, alt].tolist() == table.oracle[:, single_2].tolist()
     # The two readings differ wherever rho_1 != rho_2, and only the
     # covariance-consistent one is required.
-    assert max(r.error for r in alt) > 1e-3
+    assert table.error[:, alt].max() > 1e-3
 
 
-def test_audit_row_ok_semantics():
-    ok_req = AuditRow(0, "x", 1.0, 1.0, 0.0, True)
-    bad_req = AuditRow(0, "x", 1.0, 2.0, 1.0, True)
-    nan_req = AuditRow(0, "x", math.nan, 1.0, math.nan, True)
-    nan_info = AuditRow(0, "x", math.nan, 1.0, math.nan, False)
-    assert ok_req.ok
-    assert not bad_req.ok
-    assert not nan_req.ok
-    assert nan_info.ok
+def _one_cell(closed, required, name="x"):
+    return AuditTable((name,), (required,), np.array([[closed]]), np.array([[1.0]]))
+
+
+def test_audit_pass_rule():
+    fine = _one_cell(1.0 + AUDIT_TOL / 2, True)
+    assert AuditReport(0, 1, (fine,)).passed
+    assert not AuditReport(0, 1, (_one_cell(2.0, True),)).passed
+    assert AuditReport(0, 1, (_one_cell(1.0, True), _one_cell(1.0, False))).passed
+    # No required cell at all: nothing to fail.
+    empty = AuditReport(0, 1, (_one_cell(5.0, False),))
+    assert empty.worst_required_error == 0.0 and empty.passed
+    # An undefined required cell fails whichever table holds it ...
+    undefined = _one_cell(math.nan, True, "undefined")
+    for tables in ((undefined, fine), (fine, undefined)):
+        rep = AuditReport(0, 1, tables)
+        assert math.isnan(rep.worst_required_error)
+        assert not rep.passed
+        assert "FAIL" in format_report(rep).splitlines()[-1]
+        verbose = format_report(rep, verbose=True).splitlines()
+        assert [ln.endswith("FAIL") for ln in verbose[1:3]] == \
+            [t is undefined for t in tables]
+    # ... and an undefined informational cell passes.
+    rep = AuditReport(0, 1, (fine, _one_cell(math.nan, False, "info")))
+    assert rep.worst_required_error <= AUDIT_TOL and rep.passed
+    verbose = format_report(rep, verbose=True).splitlines()
+    assert verbose[2].endswith("[info] ok")
+    assert "undefined at 1/1 draws" in verbose[3]
 
 
 def test_run_audit_model_selection():
     both = run_audit(seed=2, draws=2)
-    assert {r.name.split("/")[0] for r in both.rows} == {"orthogonal", "general"}
+    assert [{n.split("/")[0] for n in t.names} for t in both.tables] == \
+        [{"orthogonal"}, {"general"}]
+    assert [t.closed.shape[0] for t in both.tables] == [2, 2]
 
 
 def test_rows_to_csv_shape():
@@ -136,10 +159,15 @@ def test_rows_to_csv_shape():
     text = rows_to_csv(rep)
     lines = text.strip().split("\n")
     assert lines[0] == "draw,term,closed,oracle,abs_error"
-    assert len(lines) == len(rep.rows) + 1
+    assert len(lines) == rep.row_count + 1 == 1 + 2 * 14
     first = lines[1].split(",")
     assert first[0] == "0"
     float(first[2]), float(first[3])  # parseable at full precision
+    # Family by family, then draw by draw, then term by term.
+    ortho, general = rep.tables
+    assert [ln.split(",")[:2] for ln in lines[1:]] == [
+        [str(i), n] for t in (ortho, general) for i in range(2) for n in t.names
+    ]
 
 
 def test_rows_to_csv_is_deterministic():
@@ -156,7 +184,7 @@ def test_format_report_verdict_line():
 
 
 def per_draw_oracle_rows(seed, draws):
-    """(draw, term, oracle value) of every audit row, one oracle call each."""
+    """(draw, term, oracle value) of every audit cell, one oracle call each."""
     rows = []
     rng = AuditRng(seed)
     for i in range(draws):
@@ -185,10 +213,10 @@ def per_draw_oracle_rows(seed, draws):
 def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
     draws = audit._BLOCK_DRAWS + 5
     rep = run_audit(seed=6, draws=draws)
-    assert [(r.draw, r.name, r.oracle) for r in rep.rows] == \
-        per_draw_oracle_rows(6, draws)
-    # Each reading of eavesdropper 2's leak has its own row: single_2 is the
-    # covariance-consistent one, single_2_alt the one that reuses rho_2.
+    assert [(i, name, t.oracle[i, j]) for t in rep.tables for i in range(draws)
+            for j, name in enumerate(t.names)] == per_draw_oracle_rows(6, draws)
+    # Each reading of eavesdropper 2's leak has its own column: single_2 is
+    # the covariance-consistent one, single_2_alt the one that reuses rho_2.
     name = "general/rho/single_2_alt" if rho2_both else "general/rho/single_2"
     rng = AuditRng(6)
     expected = []
@@ -196,7 +224,8 @@ def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
         p = draw_general_params(rng)
         rho = draw_correlation(rng)
         expected.append(single_eavesdropper_leakage(2, p, rho, rho2_both=rho2_both))
-    assert [r.closed for r in rep.rows if r.name == name] == expected
+    general = rep.tables[1]
+    assert general.closed[:, general.names.index(name)].tolist() == expected
 
 
 @pytest.mark.parametrize("block_draws", [1, 7])

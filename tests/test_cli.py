@@ -5,11 +5,12 @@ import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from refpoints import GEN_POINT
 from wiretap_rates import cli
-from wiretap_rates.audit import AuditReport, AuditRng, draw_general_params
+from wiretap_rates.audit import AuditReport, AuditRng, AuditTable, draw_general_params
 from wiretap_rates.cli import (
     ConfigError,
     SweepSettings,
@@ -371,11 +372,11 @@ def test_audit_command_writes_rows(tmp_path, capsys):
 
 def test_audit_command_failure_exit_code(monkeypatch, capsys):
     import wiretap_rates.cli as cli
-    from wiretap_rates.audit import AuditRow
 
     def fake(seed, draws):
-        row = AuditRow(0, "orthogonal/main", 1.0, 2.0, 1.0, True)
-        return AuditReport(seed, draws, (row,))
+        table = AuditTable(("orthogonal/main",), (True,),
+                           np.array([[1.0]]), np.array([[2.0]]))
+        return AuditReport(seed, draws, (table,))
 
     monkeypatch.setattr(cli, "run_audit", fake)
     rc = main(["audit", "--draws", "1"])

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from wiretap_rates.audit import AuditRng, draw_general_params, draw_orthogonal_params
+from wiretap_rates.cli import load_config, sweep_values
 from wiretap_rates.core import CorrelationTriple, DomainError, ZERO_RHO, theta
 from wiretap_rates.gaussian import (
     GeneralGaussianParams,
@@ -83,6 +84,31 @@ def test_baselines_clamp_at_zero():
     deaf = replace(OG_POINT, h_l=0.01)
     assert rate_noncolluding(deaf) == 0.0
     assert rate_perfectcolluding(deaf) == 0.0
+
+
+def _reference_baselines(p):
+    """R_nc and R_pc from the orthogonal model's listening SNRs."""
+    main = theta(p.h_l ** 2 * p.P_l / p.N_l)
+    s1 = p.h_1m ** 2 * p.P_l / p.N_1e_m
+    s2 = p.h_2m ** 2 * p.P_l / p.N_2e_m
+    return (max(main - max(theta(s1), theta(s2)), 0.0),
+            max(main - theta(s1 + s2), 0.0))
+
+
+def test_baselines_equal_reference_formulas_exactly():
+    rng = AuditRng(2024)
+    points = [draw_orthogonal_params(rng) for _ in range(2000)]
+    for name in ("fig3a", "fig3b"):
+        cfg = load_config(name)
+        for h_l in (cfg.orthogonal.h_l, 2.0):
+            points += [replace(cfg.orthogonal, h_l=h_l, P_l=x)
+                       for x in sweep_values(cfg.sweep)]
+    positive = 0
+    for p in points:
+        nc, pc = rate_noncolluding(p), rate_perfectcolluding(p)
+        assert (nc, pc) == _reference_baselines(p)
+        positive += pc > 0.0
+    assert 0 < positive < len(points)
 
 
 def test_single_leakage_uses_partner_correlation():
