@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
 import numpy as np
 
@@ -246,17 +246,17 @@ def _cells(report: AuditReport) -> Iterator[tuple[int, str, float, float, float,
     """Every comparison as ``(draw, name, closed, oracle, error, required)``,
     family by family, then draw by draw, then term by term."""
     for t in report.tables:
-        for i, values in enumerate(zip(t.closed.tolist(), t.oracle.tolist(),
-                                       t.error.tolist())):
-            for cell in zip(t.names, *values, t.required):
+        for i, values in enumerate(zip(t.closed, t.oracle, t.error)):
+            for cell in zip(t.names, *(v.tolist() for v in values), t.required):
                 yield (i, *cell)
 
 
-def rows_to_csv(report: AuditReport) -> str:
-    """Per-draw rows as CSV text, floats at full precision."""
-    lines = ["draw,term,closed,oracle,abs_error"]
-    lines += (f"{d},{n},{c!r},{o!r},{e!r}" for d, n, c, o, e, _ in _cells(report))
-    return "\n".join(lines) + "\n"
+def rows_to_csv(report: AuditReport, out: TextIO) -> None:
+    """Writes the per-draw rows to the text stream ``out`` as CSV, line by
+    line as they are made, floats at full precision."""
+    out.write("draw,term,closed,oracle,abs_error\n")
+    for d, n, c, o, e, _ in _cells(report):
+        out.write(f"{d},{n},{c!r},{o!r},{e!r}\n")
 
 
 def format_report(report: AuditReport, verbose: bool = False) -> str:

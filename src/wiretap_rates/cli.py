@@ -15,7 +15,6 @@ import json
 import math
 import reprlib
 import sys
-import threading
 from dataclasses import dataclass, fields, replace
 from importlib.resources import files
 from pathlib import Path
@@ -37,7 +36,6 @@ from .gaussian import (
     rate_noncolluding,
     rate_orthogonal,
     rate_perfectcolluding,
-    strip_jamming,
 )
 from .optimize import OptimizationResult, SearchConfig, optimize_general
 
@@ -57,8 +55,8 @@ __all__ = [
 #: Largest number of rows a sweep may ask for.
 MAX_SWEEP_ROWS = 100_000
 
-#: Most draws an audit may ask for.  An audit takes about 0.6 KB per draw
-#: (peak RSS 99 MB at 100,000 draws against 37 MB at one, without --out).
+#: Most draws an audit may ask for, at about 0.6 KB each: peak RSS is 37 MB at
+#: one draw and 99 MB at 100,000 (102 MB with --out, which streams its lines).
 MAX_AUDIT_DRAWS = 100_000
 
 
@@ -313,30 +311,8 @@ def general_point(
     gen: GeneralGaussianParams,
     cfg: SearchConfig,
 ) -> tuple[dict[str, float], OptimizationResult, OptimizationResult]:
-    """All five rates at one parameter point (worst-case correlations).
-
-    The R_njg search runs on a worker thread while R_g runs on this one.
-    They share no state, so the results are those of running them in order.
-    An error of either search is raised here, R_g's when both fail.
-    """
-    njg: dict[str, object] = {}
-
-    def search_njg() -> None:
-        try:
-            njg["result"] = optimize_general(strip_jamming(gen), cfg)
-        except BaseException as exc:  # re-raised on the calling thread
-            njg["error"] = exc
-
-    # A daemon, so that an interrupted process exits without waiting for it.
-    worker = threading.Thread(target=search_njg, name="R_njg search", daemon=True)
-    worker.start()
-    try:
-        res_g = optimize_general(gen, cfg)
-    finally:
-        worker.join()
-    if "error" in njg:
-        raise njg["error"]
-    res_njg = njg["result"]
+    """All five rates at one point (worst-case correlations), and the two searches."""
+    res_njg, res_g = optimize_general(gen, cfg)
     row = {
         **_orthogonal_row(og, rate_orthogonal(og)),
         "R_njg": res_njg.rate.secure_rate,
@@ -540,7 +516,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         )
     report = run_audit(args.seed, args.draws)
     if args.out:
-        Path(args.out).write_text(rows_to_csv(report))
+        with open(args.out, "w") as out:
+            rows_to_csv(report, out)
         print(f"wrote {args.out} ({report.row_count} rows)")
     print(format_report(report, verbose=args.verbose))
     return 0 if report.passed else 2

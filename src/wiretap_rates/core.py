@@ -22,6 +22,7 @@ __all__ = [
     "CorrelationTriple",
     "ZERO_RHO",
     "RateBreakdown",
+    "effective_leakages",
     "secure_rates",
     "correlation_determinant",
     "valid_correlation",
@@ -165,15 +166,15 @@ class RateBreakdown:
         return self.main_rate - self.effective_leakage < 0.0
 
 
-def secure_rates(main, joint, single_1, single_2, out=None) -> np.ndarray:
-    """:attr:`RateBreakdown.secure_rate` elementwise over broadcastable
-    arrays of the four terms; a NaN term gives a NaN rate.
+def effective_leakages(joint, single_1, single_2) -> np.ndarray:
+    """:attr:`RateBreakdown.effective_leakage` elementwise; NaN propagates."""
+    return np.minimum(joint, np.maximum(single_1, single_2))
+
+
+def secure_rates(main, leakage, out=None) -> np.ndarray:
+    """:attr:`RateBreakdown.secure_rate` elementwise over broadcastable arrays
+    of main terms and :func:`effective_leakages`; a NaN term gives a NaN rate.
 
     Written into ``out`` when given, which must hold their broadcast shape.
     """
-    if out is None:
-        out = np.empty(np.broadcast(main, joint, single_1, single_2).shape)
-    np.minimum(joint, np.maximum(single_1, single_2), out=out)
-    np.subtract(main, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    return out
+    return np.maximum(np.subtract(main, leakage, out=out), 0.0, out=out)

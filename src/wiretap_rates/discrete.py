@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import DomainError, GridBudgetError, RateBreakdown, secure_rates
+from .core import (DomainError, GridBudgetError, RateBreakdown,
+                   effective_leakages, secure_rates)
 
 __all__ = [
     "DMChannel",
@@ -289,7 +290,8 @@ def _product_rates(ch: DMChannel, rs: np.ndarray, qs: np.ndarray) -> np.ndarray:
     for start in range(0, len(rates), step):
         pairs = np.arange(start, min(start + step, len(rates)))
         joints = _joints(ch, rs[pairs // len(qs)], qs[pairs % len(qs)])
-        rates[pairs] = secure_rates(*_cmi_bits(joints, _RATE_TERMS))
+        main, *leakages = _cmi_bits(joints, _RATE_TERMS)
+        rates[pairs] = secure_rates(main, effective_leakages(*leakages))
     return rates.reshape(len(rs), len(qs))
 
 

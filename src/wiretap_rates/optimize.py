@@ -24,11 +24,12 @@ from .core import (
     GridBudgetError,
     RateBreakdown,
     correlation_determinant,
+    effective_leakages,
     secure_rates,
     valid_correlation,
 )
-from .gaussian import GeneralGaussianParams
-from .oracle import general_rate_terms_grid
+from .gaussian import GeneralGaussianParams, strip_jamming
+from .oracle import _general_main_term, general_rate_terms_grid
 
 __all__ = [
     "MAX_GRID_POINTS",
@@ -123,13 +124,13 @@ def correlation_grid_axis(resolution: float) -> np.ndarray:
     return (2.0 * i - m) / m
 
 
-# terms(rho_1, rho_2, rho_12, det): (main, leak_joint, leak_single_1,
-# leak_single_2), each broadcastable to the triples.  det is their correlation
-# determinant, an array of their broadcast shape that the objective may
-# overwrite.  Values at invalid triples are ignored.
+# terms(rho_1, rho_2, rho_12, det): (mains, leak_joint, leak_single_1,
+# leak_single_2), mains a tuple of one main term per objective, all sharing
+# the leakages; each broadcastable to the triples.  det, their determinant as
+# an array of their shape, may be overwritten.  Invalid triples are ignored.
 GridObjective = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray],
 ]
 
 
@@ -138,18 +139,22 @@ _Point = tuple[float, tuple[float, float, float]]
 
 
 def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndarray):
-    """Secure rates over the broadcast triples, their validity, and the valid count.
+    """The secure rates of each objective over the broadcast triples, their
+    validity, and the valid count.
 
     The one place the valid set is applied: rates are +inf at invalid triples
     and where not finite (a nan would win argmin and then lose every
-    comparison).  The triples' determinant is computed once, for the valid
-    set and then the objective, which may overwrite it.
+    comparison).  The determinant, which the objective may overwrite, the
+    valid set and the effective leakage are computed once for all objectives.
     """
     det = correlation_determinant(r1, r2, r12)
     valid = valid_correlation(r1, r2, r12, det)
-    sec = secure_rates(*terms(r1, r2, r12, det), out=np.empty(valid.shape))
-    np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
-    return sec, valid, int(np.count_nonzero(valid))
+    mains, *leakages = terms(r1, r2, r12, det)
+    leakage = effective_leakages(*leakages)
+    rates = [secure_rates(main, leakage, out=np.empty(valid.shape)) for main in mains]
+    for sec in rates:
+        np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
+    return rates, valid, int(np.count_nonzero(valid))
 
 
 def _grid_point(axis: np.ndarray, view: np.ndarray, k: int, first: tuple) -> _Point:
@@ -159,8 +164,8 @@ def _grid_point(axis: np.ndarray, view: np.ndarray, k: int, first: tuple) -> _Po
     return float(view[at]), tuple(float(axis[f + i]) for f, i in zip(first, at))
 
 
-def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point) -> tuple[_Point, int]:
-    """Coordinate descent from ``best``; the final point and the evaluations."""
+def _descend(terms: GridObjective, i: int, cfg: SearchConfig, best: _Point):
+    """Coordinate descent of objective i from ``best``; its end point and evaluations."""
     evaluations = 0
     step = cfg.coarse_resolution
     for _ in range(cfg.refine_iterations):
@@ -170,34 +175,33 @@ def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point) -> tuple[_Po
             for ax in range(3):
                 cands = np.array([best[1], best[1]])
                 cands[:, ax] = np.clip(cands[:, ax] + (-step, step), -1.0, 1.0)
-                sec, _, used = _evaluate(terms, *cands.T)
+                rates, _, used = _evaluate(terms, *cands.T)
                 evaluations += used
-                k = int(np.argmin(sec))
-                if sec[k] < best[0]:
-                    best = float(sec[k]), tuple(cands[k].tolist())
+                k = int(np.argmin(rates[i]))
+                if rates[i][k] < best[0]:
+                    best = float(rates[i][k]), tuple(cands[k].tolist())
             if sweep_start - best[0] < cfg.tolerance:
                 break
     return best, evaluations
 
 
-def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult:
-    """Minimize a secrecy-rate objective over valid correlation triples.
+def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> list[OptimizationResult]:
+    """Minimize secrecy-rate objectives over valid correlation triples.
 
-    The coarse stage calls ``terms`` once per chunk of leading rho_1 rows
-    of the grid at ``cfg.coarse_resolution``, on the broadcast views
-    (rows, 1, 1), (1, n, 1), (1, 1, n) of its axis.  Invalid triples are
-    masked off and not counted as evaluations; the first strictly smallest
-    rate in C order, which is lexicographic order, wins.  Coordinate descent
-    then shrinks the step by ``cfg.refine_shrink`` each pass and sweeps the
-    three coordinates, accepting only strictly improving, valid moves.  When
-    the coarse minimum lies on an edge of the valid set (some |rho| = 1), a
-    second descent starts from the best grid point off the edges, and the
-    lower result wins, so the rate never exceeds any coarse grid point's.
-    The four terms at the winning triple are then read by one more call.
-
-    ``terms`` evaluates the four terms over broadcastable triples, given
-    their determinant (see ``GridObjective``); the secure rate combines them
-    with :func:`wiretap_rates.core.secure_rates`.  Objective errors propagate.
+    Returns one result per main term of ``terms`` (see ``GridObjective``), in
+    order, each what a search of that objective alone gives; the secure rate
+    combines the terms as :func:`wiretap_rates.core.secure_rates` does.  The
+    coarse stage calls ``terms`` once per chunk of leading rho_1 rows of the
+    grid at ``cfg.coarse_resolution``, on the broadcast views (rows, 1, 1),
+    (1, n, 1), (1, 1, n) of its axis.  Invalid triples are masked off and not
+    counted as evaluations; the first strictly smallest rate in C order, which
+    is lexicographic order, wins.  Coordinate descent then shrinks the step by
+    ``cfg.refine_shrink`` each pass and sweeps the three coordinates,
+    accepting only strictly improving, valid moves.  When the coarse minimum
+    lies on an edge of the valid set (some |rho| = 1), a second descent starts
+    from the best grid point off the edges, and the lower result wins, so the
+    rate never exceeds any coarse grid point's.  One more call reads the four
+    terms at the winning triple.  Errors of ``terms`` propagate.
 
     Raises GridBudgetError, before the grid is built, when the descents
     could take more than MAX_GRID_POINTS evaluations.
@@ -213,62 +217,71 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> OptimizationResult
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
 
-    # The first strictly smallest grid point overall, and off the edges of
-    # the valid set (every |rho| < 1).  Every chunk holds a valid triple.
-    best: _Point | None = None
-    best_off_edge: _Point | None = None
+    # By objective, the first strictly smallest grid point, and off the edges
+    # of the valid set (every |rho| < 1).  Every chunk holds a valid triple.
+    best: dict[int, _Point] = {}
+    best_off_edge: dict[int, _Point] = {}
     evaluations = 0
 
     rows_per_chunk = max(1, _CHUNK_TARGET // (n * n))
     r2, r12 = axis[None, :, None], axis[None, None, :]
     for start in range(0, n, rows_per_chunk):
         r1 = axis[start : start + rows_per_chunk, None, None]
-        sec, valid, used = _evaluate(terms, r1, r2, r12)
+        rates, valid, used = _evaluate(terms, r1, r2, r12)
         evaluations += used
-        k = int(np.argmin(sec))
-        if sec.flat[k] == np.inf:  # no finite rate: the first valid cell
-            k = int(np.argmax(valid))
-        found = _grid_point(axis, sec, k, (start, 0, 0))
-        if best is None or found[0] < best[0]:
-            best = found
-        # The axis holds +-1 only at its ends, so the cells off the edges
-        # are the chunk's view of the axis rows 1 to n - 2 and the inner
-        # columns of both other correlations.
+        # The axis holds +-1 only at its ends, so the cells off the edges are
+        # the chunk's view of the axis rows 1 to n - 2 and the inner columns
+        # of both other correlations.
         lo = max(start, 1)
-        inner = sec[lo - start : n - 1 - start, 1:-1, 1:-1]
-        if inner.size == 0:
-            continue
-        found = _grid_point(axis, inner, int(np.argmin(inner)), (lo, 1, 1))
-        if found[0] < (np.inf if best_off_edge is None else best_off_edge[0]):
-            best_off_edge = found
+        for i, sec in enumerate(rates):
+            k = int(np.argmin(sec))
+            if sec.flat[k] == np.inf:  # no finite rate: the first valid cell
+                k = int(np.argmax(valid))
+            found = _grid_point(axis, sec, k, (start, 0, 0))
+            if i not in best or found[0] < best[i][0]:
+                best[i] = found
+            inner = sec[lo - start : n - 1 - start, 1:-1, 1:-1]
+            if inner.size:
+                found = _grid_point(axis, inner, int(np.argmin(inner)), (lo, 1, 1))
+                if found[0] < best_off_edge.get(i, (np.inf,))[0]:
+                    best_off_edge[i] = found
 
     # On an edge of the valid set (some |rho| = 1) the rate can tie exactly
     # with points off it, and coordinate descent cannot follow the edge:
     # staying on it takes two coordinates moving together.  So when the grid
     # minimum sits on an edge, the best point off the edges is refined too,
     # and the lower result wins (the edge start on a tie).
-    starts = [best]
-    if best_off_edge is not None and max(map(abs, best[1])) == 1.0:
-        starts.append(best_off_edge)
-    descents = [_descend(terms, cfg, start) for start in starts]
-    evaluations += sum(used for _, used in descents)
-    _, rho = min((end for end, _ in descents), key=lambda end: end[0])
+    results = []
+    for i, grid_min in best.items():
+        starts = [grid_min]
+        if i in best_off_edge and max(map(abs, grid_min[1])) == 1.0:
+            starts.append(best_off_edge[i])
+        descents = [_descend(terms, i, cfg, start) for start in starts]
+        _, rho = min((end for end, _ in descents), key=lambda end: end[0])
+        rho_star = CorrelationTriple(*rho)
+        mains, *leakages = terms(*(np.array([r]) for r in (*rho, rho_star.determinant)))
+        results.append(OptimizationResult(
+            rho_star=rho_star,
+            rate=RateBreakdown(*(float(np.ravel(t)[0]) for t in (mains[i], *leakages))),
+            evaluations=evaluations + sum(used for _, used in descents),
+            on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
+        ))
+    return results
 
-    rho_star = CorrelationTriple(*rho)
-    rate_terms = terms(*(np.array([r]) for r in (*rho, rho_star.determinant)))
-    return OptimizationResult(
-        rho_star=rho_star,
-        rate=RateBreakdown(*(float(np.ravel(t)[0]) for t in rate_terms)),
-        evaluations=evaluations,
-        on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
-    )
 
+def optimize_general(p: GeneralGaussianParams,
+                     cfg: SearchConfig) -> tuple[OptimizationResult, OptimizationResult]:
+    """Worst-case coordination of the eavesdroppers in the shared-band model:
+    the searches without jamming (R_njg) and with it (R_g), from one walk.
 
-def optimize_general(p: GeneralGaussianParams, cfg: SearchConfig) -> OptimizationResult:
-    """Worst-case coordination of the eavesdroppers in the shared-band model.
-
-    Runs :func:`minimize_rate` on :func:`general_rate_terms_grid`.
+    Jamming enters only the main term of :func:`general_rate_terms_grid`, so
+    both share its leakages; the main term of ``strip_jamming(p)`` does not
+    depend on the correlations and is computed once.
     """
-    return minimize_rate(
-        lambda r1, r2, r12, det: general_rate_terms_grid(p, r1, r2, r12, det), cfg
-    )
+    main_njg = _general_main_term(strip_jamming(p), 0.0, 0.0, 0.0)
+
+    def terms(r1, r2, r12, det):
+        main, *leakages = general_rate_terms_grid(p, r1, r2, r12, det)
+        return (main_njg, main), *leakages
+
+    return tuple(minimize_rate(terms, cfg))

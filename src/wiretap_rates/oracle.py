@@ -394,6 +394,25 @@ def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
     return _rate_orthogonal_oracles([p])[0]
 
 
+def _general_main_term(p: GeneralGaussianParams, r1, r2, r12) -> np.ndarray:
+    """The main term of :func:`general_rate_terms_grid`; constant without jamming."""
+    sd_l, sd_1, sd_2 = math.sqrt(p.P_l), math.sqrt(p.P_1e), math.sqrt(p.P_2e)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # cov(Y_l, X_l) / sd_l and var(Y_l | X_l).
+        j1, j2 = p.h_1e_l * sd_1, p.h_2e_l * sd_2
+        explained = p.h_l * sd_l + j1 * r1 + j2 * r2 if p.P_l > 0.0 else 0.0
+        main = np.asarray(r12 - r1 * r2)
+        main *= 2.0 * j1 * j2
+        main += j1 * j1 * (1.0 - r1 * r1) + j2 * j2 * (1.0 - r2 * r2)
+        np.maximum(main, 0.0, out=main)
+        main += p.N_l
+        np.divide(explained * explained, main, out=main)
+        main += 1.0
+        np.log2(main, out=main)
+        main *= 0.5
+    return main
+
+
 def general_rate_terms_grid(
     p: GeneralGaussianParams,
     rho_1: np.ndarray,
@@ -431,23 +450,11 @@ def general_rate_terms_grid(
     it is not read.
     """
     r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
+    main = _general_main_term(p, r1, r2, r12)
     # Standard deviations of the inputs, folded into the gains below.
     sd_l, sd_1, sd_2 = math.sqrt(p.P_l), math.sqrt(p.P_1e), math.sqrt(p.P_2e)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # main: cov(Y_l, X_l) / sd_l and var(Y_l | X_l).
-        j1, j2 = p.h_1e_l * sd_1, p.h_2e_l * sd_2
-        explained = p.h_l * sd_l + j1 * r1 + j2 * r2 if p.P_l > 0.0 else 0.0
-        main = np.asarray(r12 - r1 * r2)
-        main *= 2.0 * j1 * j2
-        main += j1 * j1 * (1.0 - r1 * r1) + j2 * j2 * (1.0 - r2 * r2)
-        np.maximum(main, 0.0, out=main)
-        main += p.N_l
-        np.divide(explained * explained, main, out=main)
-        main += 1.0
-        np.log2(main, out=main)
-        main *= 0.5
-
         # single_j: signal power at Y_je, split into the part along X_l and
         # the rest of the other eavesdropper's input.
         b1, c1 = p.h_l_1e * sd_l, p.h_2e_1e * sd_2  # Y_1e = h_l_1e X_l + h_2e_1e X_2e

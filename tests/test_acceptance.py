@@ -154,7 +154,7 @@ def test_criterion_04_optimizer_drives_strong_jamming_secure_rate_to_zero():
     with _criterion(4, "worst-case coordination under unbounded helper power"):
         cfg = load_config("fig3a")
         p = replace(cfg.general, P_1e=1e9, P_2e=1e9)
-        res = optimize_general(p, cfg.optimizer)
+        _, res = optimize_general(p, cfg.optimizer)
         assert res.rate.secure_rate <= 1e-6, (
             f"secure rate {res.rate.secure_rate:.3e} at {res.rho_star.as_tuple()}"
         )
@@ -253,13 +253,15 @@ def test_criterion_09_optimizer_matches_exhaustive_reference():
         default = SearchConfig()
         for k in range(20):
             p = draw_general_params(rng)
-            res = optimize_general(p, default)
-            ref = minimize_rate(
+            _, res = optimize_general(p, default)
+
+            def grid_terms(r1, r2, r12, det):
                 # The grid computes its own determinant, independently of the
                 # search's.
-                lambda r1, r2, r12, det: general_rate_terms_grid(p, r1, r2, r12),
-                fine,
-            )
+                main, *leakages = general_rate_terms_grid(p, r1, r2, r12)
+                return (main,), *leakages
+
+            (ref,) = minimize_rate(grid_terms, fine)
             diff = abs(res.rate.secure_rate - ref.rate.secure_rate)
             assert diff <= 1e-3, (
                 f"draw {k}: optimizer {res.rate.secure_rate:.6f}, "
@@ -267,7 +269,7 @@ def test_criterion_09_optimizer_matches_exhaustive_reference():
             )
             assert is_valid_correlation(*res.rho_star.as_tuple())
             if k < 3:
-                again = optimize_general(p, default)
+                _, again = optimize_general(p, default)
                 assert again.rho_star.as_tuple() == res.rho_star.as_tuple()
                 assert again.rate.secure_rate == res.rate.secure_rate
 

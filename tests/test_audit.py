@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -154,9 +155,16 @@ def test_run_audit_model_selection():
     assert [t.closed.shape[0] for t in both.tables] == [2, 2]
 
 
+def csv_text(report):
+    """What rows_to_csv writes for ``report``."""
+    out = io.StringIO()
+    rows_to_csv(report, out)
+    return out.getvalue()
+
+
 def test_rows_to_csv_shape():
     rep = run_audit(seed=2, draws=2)
-    text = rows_to_csv(rep)
+    text = csv_text(rep)
     lines = text.strip().split("\n")
     assert lines[0] == "draw,term,closed,oracle,abs_error"
     assert len(lines) == rep.row_count + 1 == 1 + 2 * 14
@@ -171,8 +179,7 @@ def test_rows_to_csv_shape():
 
 
 def test_rows_to_csv_is_deterministic():
-    assert rows_to_csv(run_audit(seed=4, draws=2)) == \
-        rows_to_csv(run_audit(seed=4, draws=2))
+    assert csv_text(run_audit(seed=4, draws=2)) == csv_text(run_audit(seed=4, draws=2))
 
 
 def test_format_report_verdict_line():
@@ -230,6 +237,6 @@ def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
 
 @pytest.mark.parametrize("block_draws", [1, 7])
 def test_audit_is_independent_of_the_block_size(monkeypatch, block_draws):
-    whole = rows_to_csv(run_audit(seed=8, draws=20))
+    whole = csv_text(run_audit(seed=8, draws=20))
     monkeypatch.setattr(audit, "_BLOCK_DRAWS", block_draws)
-    assert rows_to_csv(run_audit(seed=8, draws=20)) == whole
+    assert csv_text(run_audit(seed=8, draws=20)) == whole

@@ -1,6 +1,5 @@
 import json
 import re
-import threading
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
@@ -8,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from refpoints import GEN_POINT
-from wiretap_rates import cli
+from refpoints import GEN_POINT, POOL_POINTS
+from wiretap_rates import cli, optimize
 from wiretap_rates.audit import AuditReport, AuditRng, AuditTable, draw_general_params
 from wiretap_rates.cli import (
     ConfigError,
@@ -22,7 +21,8 @@ from wiretap_rates.cli import (
 )
 from wiretap_rates.core import DomainError, GridBudgetError
 from wiretap_rates.gaussian import rate_orthogonal, strip_jamming
-from wiretap_rates.optimize import optimize_general
+from wiretap_rates.optimize import minimize_rate, optimize_general
+from wiretap_rates.oracle import general_rate_terms_grid
 
 ORTHO_BLOCK = {
     "h_l": 1.0, "h_1m": 0.8, "h_2m": 0.6, "h_1c": 0.5, "h_2c": 0.7,
@@ -574,23 +574,15 @@ def test_config_errors_echo_values_cut_short(tmp_path, capsys, case):
 @pytest.mark.parametrize("error, prefix", [(GridBudgetError, "budget error"),
                                            (DomainError, "domain error")],
                          ids=["budget", "domain"])
-@pytest.mark.parametrize("failing", ["worker", "caller"])
-def test_search_error_on_either_thread_propagates(tmp_path, capsys, monkeypatch,
-                                                  failing, error, prefix):
-    # The R_njg search (jamming stripped) runs on the worker thread, R_g on
-    # the calling one; only the named one fails, and its error must reach
-    # the caller unchanged, with the worker joined.
-    real = cli.optimize_general
-    message = f"the {failing} search failed"
-    raised_on = []
+def test_search_error_propagates(tmp_path, capsys, monkeypatch, error, prefix):
+    # The grid terms fail inside the shared walk of both searches; the error
+    # must reach the caller unchanged and end the command with one line.
+    message = "the search failed"
 
-    def search(p, cfg):
-        if (p == strip_jamming(p)) == (failing == "worker"):
-            raised_on.append(threading.current_thread())
-            raise error(message)
-        return real(p, cfg)
+    def failing(*args):
+        raise error(message)
 
-    monkeypatch.setattr(cli, "optimize_general", search)
+    monkeypatch.setattr(optimize, "general_rate_terms_grid", failing)
     path = write_config(tmp_path, {
         "kind": "general-gaussian",
         "orthogonal": ORTHO_BLOCK,
@@ -598,16 +590,12 @@ def test_search_error_on_either_thread_propagates(tmp_path, capsys, monkeypatch,
         "optimizer": {"coarse_resolution": 0.25},
     })
     cfg = load_config(path)
-    before = threading.active_count()
     with pytest.raises(error) as info:
         cli.general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
     assert type(info.value) is error and str(info.value) == message
-    assert threading.active_count() == before
-    assert (raised_on[0] is threading.main_thread()) == (failing == "caller")
 
     assert main(["point", "--config", path]) == 1
     assert capsys.readouterr().err == f"{prefix}: {message}\n"
-    assert threading.active_count() == before
 
 
 def search_outcome(res):
@@ -620,18 +608,32 @@ def search_outcome(res):
     )
 
 
+def grid_search_alone(p, cfg):
+    """minimize_rate on the one main term of p's grid terms."""
+
+    def terms(r1, r2, r12, det):
+        main, *leakages = general_rate_terms_grid(p, r1, r2, r12, det)
+        return (main,), *leakages
+
+    (res,) = minimize_rate(terms, cfg)
+    return res
+
+
 def test_point_searches_at_once_equal_searches_in_order():
-    # general_point runs R_njg and R_g on two threads; each result must be,
-    # bit for bit, what the same search gives run alone.
+    # general_point's R_njg and R_g searches share one walk of the grid; each
+    # result must be, bit for bit, what the search of its main term gives
+    # alone: R_njg on the grid of the parameters with jamming stripped.
     fig3a, fig3b = load_config("fig3a"), load_config("fig3b")
     rng = AuditRng(20241018)
     cases = [(fig3a.general, fig3a.optimizer), (fig3b.general, fig3b.optimizer),
              (GEN_POINT, fig3a.optimizer)]
     cases += [(draw_general_params(rng), fig3a.optimizer) for _ in range(3)]
+    cases += [(gen, fig3a.optimizer) for gen in POOL_POINTS.values()]
     for gen, cfg in cases:
         row, res_njg, res_g = cli.general_point(fig3a.orthogonal, gen, cfg)
-        alone_njg = optimize_general(strip_jamming(gen), cfg)
-        alone_g = optimize_general(gen, cfg)
+        assert (res_njg, res_g) == optimize_general(gen, cfg)
+        alone_njg = grid_search_alone(strip_jamming(gen), cfg)
+        alone_g = grid_search_alone(gen, cfg)
         assert search_outcome(res_njg) == search_outcome(alone_njg), gen
         assert search_outcome(res_g) == search_outcome(alone_g), gen
         assert (row["R_njg"], row["R_g"]) == (alone_njg.rate.secure_rate,

@@ -12,6 +12,7 @@ from wiretap_rates.core import (
     RateBreakdown,
     ZERO_RHO,
     correlation_determinant,
+    effective_leakages,
     secure_rates,
     theta,
     valid_correlation,
@@ -146,7 +147,7 @@ def test_secure_rates_equal_combine_breakdown_elementwise():
         (0.5, 0.5, 0.5, 0.5),
     ]
     for terms in cases:
-        got = secure_rates(*terms)
+        got = secure_rates(terms[0], effective_leakages(*terms[1:]))
         cells = np.broadcast_arrays(*terms)
         want = [RateBreakdown(*t).secure_rate
                 for t in zip(*(c.ravel().tolist() for c in cells))]
@@ -154,7 +155,8 @@ def test_secure_rates_equal_combine_breakdown_elementwise():
         assert got.ravel().tolist() == want
 
     out = np.empty(main.shape)
-    assert secure_rates(main, joint, single_1, single_2, out=out) is out
+    leakage = effective_leakages(joint, single_1, single_2)
+    assert secure_rates(main, leakage, out=out) is out
 
 
 def test_secure_rates_keep_nan():
@@ -166,12 +168,12 @@ def test_secure_rates_keep_nan():
         for k in range(4):
             cube = [np.full((2, 3), t) for t in terms]
             cube[k][1, 2] = math.nan
-            rates = secure_rates(*cube)
+            rates = secure_rates(cube[0], effective_leakages(*cube[1:]))
             assert math.isnan(rates[1, 2])
             assert np.isfinite(np.delete(rates.ravel(), 5)).all()
             scalars = list(terms)
             scalars[k] = math.nan
-            assert math.isnan(secure_rates(*scalars))
+            assert math.isnan(secure_rates(scalars[0], effective_leakages(*scalars[1:])))
 
 
 def test_breakdown_rejects_negative_terms():

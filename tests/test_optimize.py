@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from refpoints import GEN_POINT
-from wiretap_rates import core, optimize, oracle
-from wiretap_rates.cli import load_config
+from refpoints import GEN_POINT, POOL_POINTS
+from wiretap_rates import cli, core, optimize, oracle
 from wiretap_rates.core import (
     CorrelationTriple,
     DomainError,
@@ -31,13 +30,14 @@ def quadratic_objective(target):
 
     def f(r1, r2, r12, det):
         q = (r1 - target[0]) ** 2 + (r2 - target[1]) ** 2 + (r12 - target[2]) ** 2
-        return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
+        return (np.full(q.shape, 10.0),), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
     return f
 
 
 def flat(r1, r2, r12, det):
-    return tuple(np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
+    main, *leakages = (np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
+    return (main,), *leakages
 
 
 DIP_TARGET = (-0.4, -0.4, -0.4)
@@ -48,7 +48,7 @@ def dip(r1, r2, r12, det):
     t = DIP_TARGET
     d2 = (r1 - t[0]) ** 2 + (r2 - t[1]) ** 2 + (r12 - t[2]) ** 2
     q = np.minimum(1.0, d2 / 0.15 ** 2)
-    return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
+    return (np.full(q.shape, 10.0),), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
 
 def test_grid_axis_contains_exact_anchors():
@@ -100,7 +100,7 @@ def test_search_config_validation():
 
 def test_minimize_finds_interior_grid_minimum():
     # target lies exactly on the 0.05 grid, so the coarse stage lands on it
-    res = minimize_rate(
+    (res,) = minimize_rate(
         quadratic_objective((0.3, -0.2, 0.1)), SearchConfig(coarse_resolution=0.05)
     )
     assert res.rho_star.as_tuple() == pytest.approx((0.3, -0.2, 0.1), abs=1e-12)
@@ -111,11 +111,11 @@ def test_minimize_finds_interior_grid_minimum():
 def test_minimize_refines_off_grid_minimum():
     target = (0.313, -0.207, 0.093)
     cfg = SearchConfig(coarse_resolution=0.1, refine_iterations=6)
-    res = minimize_rate(quadratic_objective(target), cfg)
+    (res,) = minimize_rate(quadratic_objective(target), cfg)
     for got, want in zip(res.rho_star.as_tuple(), target):
         assert abs(got - want) <= 0.01
     # descent may never end above the best coarse value
-    coarse_only = minimize_rate(
+    (coarse_only,) = minimize_rate(
         quadratic_objective(target),
         SearchConfig(coarse_resolution=0.1, refine_iterations=0),
     )
@@ -123,7 +123,7 @@ def test_minimize_refines_off_grid_minimum():
 
 
 def test_minimize_constant_objective_breaks_ties_lexicographically():
-    res = minimize_rate(flat, SearchConfig(coarse_resolution=0.5))
+    (res,) = minimize_rate(flat, SearchConfig(coarse_resolution=0.5))
     # first valid triple in (rho_1, rho_2, rho_12) order: both eavesdroppers
     # anti-aligned with the source forces their mutual correlation to 1
     assert res.rho_star.as_tuple() == (-1.0, -1.0, 1.0)
@@ -135,7 +135,7 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
     # ties and the grid minimum is the edge corner (-1, -1, 1), from which
     # every axis move leaves the valid set.  Descent from the best point off
     # the edges finds the dip.
-    res = minimize_rate(dip, SearchConfig(coarse_resolution=0.5))
+    (res,) = minimize_rate(dip, SearchConfig(coarse_resolution=0.5))
     assert res.rate.secure_rate < 1e-6
     assert res.rho_star.as_tuple() == pytest.approx(DIP_TARGET, abs=1e-3)
 
@@ -143,7 +143,7 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
 def lowest_outside(r1, r2, r12, det):
     """Finite everywhere; the secure rate is max(2 + det, 0), so every
     invalid triple (det < -PSD_SLACK) beats every valid one."""
-    return 12.0 + det, np.full(det.shape, 10.0), 50.0, 50.0
+    return (12.0 + det,), np.full(det.shape, 10.0), 50.0, 50.0
 
 
 def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
@@ -151,7 +151,7 @@ def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
     # own mask keeps the invalid triples out.
     axis = correlation_grid_axis(0.1)
     views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
-    sec, valid, _ = optimize._evaluate(lowest_outside, *views)
+    (sec,), valid, _ = optimize._evaluate(lowest_outside, *views)
     want = valid_correlation(*np.meshgrid(axis, axis, axis, indexing="ij"))
     np.testing.assert_array_equal(valid, want)
     assert 0 < np.count_nonzero(valid) < valid.size
@@ -159,8 +159,8 @@ def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
     assert np.all(np.isfinite(sec[valid]))
 
     for refine in (0, 3):
-        res = minimize_rate(lowest_outside, SearchConfig(coarse_resolution=0.1,
-                                                         refine_iterations=refine))
+        (res,) = minimize_rate(lowest_outside, SearchConfig(coarse_resolution=0.1,
+                                                            refine_iterations=refine))
         assert is_valid_correlation(*res.rho_star.as_tuple())
         assert res.rate.secure_rate >= 2.0 - 1e-12
         if refine == 0:
@@ -169,30 +169,16 @@ def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
             assert res.evaluations > np.count_nonzero(want)
 
 
-# Two shared-band scenarios of the point-fine benchmark pool (16 and 23),
-# chosen because regrouping a sum or product in the grid terms moves their
-# results: a plain shared-band point can hide such a change.
+# The benchmark pool scenarios, and the fig3a point at a high legitimate power.
 POOL_PARAMS = {
-    "scenario-16": GeneralGaussianParams(
-        h_l=1.7126768603441191, h_1e_l=0.15073648919453786, h_2e_l=0.1327827879446411,
-        h_l_1e=0.3307906366961495, h_l_2e=0.5597547293499034,
-        h_2e_1e=0.5776538979333501, h_1e_2e=0.3873611673312065,
-        P_l=2.1265771481461813, P_1e=1.3657906357217666, P_2e=0.9591565618012711,
-        N_l=0.8182755600462116, N_1e=0.8859317426970704, N_2e=0.9480307830275063,
-    ),
-    "scenario-23": GeneralGaussianParams(
-        h_l=1.7772109521262298, h_1e_l=0.24034395500480965, h_2e_l=0.12969174657107563,
-        h_l_1e=0.5470146125847845, h_l_2e=0.6490548888907485,
-        h_2e_1e=0.37305119825675326, h_1e_2e=0.5367823421472653,
-        P_l=1.5395659899082863, P_1e=1.3432343870627155, P_2e=0.6437861192947286,
-        N_l=1.0407104809423788, N_1e=0.8505943811252303, N_2e=0.9471747673758043,
-    ),
-    "fig3a-P_l-20": dataclasses.replace(load_config("fig3a").general, P_l=20.0),
+    **POOL_POINTS,
+    "fig3a-P_l-20": dataclasses.replace(cli.load_config("fig3a").general, P_l=20.0),
 }
 
 # (rho_star, (main, joint, single_1, single_2) as float.hex, evaluations,
-# on_boundary) of optimize_general at coarse_resolution 0.05.  Any change to
-# the search or the grid terms that moves a bit of these fails here.
+# on_boundary) of optimize_general at coarse_resolution 0.05: no jamming is
+# the pair's first result, jamming its second.  Any change to the search or
+# the grid terms that moves a bit of these fails here.
 PINNED_SEARCHES = {
     ("scenario-16", "jamming"): (
         (0.0504, 0.04, 0.99),
@@ -229,10 +215,8 @@ PINNED_SEARCHES = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES), ids="-".join)
 def test_optimize_general_pinned_results(case):
-    params = POOL_PARAMS[case[0]]
-    if case[1] == "no-jamming":
-        params = strip_jamming(params)
-    res = optimize_general(params, SearchConfig(coarse_resolution=0.05))
+    res_njg, res_g = optimize_general(POOL_PARAMS[case[0]], SearchConfig(coarse_resolution=0.05))
+    res = res_g if case[1] == "jamming" else res_njg
     b = res.rate
     got = (
         res.rho_star.as_tuple(),
@@ -245,36 +229,42 @@ def test_optimize_general_pinned_results(case):
 
 def test_minimize_is_deterministic():
     cfg = SearchConfig(coarse_resolution=0.25)
-    a = optimize_general(GEN_POINT, cfg)
-    b = optimize_general(GEN_POINT, cfg)
-    assert a.rho_star.as_tuple() == b.rho_star.as_tuple()
-    assert a.rate.secure_rate == b.rate.secure_rate
-    assert a.evaluations == b.evaluations
+    for a, b in zip(optimize_general(GEN_POINT, cfg), optimize_general(GEN_POINT, cfg)):
+        assert a.rho_star.as_tuple() == b.rho_star.as_tuple()
+        assert a.rate.secure_rate == b.rate.secure_rate
+        assert a.evaluations == b.evaluations
 
 
 def test_optimize_general_never_exceeds_fixed_points():
     cfg = SearchConfig(coarse_resolution=0.2)
-    res = optimize_general(GEN_POINT, cfg)
-    for tup in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.4, 0.4, -0.2)):
-        fixed = rate_general_oracle(GEN_POINT, CorrelationTriple(*tup))
-        assert res.rate.secure_rate <= fixed.secure_rate + 1e-12
-    assert is_valid_correlation(*res.rho_star.as_tuple())
+    searches = optimize_general(GEN_POINT, cfg)
+    for res, params in zip(searches, (strip_jamming(GEN_POINT), GEN_POINT)):
+        for tup in ((0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (-0.4, 0.4, -0.2)):
+            fixed = rate_general_oracle(params, CorrelationTriple(*tup))
+            assert res.rate.secure_rate <= fixed.secure_rate + 1e-12
+        assert is_valid_correlation(*res.rho_star.as_tuple())
 
 
 def materialized_minimize_rate(terms, cfg):
-    """minimize_rate as a walk over materialized triples.
+    """minimize_rate as walks over materialized triples, one per main term.
 
-    Each chunk of rho_1 rows is meshgridded, flattened, compressed to its
-    valid triples and searched by first-wins argmin, and descent evaluates
-    only its valid candidates.  Scalar or lower-dimensional terms are
-    broadcast to the triples.
+    Each objective is searched alone.  Each chunk of rho_1 rows is
+    meshgridded, flattened, compressed to its valid triples and searched by
+    first-wins argmin, and descent evaluates only its valid candidates.
+    Scalar or lower-dimensional terms are broadcast to the triples.
     """
+    objectives = len(terms(*np.zeros((3, 1)), np.ones(1))[0])
+    return [materialized_search(terms, i, cfg) for i in range(objectives)]
+
+
+def materialized_search(terms, i, cfg):
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
 
     def evaluate(r1, r2, r12):
         det = correlation_determinant(r1, r2, r12)
-        out = [np.broadcast_to(t, r1.shape) for t in terms(r1, r2, r12, det)]
+        mains, *leakages = terms(r1, r2, r12, det)
+        out = [np.broadcast_to(t, r1.shape) for t in (mains[i], *leakages)]
         main, joint, s1, s2 = out
         sec = np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
         sec = np.where(np.isfinite(sec), sec, np.inf)
@@ -351,8 +341,8 @@ def with_nan(where):
     base = quadratic_objective((-0.55, 0.0, 0.1))
 
     def f(r1, r2, r12, det):
-        main, joint, s1, s2 = base(r1, r2, r12, det)
-        return np.where(where(r1, r2, r12), math.nan, main), joint, s1, s2
+        (main,), joint, s1, s2 = base(r1, r2, r12, det)
+        return (np.where(where(r1, r2, r12), math.nan, main),), joint, s1, s2
 
     return f
 
@@ -360,7 +350,16 @@ def with_nan(where):
 def low_dim(r1, r2, r12, det):
     """Scalars and terms of fewer correlations; ties along rho_12 remain."""
     joint = 10.0 - (r1 - 0.3) ** 2 - (r2 + 0.2) ** 2
-    return 10.0, joint, np.float64(50.0), 50.0 + 0.0 * r12
+    return (10.0,), joint, np.float64(50.0), 50.0 + 0.0 * r12
+
+
+def two_mains(r1, r2, r12, det):
+    """The quadratic objective's rate and the dip's, through two main terms
+    over one set of leakages: on the 0.5 grid the dip's minimum lies on an
+    edge and the quadratic's does not, so each objective needs its own starts."""
+    (main,), joint, s1, s2 = PARITY_OBJECTIVES["quadratic"](r1, r2, r12, det)
+    (_,), dip_joint, _, _ = dip(r1, r2, r12, det)
+    return (main, main - dip_joint + joint), joint, s1, s2
 
 
 PARITY_OBJECTIVES = {
@@ -377,15 +376,16 @@ PARITY_OBJECTIVES = {
     # still start from the first valid cell and fail on its rate terms.
     "nan-everywhere": with_nan(lambda r1, r2, r12: r1 + r2 + r12 < 4.0),
     "low-dim": low_dim,
+    "two-mains": two_mains,
 }
 
 
 def search_outcome(search, terms, cfg):
     try:
-        res = search(terms, cfg)
+        results = search(terms, cfg)
     except DomainError as err:
         return str(err)
-    return res.rho_star, res.rate, res.evaluations, res.on_boundary
+    return [(res.rho_star, res.rate, res.evaluations, res.on_boundary) for res in results]
 
 
 @pytest.mark.parametrize("rows_per_chunk", ["default", 1])
@@ -406,10 +406,18 @@ def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypa
                 assert "main_rate must be finite" in got
 
 
+def coarse_chunks(cfg):
+    """The shapes of the coarse stage's chunks."""
+    n = correlation_grid_axis(cfg.coarse_resolution).size
+    rows = max(1, optimize._CHUNK_TARGET // (n * n))
+    return [(min(rows, n - start), n, n) for start in range(0, n, rows)]
+
+
 def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
     # The validity mask and the grid's joint term share one determinant per
-    # chunk.  Chunk-sized determinants are counted wherever the function is
-    # bound; the descents and the final read evaluate smaller arrays.
+    # chunk, for both searches of the pair.  Chunk-sized determinants are
+    # counted wherever the function is bound; the descents and the final
+    # reads evaluate smaller arrays.
     chunk_calls = []
 
     def counted(r1, r2, r12):
@@ -420,9 +428,25 @@ def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
 
     for module in (core, oracle, optimize):
         monkeypatch.setattr(module, "correlation_determinant", counted, raising=False)
-    n = correlation_grid_axis(0.05).size
-    rows = max(1, optimize._CHUNK_TARGET // (n * n))
-    chunks = [(min(rows, n - start), n, n) for start in range(0, n, rows)]
+    cfg = SearchConfig(coarse_resolution=0.05)
+    chunks = coarse_chunks(cfg)
     assert len(chunks) > 1
-    optimize_general(GEN_POINT, SearchConfig(coarse_resolution=0.05))
+    optimize_general(GEN_POINT, cfg)
     assert chunk_calls == chunks
+
+
+def test_each_coarse_chunk_evaluates_the_grid_terms_once_per_point(monkeypatch):
+    # A point's R_njg and R_g searches walk the grid once: one call of the
+    # grid terms per chunk serves both.
+    chunk_calls = []
+
+    def counted(*args):
+        terms = oracle.general_rate_terms_grid(*args)
+        if np.ndim(terms[0]) == 3:
+            chunk_calls.append(np.shape(terms[0]))
+        return terms
+
+    monkeypatch.setattr(optimize, "general_rate_terms_grid", counted)
+    fig3a = cli.load_config("fig3a")
+    cli.general_point(fig3a.orthogonal, GEN_POINT, fig3a.optimizer)
+    assert chunk_calls == coarse_chunks(fig3a.optimizer)
