@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 from pathlib import Path
@@ -574,15 +575,23 @@ def test_config_errors_echo_values_cut_short(tmp_path, capsys, case):
 @pytest.mark.parametrize("error, prefix", [(GridBudgetError, "budget error"),
                                            (DomainError, "domain error")],
                          ids=["budget", "domain"])
-def test_search_error_propagates(tmp_path, capsys, monkeypatch, error, prefix):
-    # The grid terms fail inside the shared walk of both searches; the error
-    # must reach the caller unchanged and end the command with one line.
-    message = "the search failed"
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_search_error_on_either_thread_propagates(tmp_path, capsys, monkeypatch,
+                                                  failing, error, prefix):
+    # Both searches of a point run in one walk on the calling thread. The
+    # "worker" case fails the R_njg main term (jamming stripped), computed
+    # before the walk; the "caller" case fails the grid terms the R_g search
+    # walks. Either error must reach the caller unchanged, raised on the
+    # calling thread, with no thread started.
+    message = f"the {failing} search failed"
+    name = "_general_main_term" if failing == "worker" else "general_rate_terms_grid"
+    raised_on = []
 
-    def failing(*args):
+    def fail(*args):
+        raised_on.append(threading.current_thread())
         raise error(message)
 
-    monkeypatch.setattr(optimize, "general_rate_terms_grid", failing)
+    monkeypatch.setattr(optimize, name, fail)
     path = write_config(tmp_path, {
         "kind": "general-gaussian",
         "orthogonal": ORTHO_BLOCK,
@@ -590,12 +599,16 @@ def test_search_error_propagates(tmp_path, capsys, monkeypatch, error, prefix):
         "optimizer": {"coarse_resolution": 0.25},
     })
     cfg = load_config(path)
+    before = threading.active_count()
     with pytest.raises(error) as info:
         cli.general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
     assert type(info.value) is error and str(info.value) == message
+    assert threading.active_count() == before
+    assert raised_on == [threading.main_thread()]
 
     assert main(["point", "--config", path]) == 1
     assert capsys.readouterr().err == f"{prefix}: {message}\n"
+    assert threading.active_count() == before
 
 
 def search_outcome(res):
