@@ -435,6 +435,31 @@ def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
     assert chunk_calls == chunks
 
 
+def test_coarse_chunks_of_one_shape_share_their_rate_arrays(monkeypatch):
+    # Rate arrays allocated anew per chunk made the heap shrink and grow
+    # again, paging in every chunk's arrays.  Each chunk writes its rates
+    # into the previous chunk's arrays when the shapes match.
+    evaluate = optimize._evaluate
+    returned = []
+
+    def recorded(*args, **kwargs):
+        rates, valid, used = evaluate(*args, **kwargs)
+        if valid.ndim == 3:
+            returned.append(rates)
+        return rates, valid, used
+
+    monkeypatch.setattr(optimize, "_evaluate", recorded)
+    cfg = SearchConfig(coarse_resolution=0.02)
+    chunks = coarse_chunks(cfg)
+    assert len(set(chunks)) == 2 and len(chunks) > 2
+    optimize_general(GEN_POINT, cfg)
+    assert [rates[0].shape for rates in returned] == chunks
+    assert all(len(rates) == 2 for rates in returned)
+    for prev, cur in zip(returned, returned[1:]):
+        shared = [a is b for a, b in zip(prev, cur)]
+        assert shared == [prev[0].shape == cur[0].shape] * 2
+
+
 def test_each_coarse_chunk_evaluates_the_grid_terms_once_per_point(monkeypatch):
     # A point's R_njg and R_g searches walk the grid once: one call of the
     # grid terms per chunk serves both.
