@@ -114,6 +114,11 @@ class DMSettings:
     grid_resolution: float
     max_evaluations: int = DEFAULT_MAX_EVALUATIONS
 
+    def __post_init__(self) -> None:
+        if self.max_evaluations < 1:
+            raise ConfigError(f"dm.max_evaluations must be at least 1, "
+                              f"got {_shown(self.max_evaluations)}")
+
 
 @dataclass(frozen=True)
 class OutputSettings:
@@ -451,9 +456,9 @@ def render_svg(param: str, xs: Sequence[float],
 
 def _report(cfg: ScenarioConfig) -> int:
     """Print the rates at the config's parameter point and what each search
-    found."""
-    print(f"kind: {cfg.kind}")
+    found.  Prints nothing when the evaluation fails."""
     row, res = _evaluate(cfg)
+    print(f"kind: {cfg.kind}")
     if cfg.kind == "dm":
         print(f"sup-inf rate        = {res.rate:.6f}")
         print(f"refined inner check = {res.refined_rate:.6f}")

@@ -22,6 +22,7 @@ __all__ = [
     "CorrelationTriple",
     "ZERO_RHO",
     "RateBreakdown",
+    "rate_terms",
     "effective_leakages",
     "secure_rates",
     "correlation_determinant",
@@ -126,16 +127,18 @@ ZERO_RHO = CorrelationTriple(0.0, 0.0, 0.0)
 class RateBreakdown:
     """Secrecy-rate evaluation split into its constituent information terms.
 
-    main_rate      rate of the legitimate link.
-    leak_joint     leakage toward the pooled eavesdropper observations when
-                   their own transmit signals are available as side
-                   information.
-    leak_single_1  leakage toward eavesdropper 1 alone, all transmit signals
-                   counted as sources.
-    leak_single_2  same for eavesdropper 2.
+    main_rate      I(X_l; Y_l), the rate of the legitimate link.
+    leak_joint     I(X_l; Y_1e, Y_2e | X_1e, X_2e), the leakage toward the
+                   pooled eavesdropper observations when their own transmit
+                   signals are available as side information.
+    leak_single_1  I(X_l, X_1e, X_2e; Y_1e), the leakage toward eavesdropper
+                   1 alone, all transmit signals counted as sources.
+    leak_single_2  I(X_l, X_1e, X_2e; Y_2e), the same for eavesdropper 2.
 
-    The rule that combines them is derived, never stored: see
-    ``effective_leakage``, ``secure_rate`` and ``clamped``.
+    Y_je stands for all of eavesdropper j's outputs; :func:`rate_terms`
+    gives the four terms as index sets.  The rule that combines them is
+    derived, never stored: see ``effective_leakage``, ``secure_rate`` and
+    ``clamped``.
     """
 
     main_rate: float
@@ -164,6 +167,29 @@ class RateBreakdown:
     def clamped(self) -> bool:
         """True iff the difference was negative before clamping."""
         return self.main_rate - self.effective_leakage < 0.0
+
+
+def rate_terms(
+    y_1e: tuple[int, ...], y_2e: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Index sets (A, B, C) of the four terms I(A; B | C), in
+    :class:`RateBreakdown` field order:
+
+        main_rate      I(X_l; Y_l)
+        leak_joint     I(X_l; Y_1e, Y_2e | X_1e, X_2e)
+        leak_single_1  I(X_l, X_1e, X_2e; Y_1e)
+        leak_single_2  I(X_l, X_1e, X_2e; Y_2e)
+
+    The variables are numbered X_l = 0, X_1e = 1, X_2e = 2 and Y_l = 3;
+    ``y_1e`` and ``y_2e`` number each eavesdropper's outputs.
+    """
+    inputs = (0, 1, 2)
+    return (
+        ((0,), (3,), ()),
+        ((0,), y_1e + y_2e, (1, 2)),
+        (inputs, y_1e, ()),
+        (inputs, y_2e, ()),
+    )
 
 
 def effective_leakages(joint, single_1, single_2) -> np.ndarray:

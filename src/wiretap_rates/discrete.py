@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (DomainError, GridBudgetError, RateBreakdown,
-                   effective_leakages, secure_rates)
+                   effective_leakages, rate_terms, secure_rates)
 
 __all__ = [
     "DMChannel",
@@ -167,14 +167,8 @@ def joint_distribution(
     return _joints(ch, r.r[np.newaxis], q.q[np.newaxis])[0]
 
 
-# Axis tuples (A, B, C) of I(A; B | C) for the main rate, the joint leakage
-# and the two single-eavesdropper leakages, in RateBreakdown order.
-_RATE_TERMS = (
-    ((X_L,), (Y_L,), ()),
-    ((X_L,), (Y_1E, Y_2E), (X_1E, X_2E)),
-    ((X_L, X_1E, X_2E), (Y_1E,), ()),
-    ((X_L, X_1E, X_2E), (Y_2E,), ()),
-)
+# Axis tuples (A, B, C) of the four rate terms in a joint pmf.
+_RATE_TERMS = rate_terms((Y_1E,), (Y_2E,))
 
 
 def _entropies(pmfs: np.ndarray) -> np.ndarray:
@@ -258,12 +252,8 @@ def mutual_info_discrete(
 def rate_dm_fixed(
     ch: DMChannel, r: LegitimateInputDist, q: EavesdropperInputDist
 ) -> RateBreakdown:
-    """Secrecy-rate breakdown at fixed input laws.
-
-    main          I(X_l; Y_l)
-    joint leak    I(X_l; Y_1e, Y_2e | X_1e, X_2e)
-    single leak   I(X_l, X_1e, X_2e; Y_je)
-    """
+    """Secrecy-rate breakdown at fixed input laws, term by term as
+    :class:`~wiretap_rates.core.RateBreakdown` defines them."""
     values = _cmi_bits(joint_distribution(ch, r, q)[np.newaxis], _RATE_TERMS)
     return RateBreakdown(*(float(v[0]) for v in values))
 

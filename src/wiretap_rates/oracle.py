@@ -39,6 +39,7 @@ from .core import (
     DomainError,
     RateBreakdown,
     correlation_determinant,
+    rate_terms,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
 
@@ -73,39 +74,9 @@ ORTHOGONAL_LABELS = (
 )
 
 
-# Index sets (A, B, C) of one conditional mutual information I(A; B | C).
-_Term = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-
-def _term_indices(
-    labels: tuple[str, ...], terms: Iterable[tuple[list[str], list[str], list[str]]]
-) -> tuple[_Term, ...]:
-    return tuple(
-        tuple(tuple(labels.index(v) for v in group) for group in term)
-        for term in terms
-    )
-
-
-# (A, B, C) of I(A; B | C) for the main rate, the joint leakage and the two
-# single-eavesdropper leakages, in RateBreakdown order.
-_GENERAL_TERMS = _term_indices(
-    GENERAL_LABELS,
-    (
-        (["X_l"], ["Y_l"], []),
-        (["X_l"], ["Y_1e", "Y_2e"], ["X_1e", "X_2e"]),
-        (["X_l", "X_1e", "X_2e"], ["Y_1e"], []),
-        (["X_l", "X_1e", "X_2e"], ["Y_2e"], []),
-    ),
-)
-_ORTHOGONAL_TERMS = _term_indices(
-    ORTHOGONAL_LABELS,
-    (
-        (["X_l"], ["Y_l"], []),
-        (["X_l"], ["Y_1e_m", "Y_1e_c", "Y_2e_m", "Y_2e_c"], ["X_1e", "X_2e"]),
-        (["X_l", "X_1e", "X_2e"], ["Y_1e_m", "Y_1e_c"], []),
-        (["X_l", "X_1e", "X_2e"], ["Y_2e_m", "Y_2e_c"], []),
-    ),
-)
+# Index sets of the four rate terms in each model's variable order.
+_GENERAL_TERMS = rate_terms((4,), (5,))
+_ORTHOGONAL_TERMS = rate_terms((4, 5), (6, 7))
 
 
 @dataclass(frozen=True)
@@ -268,7 +239,9 @@ def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cmi_terms(stack: np.ndarray, terms: Iterable[_Term]) -> list[np.ndarray]:
+def _cmi_terms(
+    stack: np.ndarray, terms: Iterable[tuple[tuple[int, ...], ...]]
+) -> list[np.ndarray]:
     """Raw I(A; B | C) in bits for each (A, B, C) on a (K, n, n) stack.
 
     Returns one length-K array per term, before any sign policy.  Each
@@ -338,7 +311,9 @@ def mi_gaussian(
     return _nonnegative(float(value[0]))
 
 
-def _breakdowns(stack: np.ndarray, terms: Iterable[_Term]) -> list[RateBreakdown]:
+def _breakdowns(
+    stack: np.ndarray, terms: Iterable[tuple[tuple[int, ...], ...]]
+) -> list[RateBreakdown]:
     """One rate breakdown per checked covariance of a (K, n, n) stack."""
     _check_covariances(stack)
     values = np.array(_cmi_terms(stack, terms)).T.tolist()
@@ -368,11 +343,8 @@ def _rate_orthogonal_oracles(
 def rate_general_oracle(
     p: GeneralGaussianParams, rho: CorrelationTriple
 ) -> RateBreakdown:
-    """Shared-band secrecy rate evaluated purely from the joint covariance.
-
-    main          I(X_l; Y_l)
-    joint leak    I(X_l; Y_1e, Y_2e | X_1e, X_2e)
-    single leak   I(X_l, X_1e, X_2e; Y_je) for each j
+    """Shared-band secrecy rate evaluated purely from the joint covariance,
+    term by term as :class:`~wiretap_rates.core.RateBreakdown` defines them.
 
     Total on degenerate parameters (zero powers, |rho_12| = 1): the
     eigenvalue clamp turns them into the correct limits.  Not total within

@@ -148,6 +148,11 @@ def test_audit_pass_rule():
     assert "undefined at 1/1 draws" in verbose[3]
 
 
+def test_audit_pass_rule_bound():
+    assert audit._passes(AUDIT_TOL) and audit._passes(1e-10)
+    assert not audit._passes(1e-8)
+
+
 def test_run_audit_model_selection():
     both = run_audit(seed=2, draws=2)
     assert [{n.split("/")[0] for n in t.names} for t in both.tables] == \

@@ -106,7 +106,8 @@ def dm_config(tmp_path: Path, **dm) -> str:
 
 
 def assert_one_line_error(capsys, prefix: str) -> None:
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "", out
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert err.startswith(prefix), err
 
@@ -259,6 +260,17 @@ def test_sweep_command_writes_deterministic_csv_and_svg(tmp_path, capsys):
     csv2 = tmp_path / "b.csv"
     main(["sweep", "--config", path, "--out", str(csv2)])
     assert csv1.read_bytes() == csv2.read_bytes()
+    capsys.readouterr()
+
+
+def test_fig3a_hl2_sweep_equals_its_committed_csv(tmp_path, capsys):
+    # With h_l = 2 every column is positive on 99 of 101 rows, so a weaker
+    # search (no descent, or a coarser grid) moves 100 of them; fig3a and
+    # fig3b are 0 everywhere and cannot show it.
+    csv, svg = tmp_path / "fig3a_hl2.csv", tmp_path / "fig3a_hl2.svg"
+    assert main(["sweep", "--config", "fig3a_hl2",
+                 "--out", str(csv), "--svg", str(svg)]) == 0
+    assert csv.read_bytes() == Path(__file__).with_name("fig3a_hl2.csv").read_bytes()
     capsys.readouterr()
 
 
@@ -448,6 +460,13 @@ def test_dm_over_budget_exits_with_one_line(tmp_path, capsys):
     path = dm_config(tmp_path, grid_resolution=0.05, max_evaluations=3)
     assert main(["dm", "--config", path]) == 1
     assert_one_line_error(capsys, "budget error")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_dm_budget_below_one_is_config_error(tmp_path, capsys, budget):
+    path = dm_config(tmp_path, max_evaluations=budget)
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(capsys, "config error: dm.max_evaluations must be at least 1")
 
 
 @pytest.mark.parametrize(

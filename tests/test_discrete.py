@@ -103,6 +103,13 @@ def test_input_law_validation():
         EavesdropperInputDist(np.array([0.5, 0.5]))  # wrong rank
 
 
+def test_input_law_normalization_bound():
+    # A law may miss 1 by at most 1e-9.
+    EavesdropperInputDist(np.array([[0.5, 0.5 + 1e-10]]))
+    with pytest.raises(DomainError, match="normalize"):
+        EavesdropperInputDist(np.array([[0.5, 0.5 + 1e-7]]))
+
+
 def test_joint_distribution_is_a_pmf():
     ch = bundled_channel()
     r, q = uniform_inputs(ch)

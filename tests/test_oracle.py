@@ -10,7 +10,7 @@ from wiretap_rates.audit import (
     draw_general_params,
     draw_orthogonal_params,
 )
-from wiretap_rates import oracle
+from wiretap_rates import discrete, oracle
 from wiretap_rates.cli import load_config
 from wiretap_rates.core import (
     PSD_SLACK,
@@ -42,6 +42,31 @@ def test_labels():
     assert len(ORTHOGONAL_LABELS) == 8
 
 
+def _reading(labels, term):
+    """I(A; B | C) with each index set of ``term`` read through ``labels``."""
+    a, b, c = (", ".join(labels[i] for i in group) for group in term)
+    return f"I({a}; {b} | {c})" if c else f"I({a}; {b})"
+
+
+@pytest.mark.parametrize(
+    "terms, labels, y_1e, y_2e",
+    [
+        (oracle._GENERAL_TERMS, GENERAL_LABELS, "Y_1e", "Y_2e"),
+        (oracle._ORTHOGONAL_TERMS, ORTHOGONAL_LABELS, "Y_1e_m, Y_1e_c", "Y_2e_m, Y_2e_c"),
+        # The discrete axes X_L, ..., Y_2E number the general labels in order.
+        (discrete._RATE_TERMS, GENERAL_LABELS, "Y_1e", "Y_2e"),
+    ],
+    ids=["general", "orthogonal", "discrete"],
+)
+def test_rate_terms_read_as_the_paper_states_them(terms, labels, y_1e, y_2e):
+    assert [_reading(labels, t) for t in terms] == [
+        "I(X_l; Y_l)",
+        f"I(X_l; {y_1e}, {y_2e} | X_1e, X_2e)",
+        f"I(X_l, X_1e, X_2e; {y_1e})",
+        f"I(X_l, X_1e, X_2e; {y_2e})",
+    ]
+
+
 def test_covariance_rejects_asymmetric_matrix():
     m = np.array([[1.0, 0.5], [0.3, 1.0]])
     with pytest.raises(DomainError, match="symmetric"):
@@ -52,6 +77,13 @@ def test_covariance_rejects_indefinite_matrix():
     m = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DomainError, match="positive semidefinite"):
         JointCovariance(("a", "b"), m)
+
+
+def test_covariance_check_parts_round_off_from_a_negative_eigenvalue():
+    # [[1, 1 + e], [1 + e, 1]] has least eigenvalue -e; the bound is -1e-10.
+    JointCovariance(("a", "b"), np.array([[1.0, 1.0 + 1e-12], [1.0 + 1e-12, 1.0]]))
+    with pytest.raises(DomainError, match="positive semidefinite"):
+        JointCovariance(("a", "b"), np.array([[1.0, 1.0 + 1e-8], [1.0 + 1e-8, 1.0]]))
 
 
 @pytest.mark.parametrize(
@@ -114,6 +146,22 @@ def test_mi_gaussian_scalar_channel():
     m = np.array([[P, P], [P, P + N]])
     cov = JointCovariance(("X", "Y"), m)
     assert mi_gaussian(cov, ["X"], ["Y"]) == pytest.approx(theta(P / N), abs=1e-12)
+
+
+def test_mi_gaussian_keeps_an_eigenvalue_just_above_the_floor():
+    # 1 - rho^2 = 1e-11: the least eigenvalue, 1 - rho = 5e-12, lies above
+    # EIG_FLOOR = 1e-12, so no clamp may touch the 18.27 bits.
+    rho = math.sqrt(1.0 - 1e-11)
+    cov = JointCovariance(("a", "b"), np.array([[1.0, rho], [rho, 1.0]]))
+    want = -0.5 * math.log2(1.0 - rho * rho)
+    assert want == pytest.approx(18.2706, abs=1e-4)
+    assert mi_gaussian(cov, ["a"], ["b"]) == pytest.approx(want, abs=1e-6)
+
+
+def test_negative_round_off_is_truncated_only_down_to_neg_tol():
+    assert oracle._nonnegative(-5e-10) == 0.0
+    with pytest.raises(DomainError, match="inconsistent"):
+        oracle._nonnegative(-2e-9)
 
 
 def test_mi_gaussian_symmetry_and_independence():
