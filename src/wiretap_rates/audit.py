@@ -259,16 +259,17 @@ def rows_to_csv(report: AuditReport, out: TextIO) -> None:
         out.write(f"{d},{n},{c!r},{o!r},{e!r}\n")
 
 
-def format_report(report: AuditReport, verbose: bool = False) -> str:
-    """Human-readable summary; per-row lines only when verbose."""
-    lines = [f"audit seed={report.seed} draws={report.draws} rows={report.row_count}"]
+def format_report(report: AuditReport, out: TextIO, verbose: bool = False) -> None:
+    """Writes the human-readable summary to the text stream ``out``, with
+    per-row lines only when verbose, line by line as they are made."""
+    out.write(f"audit seed={report.seed} draws={report.draws} rows={report.row_count}\n")
     if verbose:
         for draw, name, closed, oracle, error, required in _cells(report):
             tag = "required" if required else "info"
             state = "ok" if not required or _passes(error) else "FAIL"
-            lines.append(
+            out.write(
                 f"  draw {draw:3d}  {name:24s} closed={closed: .12e} "
-                f"oracle={oracle: .12e} err={error: .3e} [{tag}] {state}"
+                f"oracle={oracle: .12e} err={error: .3e} [{tag}] {state}\n"
             )
     columns = [c for t in report.tables for c in zip(t.names, t.required, t.error.T)]
     for name, required, column in sorted(columns, key=lambda c: c[0]):
@@ -276,11 +277,10 @@ def format_report(report: AuditReport, verbose: bool = False) -> str:
         worst = float(np.fmax.reduce(column, initial=math.nan))  # nan-ignoring
         tag = "required" if required else "info"
         extra = f", undefined at {undefined}/{column.size} draws" if undefined else ""
-        lines.append(f"  {name:24s} worst |closed-oracle| = {worst:.3e} "
-                     f"[{tag}]{extra}")
-    lines.append(
+        out.write(f"  {name:24s} worst |closed-oracle| = {worst:.3e} "
+                  f"[{tag}]{extra}\n")
+    out.write(
         f"required terms: worst error {report.worst_required_error:.3e} "
         f"(tolerance {AUDIT_TOL:.0e}) -> "
-        + ("PASS" if report.passed else "FAIL")
+        + ("PASS" if report.passed else "FAIL") + "\n"
     )
-    return "\n".join(lines)

@@ -56,7 +56,8 @@ __all__ = [
 MAX_SWEEP_ROWS = 100_000
 
 #: Most draws an audit may ask for, at about 0.6 KB each: peak RSS is 37 MB at
-#: one draw and 99 MB at 100,000 (102 MB with --out, which streams its lines).
+#: one draw and 99 MB at 100,000 (102-103 MB with --out or --verbose, which
+#: stream their lines).
 MAX_AUDIT_DRAWS = 100_000
 
 
@@ -524,7 +525,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         with open(args.out, "w") as out:
             rows_to_csv(report, out)
         print(f"wrote {args.out} ({report.row_count} rows)")
-    print(format_report(report, verbose=args.verbose))
+    format_report(report, sys.stdout, verbose=args.verbose)
     return 0 if report.passed else 2
 
 

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "DomainError",
     "GridBudgetError",
+    "MAX_GRID_POINTS",
     "PSD_SLACK",
     "theta",
     "CorrelationTriple",
@@ -37,6 +38,11 @@ class DomainError(ValueError):
 class GridBudgetError(RuntimeError):
     """The requested exhaustive search exceeds the evaluation budget."""
 
+
+#: Most points or evaluations an exhaustive search may take: the Gaussian
+#: coarse grid (the 0.01 grid has 201^3 = 8.1M points) and its descents (3
+#: passes take at most 900), and the discrete sup-inf's ``max_evaluations``.
+MAX_GRID_POINTS = 10_000_000
 
 #: Tolerance on the correlation-matrix determinant when testing feasibility.
 PSD_SLACK = 1e-12

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import (DomainError, GridBudgetError, RateBreakdown,
+from .core import (MAX_GRID_POINTS, DomainError, GridBudgetError, RateBreakdown,
                    effective_leakages, rate_terms, secure_rates)
 
 __all__ = [
@@ -356,10 +356,13 @@ def sup_inf_rate(
     trivial.  It is not monotone in ``grid_resolution`` otherwise: on a
     channel with 2x2x2 inputs and BSC(0.2) collusion taps, m = 2 gives
     0.3121 and m = 3 gives 0.2825.  The finer-grid inner recheck at r_star
-    is reported as ``refined_rate`` to expose any inner coarseness.
+    is reported as ``refined_rate`` to expose any inner coarseness.  A
+    budget above MAX_GRID_POINTS is refused before anything is counted.
     """
     if not (0.0 < grid_resolution <= 1.0):
         raise DomainError(f"grid resolution must lie in (0, 1], got {grid_resolution!r}")
+    if max_evaluations > MAX_GRID_POINTS:
+        raise GridBudgetError(f"max_evaluations may be at most {MAX_GRID_POINTS}")
     # The grids have more points in all than m unless every alphabet has one
     # letter.  Checked before rounding: 1/resolution can overflow to inf.
     if 1.0 / grid_resolution > max_evaluations:

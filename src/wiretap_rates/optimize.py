@@ -22,6 +22,7 @@ from .core import (
     CorrelationTriple,
     DomainError,
     GridBudgetError,
+    MAX_GRID_POINTS,
     RateBreakdown,
     correlation_determinant,
     effective_leakages,
@@ -32,7 +33,6 @@ from .gaussian import GeneralGaussianParams, strip_jamming
 from .oracle import _general_main_term, general_rate_terms_grid
 
 __all__ = [
-    "MAX_GRID_POINTS",
     "SearchConfig",
     "OptimizationResult",
     "correlation_grid_axis",
@@ -44,10 +44,6 @@ _MAX_SWEEPS_PER_PASS = 25
 # Most cells per coarse chunk: one row of the 0.01 grid.  A 0.01 search took
 # 0.43 s in 1-row chunks, 0.48-0.55 s in 2-6 (2-vCPU Xeon, 2 MB L2 per core).
 _CHUNK_TARGET = 50_000
-
-#: Most points the coarse grid may have (the 0.01 grid has 201^3 = 8.1M),
-#: and most evaluations the descents may take (3 passes take at most 900).
-MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)

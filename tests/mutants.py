@@ -78,6 +78,25 @@ MUTANTS = (
         "if self.max_evaluations < 0:",
         ("tests/test_cli.py::test_dm_budget_below_one_is_config_error[0]",),
     ),
+    # The cap on the sup-inf budget.
+    Mutant(
+        "sup_inf_rate accepts any max_evaluations",
+        "discrete.py",
+        "    if max_evaluations > MAX_GRID_POINTS:\n"
+        '        raise GridBudgetError(f"max_evaluations may be at most {MAX_GRID_POINTS}")\n',
+        "",
+        ("tests/test_discrete.py::"
+         "test_sup_inf_refuses_a_budget_above_the_cap_before_any_grid",
+         "tests/test_cli.py::test_dm_budget_above_the_cap_exits_with_one_line[1e300]"),
+    ),
+    Mutant(
+        "sup_inf_rate refuses a budget of MAX_GRID_POINTS itself",
+        "discrete.py",
+        "if max_evaluations > MAX_GRID_POINTS:",
+        "if max_evaluations >= MAX_GRID_POINTS:",
+        ("tests/test_discrete.py::"
+         "test_sup_inf_refuses_a_budget_above_the_cap_before_any_grid",),
+    ),
     # Tolerances, each loosened 1000x.
     Mutant(
         "pmf normalization bound 1e-9 -> 1e-6",

@@ -136,14 +136,14 @@ def test_audit_pass_rule():
         rep = AuditReport(0, 1, tables)
         assert math.isnan(rep.worst_required_error)
         assert not rep.passed
-        assert "FAIL" in format_report(rep).splitlines()[-1]
-        verbose = format_report(rep, verbose=True).splitlines()
+        assert "FAIL" in report_text(rep).splitlines()[-1]
+        verbose = report_text(rep, verbose=True).splitlines()
         assert [ln.endswith("FAIL") for ln in verbose[1:3]] == \
             [t is undefined for t in tables]
     # ... and an undefined informational cell passes.
     rep = AuditReport(0, 1, (fine, _one_cell(math.nan, False, "info")))
     assert rep.worst_required_error <= AUDIT_TOL and rep.passed
-    verbose = format_report(rep, verbose=True).splitlines()
+    verbose = report_text(rep, verbose=True).splitlines()
     assert verbose[2].endswith("[info] ok")
     assert "undefined at 1/1 draws" in verbose[3]
 
@@ -167,6 +167,13 @@ def csv_text(report):
     return out.getvalue()
 
 
+def report_text(report, verbose=False):
+    """What format_report writes for ``report``."""
+    out = io.StringIO()
+    format_report(report, out, verbose)
+    return out.getvalue()
+
+
 def test_rows_to_csv_shape():
     rep = run_audit(seed=2, draws=2)
     text = csv_text(rep)
@@ -187,11 +194,29 @@ def test_rows_to_csv_is_deterministic():
     assert csv_text(run_audit(seed=4, draws=2)) == csv_text(run_audit(seed=4, draws=2))
 
 
+def test_format_report_writes_each_line_as_it_is_made():
+    rep = run_audit(seed=1, draws=2)
+
+    class Lines(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            assert text.endswith("\n") and text.count("\n") == 1, text
+            self.writes += 1
+            return super().write(text)
+
+    out = Lines()
+    format_report(rep, out, verbose=True)
+    # Header, one line per cell, one summary line per column, verdict.
+    assert out.writes == 1 + rep.row_count + 14 + 1
+    assert out.getvalue() == report_text(rep, verbose=True)
+
+
 def test_format_report_verdict_line():
     rep = run_audit(seed=1, draws=2)
-    text = format_report(rep)
+    text = report_text(rep)
     assert "PASS" in text.splitlines()[-1]
-    verbose = format_report(rep, verbose=True)
+    verbose = report_text(rep, verbose=True)
     assert len(verbose.splitlines()) > len(text.splitlines())
 
 

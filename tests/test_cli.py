@@ -20,7 +20,7 @@ from wiretap_rates.cli import (
     sweep_values,
     write_csv,
 )
-from wiretap_rates.core import DomainError, GridBudgetError
+from wiretap_rates.core import MAX_GRID_POINTS, DomainError, GridBudgetError
 from wiretap_rates.gaussian import rate_orthogonal, strip_jamming
 from wiretap_rates.optimize import minimize_rate, optimize_general
 from wiretap_rates.oracle import general_rate_terms_grid
@@ -383,6 +383,21 @@ def test_audit_command_writes_rows(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_audit_verbose_stdout_is_the_report_with_one_line_per_cell(tmp_path, capsys):
+    assert main(["audit", "--draws", "3"]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    rows = tmp_path / "rows.csv"
+    assert main(["audit", "--draws", "3", "--verbose", "--out", str(rows)]) == 0
+    wrote, *verbose = capsys.readouterr().out.splitlines()
+    assert wrote == f"wrote {rows} (42 rows)"
+    cells = verbose[1:len(verbose) - len(plain) + 1]
+    assert [verbose[0], *verbose[len(cells) + 1:]] == plain
+    # One line per CSV row, in the CSV's order.
+    assert [ln.split()[1:3] for ln in cells] == \
+        [row.split(",")[:2] for row in rows.read_text().splitlines()[1:]]
+    assert len(cells) == 42 and all(ln.endswith(" ok") for ln in cells)
+
+
 def test_audit_command_failure_exit_code(monkeypatch, capsys):
     import wiretap_rates.cli as cli
 
@@ -460,6 +475,15 @@ def test_dm_over_budget_exits_with_one_line(tmp_path, capsys):
     path = dm_config(tmp_path, grid_resolution=0.05, max_evaluations=3)
     assert main(["dm", "--config", path]) == 1
     assert_one_line_error(capsys, "budget error")
+
+
+@pytest.mark.parametrize("budget", [MAX_GRID_POINTS + 1, 1e300], ids=["cap+1", "1e300"])
+def test_dm_budget_above_the_cap_exits_with_one_line(tmp_path, capsys, budget):
+    # Within the cap, this degraded channel at step 0.001 takes 1,002 evaluations.
+    path = dm_config(tmp_path, grid_resolution=0.001, max_evaluations=budget)
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(
+        capsys, f"budget error: max_evaluations may be at most {MAX_GRID_POINTS}")
 
 
 @pytest.mark.parametrize("budget", [0, -3])

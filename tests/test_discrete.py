@@ -26,7 +26,7 @@ from wiretap_rates.discrete import (
     simplex_grid,
     sup_inf_rate,
 )
-from wiretap_rates.core import DomainError, GridBudgetError
+from wiretap_rates.core import MAX_GRID_POINTS, DomainError, GridBudgetError
 
 
 def h2(p: float) -> float:
@@ -388,6 +388,21 @@ def test_sup_inf_checks_budget_before_building_grids(monkeypatch):
     with pytest.raises(GridBudgetError,
                        match=r"194481 outer x 1771 inner \+ 12341 recheck"):
         sup_inf_rate(ch, 0.05)
+
+
+def test_sup_inf_refuses_a_budget_above_the_cap_before_any_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("grid built before the budget cap")
+
+    monkeypatch.setattr(discrete, "legitimate_input_grid", refuse)
+    monkeypatch.setattr(discrete, "simplex_grid", refuse)
+    ch = bsc_tap_channel(0.05, 0.3, 0.3, 0.2, 0.2)
+    # The grids at step 0.001 count about 1.7e20 evaluations, within the budget.
+    for budget in (MAX_GRID_POINTS + 1, 10**300):
+        with pytest.raises(GridBudgetError, match=f"at most {MAX_GRID_POINTS}$"):
+            sup_inf_rate(ch, 0.001, budget)
+    monkeypatch.undo()
+    assert sup_inf_rate(ch, 0.5, MAX_GRID_POINTS).evaluations == 81 * 10 + 35
 
 
 def test_build_orthogonal_dm_pairs_outputs():
