@@ -3,15 +3,18 @@
 The adversarial coordination of the two eavesdropper transmissions is a
 choice of (rho_1, rho_2, rho_12) inside the elliptope (the set of valid 3x3
 correlation matrices).  The searcher is deliberately simple and fully
-deterministic: an exhaustive coarse grid over the valid set followed by
-coordinate descent with shrinking steps around the incumbent.  Ties are
-broken toward the lexicographically smallest triple in grid order, and
-repeated runs produce identical results regardless of BLAS threading since
-all reductions are order-fixed.
+deterministic: a coarse grid over the valid set followed by coordinate
+descent with shrinking steps around the incumbent.  The grid is walked as
+lines of rho_12, those with the least lower bounds on the rate first, and
+the walk stops once no line left can hold a grid minimum; the result is the
+exhaustive grid's.  Ties are broken toward the lexicographically smallest
+triple in grid order, and repeated runs produce identical results
+regardless of BLAS threading since all reductions are order-fixed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -30,7 +33,7 @@ from .core import (
     valid_correlation,
 )
 from .gaussian import GeneralGaussianParams, strip_jamming
-from .oracle import _general_main_term, general_rate_terms_grid
+from .oracle import _general_main_term, general_line_bounds, general_rate_terms_grid
 
 __all__ = [
     "SearchConfig",
@@ -41,9 +44,12 @@ __all__ = [
 ]
 
 _MAX_SWEEPS_PER_PASS = 25
-# Most cells per coarse chunk: one row of the 0.01 grid.  A 0.01 search took
-# 0.43 s in 1-row chunks, 0.48-0.55 s in 2-6 (2-vCPU Xeon, 2 MB L2 per core).
-_CHUNK_TARGET = 50_000
+# Most cells per coarse chunk of lines: 199 lines of the 0.01 grid.  From
+# 20,000 to 50,000 cells per chunk a 0.01 search ran at the same speed.
+_CHUNK_TARGET = 40_000
+# Bits by which a line's bound must exceed an incumbent to rule the line out;
+# far above the round-off of the bound and the rates.
+_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,10 @@ class OptimizationResult:
 
     rho_star      minimizing triple.
     rate          full breakdown of the objective at rho_star.
-    evaluations   number of valid triples evaluated by the coarse grid and
-                  the descents; the final read of the terms at rho_star is
-                  not counted.
+    evaluations   number of valid triples of the coarse grid, evaluated or
+                  ruled out by their line's bound, plus those the descents
+                  evaluated; the final read of the terms at rho_star is not
+                  counted.
     on_boundary   True when the correlation-matrix determinant at rho_star
                   is at most coarse_resolution^2, i.e. the optimum sits on
                   (or numerically at) the edge of the valid set.
@@ -130,8 +137,19 @@ GridObjective = Callable[
 ]
 
 
+# bound(rho_1, rho_2): for each line of rho_12 at the broadcast (rho_1, rho_2),
+# one lower bound per main term of the objective on its secure rate at every
+# valid rho_12 of the line; each broadcastable to the lines.  NaN bounds no
+# line.  Every objective meets the zero bound, since secure rates are >= 0.
+LineBound = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray | float, ...]]
+
 # A search point: (secure rate, (rho_1, rho_2, rho_12)).
 _Point = tuple[float, tuple[float, float, float]]
+
+# A grid cell as the walk compares them: (secure rate, flat index in C order),
+# so the least pair is the first strictly smallest cell.  _NO_CELL is none.
+_Cell = tuple[float, int]
+_NO_CELL = (math.inf, math.inf)
 
 
 def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndarray,
@@ -157,11 +175,48 @@ def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndar
     return out, valid, int(np.count_nonzero(valid))
 
 
-def _grid_point(axis: np.ndarray, view: np.ndarray, k: int, first: tuple) -> _Point:
-    """The rate at flat index k of a view of the grid's rates, and its triple;
-    the view's cell [0, 0, 0] is the triple at axis indices ``first``."""
-    at = np.unravel_index(k, view.shape)
-    return float(view[at]), tuple(float(axis[f + i]) for f, i in zip(first, at))
+def _grid_point(axis: np.ndarray, cell: _Cell) -> _Point:
+    """A grid cell's rate and triple."""
+    n = axis.size
+    return cell[0], tuple(float(axis[i]) for i in np.unravel_index(cell[1], (n, n, n)))
+
+
+@functools.cache
+def _valid_cells(resolution: float) -> int:
+    """The valid triples of the grid at ``resolution``, a rho_1 row at a time
+    by the walk's determinant and mask; counted once per resolution."""
+    axis = correlation_grid_axis(resolution)
+    r2, r12 = axis[:, None], axis[None, :]
+    return sum(int(np.count_nonzero(valid_correlation(r1, r2, r12))) for r1 in axis)
+
+
+def _chunk_winners(sec: np.ndarray, valid: np.ndarray, lines: np.ndarray,
+                   inner: np.ndarray) -> tuple[_Cell, _Cell]:
+    """The least cell of a chunk of lines (rows of ``sec``, numbered
+    ``lines``), and the least off the edges; ``inner`` marks the lines off
+    the edges.  With no finite rate the first valid cell is the least, and
+    no cell off the edges is."""
+    n = sec.shape[1]
+    rows = np.arange(lines.size)
+    # The first least interior cell of each line, then its two ends.
+    k_in = np.argmin(sec[:, 1:-1], axis=1) + 1
+    least_in = sec[rows, k_in]
+    first, last = sec[:, 0], sec[:, -1]
+    k = np.where(first <= np.minimum(least_in, last), 0,
+                 np.where(least_in <= last, k_in, n - 1))
+    whole = _least_cell(sec[rows, k], lines * n + k)
+    if whole[0] == math.inf:
+        k = np.argmax(valid, axis=1)
+        has = valid[rows, k]
+        whole = (math.inf, int((lines * n + k)[has].min())) if has.any() else _NO_CELL
+    off_edge = _least_cell(np.where(inner, least_in, math.inf), lines * n + k_in)
+    return whole, (off_edge if off_edge[0] < math.inf else _NO_CELL)
+
+
+def _least_cell(rates: np.ndarray, flat: np.ndarray) -> _Cell:
+    """The least (rate, flat index) pair of NaN-free rates."""
+    least = rates.min()
+    return float(least), int(flat[rates == least].min())
 
 
 def _descend(terms: GridObjective, i: int, cfg: SearchConfig, best: _Point):
@@ -185,23 +240,71 @@ def _descend(terms: GridObjective, i: int, cfg: SearchConfig, best: _Point):
     return best, evaluations
 
 
-def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> list[OptimizationResult]:
+def _walk_plan(bound: LineBound, axis: np.ndarray, starts: np.ndarray):
+    """The order in which the coarse walk visits the lines of rho_12, and per
+    objective, for each chunk of that order (from the visit positions
+    ``starts``): the least bound of the lines from that chunk on, and the
+    first of them in C order that the margin alone cannot rule out for a
+    rate of 0.
+
+    Line l is (axis[l // n], axis[l % n]); its cells have flat indices l * n
+    to l * n + n - 1.  Each objective ranks the lines by its bound, ties in C
+    order, and each line is visited at its best rank, ties in C order, so
+    every objective's most promising lines come first.  Only the order
+    outlives the call, not its O(n^2) working arrays.
+    """
+    n = axis.size
+    lower = [np.broadcast_to(np.asarray(b, dtype=float), (n, n)).ravel()
+             for b in bound(axis[:, None], axis[None, :])]
+    line = np.arange(n * n)
+    best_rank = np.full(n * n, n * n)
+    rank = np.empty_like(line)
+    for b in lower:
+        rank[np.argsort(b, kind="stable")] = line
+        np.minimum(best_rank, rank, out=best_rank)
+    best_rank *= n * n
+    best_rank += line
+    order = np.argsort(best_rank)  # distinct keys: any sort is stable
+    # Freed before the suffix arrays are made, so the plan's peak stays near
+    # that of one chunk's rates.
+    del line, rank, best_rank
+    reach, first_open = [], []
+    for b in lower:
+        b = b[order]
+        reach.append(np.minimum.accumulate(np.minimum.reduceat(b, starts)[::-1])[::-1])
+        open_line = np.where(b > _BOUND_MARGIN, n * n, order)
+        first_open.append(
+            np.minimum.accumulate(np.minimum.reduceat(open_line, starts)[::-1])[::-1])
+    return order, reach, first_open
+
+
+def minimize_rate(terms: GridObjective, bound: LineBound,
+                  cfg: SearchConfig) -> list[OptimizationResult]:
     """Minimize secrecy-rate objectives over valid correlation triples.
 
     Returns one result per main term of ``terms`` (see ``GridObjective``), in
     order, each what a search of that objective alone gives; the secure rate
-    combines the terms as :func:`wiretap_rates.core.secure_rates` does.  The
-    coarse stage calls ``terms`` once per chunk of leading rho_1 rows of the
-    grid at ``cfg.coarse_resolution``, on the broadcast views (rows, 1, 1),
-    (1, n, 1), (1, 1, n) of its axis.  Invalid triples are masked off and not
-    counted as evaluations; the first strictly smallest rate in C order, which
-    is lexicographic order, wins.  Coordinate descent then shrinks the step by
-    ``cfg.refine_shrink`` each pass and sweeps the three coordinates,
-    accepting only strictly improving, valid moves.  When the coarse minimum
-    lies on an edge of the valid set (some |rho| = 1), a second descent starts
-    from the best grid point off the edges, and the lower result wins, so the
-    rate never exceeds any coarse grid point's.  One more call reads the four
-    terms at the winning triple.  Errors of ``terms`` propagate.
+    combines the terms as :func:`wiretap_rates.core.secure_rates` does.
+    ``bound`` gives one lower bound per main term on each line of rho_12 (see
+    ``LineBound``).  The coarse stage walks the grid at
+    ``cfg.coarse_resolution`` as its lines of rho_12, in chunks of whole
+    lines, calling ``terms`` once per chunk on the broadcast views (lines,
+    1), (lines, 1), (1, n) of its axis.  Each objective ranks the lines by
+    its bound, and each line is visited at its best rank, ties in C order.
+    The least cell of the whole grid and the least off its edges are kept
+    per objective as (rate, flat index); the walk stops once every line left
+    is ruled out for all of them: its bound exceeds the rate by more than
+    _BOUND_MARGIN, or the rate is 0 and its cell comes first in C order.  A
+    NaN bound rules no line out.  So the result is that of the exhaustive
+    grid: invalid triples are masked off, and the first strictly smallest
+    rate in C order, which is lexicographic order, wins.
+    Coordinate descent then shrinks the step by ``cfg.refine_shrink`` each
+    pass and sweeps the three coordinates, accepting only strictly
+    improving, valid moves.  When the coarse minimum lies on an edge of the
+    valid set (some |rho| = 1), a second descent starts from the best grid
+    point off the edges, and the lower result wins, so the rate never
+    exceeds any coarse grid point's.  One more call reads the four terms at
+    the winning triple.  Errors of ``terms`` and ``bound`` propagate.
 
     Raises GridBudgetError, before the grid is built, when the descents
     could take more than MAX_GRID_POINTS evaluations.
@@ -216,38 +319,40 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> list[OptimizationR
         )
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
+    # Counted before the walk's arrays exist, so their peaks do not add up.
+    evaluations = _valid_cells(cfg.coarse_resolution)
 
-    # By objective, the first strictly smallest grid point, and off the edges
-    # of the valid set (every |rho| < 1).  Every chunk holds a valid triple.
-    best: dict[int, _Point] = {}
-    best_off_edge: dict[int, _Point] = {}
-    evaluations = 0
+    chunk_starts = np.arange(0, n * n, max(1, _CHUNK_TARGET // n))
+    order, reach, first_open = _walk_plan(bound, axis, chunk_starts)
+
+    def ruled_out(cell: _Cell, i: int, c: int) -> bool:
+        """Whether no line from chunk c on can beat ``cell``."""
+        rate, flat = cell
+        if rate == 0.0:
+            return first_open[i][c] > flat // n
+        return reach[i][c] > rate + _BOUND_MARGIN
+
+    # By objective, the least cell of the grid, and off the edges of the
+    # valid set (every |rho| < 1).
+    best = [_NO_CELL] * len(reach)
+    best_off_edge = [_NO_CELL] * len(reach)
 
     # Each chunk's rates reuse the previous chunk's arrays: new ones per chunk
     # made the heap shrink and regrow, 20,000 page faults per 0.01 point.
-    rows_per_chunk = max(1, _CHUNK_TARGET // (n * n))
-    r2, r12 = axis[None, :, None], axis[None, None, :]
+    r12 = axis[None, :]
     rates = None
-    for start in range(0, n, rows_per_chunk):
-        r1 = axis[start : start + rows_per_chunk, None, None]
-        rates, valid, used = _evaluate(terms, r1, r2, r12, out=rates)
-        evaluations += used
-        # The axis holds +-1 only at its ends, so the cells off the edges are
-        # the chunk's view of the axis rows 1 to n - 2 and the inner columns
-        # of both other correlations.
-        lo = max(start, 1)
+    for c, lines in enumerate(np.split(order, chunk_starts[1:]), start=1):
+        i1, i2 = lines // n, lines % n
+        rates, valid, _ = _evaluate(terms, axis[i1, None], axis[i2, None], r12, out=rates)
+        # The axis holds +-1 only at its ends.
+        inner = (0 < i1) & (i1 < n - 1) & (0 < i2) & (i2 < n - 1)
         for i, sec in enumerate(rates):
-            k = int(np.argmin(sec))
-            if sec.flat[k] == np.inf:  # no finite rate: the first valid cell
-                k = int(np.argmax(valid))
-            found = _grid_point(axis, sec, k, (start, 0, 0))
-            if i not in best or found[0] < best[i][0]:
-                best[i] = found
-            inner = sec[lo - start : n - 1 - start, 1:-1, 1:-1]
-            if inner.size:
-                found = _grid_point(axis, inner, int(np.argmin(inner)), (lo, 1, 1))
-                if found[0] < best_off_edge.get(i, (np.inf,))[0]:
-                    best_off_edge[i] = found
+            whole, off_edge = _chunk_winners(sec, valid, lines, inner)
+            best[i] = min(best[i], whole)
+            best_off_edge[i] = min(best_off_edge[i], off_edge)
+        if c < chunk_starts.size and all(ruled_out(cell, i, c) for i in range(len(reach))
+                                         for cell in (best[i], best_off_edge[i])):
+            break
 
     # On an edge of the valid set (some |rho| = 1) the rate can tie exactly
     # with points off it, and coordinate descent cannot follow the edge:
@@ -255,10 +360,11 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> list[OptimizationR
     # minimum sits on an edge, the best point off the edges is refined too,
     # and the lower result wins (the edge start on a tie).
     results = []
-    for i, grid_min in best.items():
+    for i, cell in enumerate(best):
+        grid_min = _grid_point(axis, cell)
         starts = [grid_min]
-        if i in best_off_edge and max(map(abs, grid_min[1])) == 1.0:
-            starts.append(best_off_edge[i])
+        if best_off_edge[i] != _NO_CELL and max(map(abs, grid_min[1])) == 1.0:
+            starts.append(_grid_point(axis, best_off_edge[i]))
         descents = [_descend(terms, i, cfg, start) for start in starts]
         _, rho = min((end for end, _ in descents), key=lambda end: end[0])
         rho_star = CorrelationTriple(*rho)
@@ -275,11 +381,17 @@ def minimize_rate(terms: GridObjective, cfg: SearchConfig) -> list[OptimizationR
 def optimize_general(p: GeneralGaussianParams,
                      cfg: SearchConfig) -> tuple[OptimizationResult, OptimizationResult]:
     """Worst-case coordination of the eavesdroppers in the shared-band model:
-    the searches without jamming (R_njg) and with it (R_g), from one walk.
+    the searches without jamming (R_njg) and with it (R_g), from one walk."""
+    return tuple(minimize_rate(*_general_objective(p), cfg))
+
+
+def _general_objective(p: GeneralGaussianParams) -> tuple[GridObjective, LineBound]:
+    """The (R_njg, R_g) objective of :func:`optimize_general` and its bound.
 
     Jamming enters only the main term of :func:`general_rate_terms_grid`, so
     both share its leakages; the main term of ``strip_jamming(p)`` does not
-    depend on the correlations and is computed once.
+    depend on the correlations and is computed once.  Each line's bounds
+    come from :func:`general_line_bounds`, with that constant for R_njg.
     """
     main_njg = _general_main_term(strip_jamming(p), 0.0, 0.0, 0.0)
 
@@ -287,4 +399,8 @@ def optimize_general(p: GeneralGaussianParams,
         main, *leakages = general_rate_terms_grid(p, r1, r2, r12, det)
         return (main_njg, main), *leakages
 
-    return tuple(minimize_rate(terms, cfg))
+    def bound(r1, r2):
+        main, leakage = general_line_bounds(p, r1, r2)
+        return secure_rates(main_njg, leakage), secure_rates(main, leakage)
+
+    return terms, bound

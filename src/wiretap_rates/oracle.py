@@ -24,6 +24,8 @@ of one, so the audit's blocks and the scalar calls share each definition.
 :func:`general_rate_terms_grid` evaluates the same four shared-band terms
 over arrays of correlation triples from output variances, without assembling
 a covariance or masking invalid triples; tests compare it with the log-det route.
+:func:`general_line_bounds` bounds its main term below and its effective
+leakage above over each line of valid rho_12, so a search can skip lines.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ import numpy as np
 from .core import (
     CorrelationTriple,
     DomainError,
+    PSD_SLACK,
     RateBreakdown,
     correlation_determinant,
+    effective_leakages,
     rate_terms,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
@@ -51,6 +55,7 @@ __all__ = [
     "rate_general_oracle",
     "rate_orthogonal_oracle",
     "general_rate_terms_grid",
+    "general_line_bounds",
     "GENERAL_LABELS",
     "ORTHOGONAL_LABELS",
 ]
@@ -409,10 +414,11 @@ def general_rate_terms_grid(
               v = var(X_l | X_1e, X_2e) in independent noises:
               1/2 * log2(1 + v * (h_l_1e^2 / N_1e + h_l_2e^2 / N_2e)).
 
-    Each term has the shape its own correlations broadcast to, so on grid
-    views (k,1,1), (1,n,1), (1,1,n) only the main and joint terms, built in
-    place, cost k*n*n.  No determinant of an assembled covariance is taken,
-    so the terms keep full precision up to the edge of the valid set.
+    Each term has the shape its own correlations broadcast to, so on the
+    search's views (L,1), (L,1), (1,n) of L lines of rho_12 only the main and
+    joint terms, built in place, cost L*n.  No determinant of an assembled
+    covariance is taken, so the terms keep full precision up to the edge of
+    the valid set.
     Values at triples outside it are unspecified; the search masks them.
 
     ``det``, when given, is ``correlation_determinant(rho_1, rho_2, rho_12)``
@@ -423,9 +429,37 @@ def general_rate_terms_grid(
     """
     r1, r2, r12 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2, rho_12))
     main = _general_main_term(p, r1, r2, r12)
+    single_1, single_2 = _general_single_terms(p, r1, r2)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # joint: var(X_l | X_1e, X_2e) / P_l.  A zero-power input carries no
+        # information, so its correlations are zeroed, and with |rho_12| = 1
+        # X_2e is a function of X_1e.  Conditioning on both inputs leaves at
+        # most what either one leaves, 1 - max(rho_1^2, rho_2^2); near
+        # |rho_12| = 1 the determinant ratio is a cancelled difference over a
+        # tiny divisor, so it is held to that bound.
+        both = p.P_1e > 0.0 and p.P_2e > 0.0
+        q1, q2 = _heard_correlations(p, r1, r2)
+        q12 = r12 if both else 0.0
+        if det is None or not both:
+            det = correlation_determinant(q1, q2, q12)
+        joint = np.asarray(det)
+        joint /= (1.0 - q12) * (1.0 + q12)
+        np.copyto(joint, 1.0 - q1 * q1, where=np.abs(q12) >= 1.0)
+        np.minimum(joint, 1.0 - np.maximum(q1 * q1, q2 * q2), out=joint)
+    return main, _joint_bits(p, joint), single_1, single_2
+
+
+def _heard_correlations(p: GeneralGaussianParams, r1, r2):
+    """rho_1 and rho_2 as the joint term reads them: a zero-power input
+    carries no information, so its correlation with X_l is 0."""
+    return (r1 if p.P_1e > 0.0 else 0.0), (r2 if p.P_2e > 0.0 else 0.0)
+
+
+def _general_single_terms(p: GeneralGaussianParams, r1, r2):
+    """The single leakages of :func:`general_rate_terms_grid`."""
     # Standard deviations of the inputs, folded into the gains below.
     sd_l, sd_1, sd_2 = math.sqrt(p.P_l), math.sqrt(p.P_1e), math.sqrt(p.P_2e)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # single_j: signal power at Y_je, split into the part along X_l and
         # the rest of the other eavesdropper's input.
@@ -435,27 +469,53 @@ def general_rate_terms_grid(
         signal_2 = (b2 + c2 * r1) ** 2 + c2 * c2 * (1.0 - r1 * r1)
         single_1 = 0.5 * np.log2(1.0 + signal_1 / p.N_1e)
         single_2 = 0.5 * np.log2(1.0 + signal_2 / p.N_2e)
+    return single_1, single_2
 
-        # joint: var(X_l | X_1e, X_2e) / P_l.  A zero-power input carries no
-        # information, so its correlations are zeroed, and with |rho_12| = 1
-        # X_2e is a function of X_1e.  Conditioning on both inputs leaves at
-        # most what either one leaves, 1 - max(rho_1^2, rho_2^2); near
-        # |rho_12| = 1 the determinant ratio is a cancelled difference over a
-        # tiny divisor, so it is held to that bound.
-        both = p.P_1e > 0.0 and p.P_2e > 0.0
-        q1 = r1 if p.P_1e > 0.0 else 0.0
-        q2 = r2 if p.P_2e > 0.0 else 0.0
-        q12 = r12 if both else 0.0
-        if det is None or not both:
-            det = correlation_determinant(q1, q2, q12)
-        joint = np.asarray(det)
-        joint /= (1.0 - q12) * (1.0 + q12)
-        np.copyto(joint, 1.0 - q1 * q1, where=np.abs(q12) >= 1.0)
-        np.minimum(joint, 1.0 - np.maximum(q1 * q1, q2 * q2), out=joint)
-        np.maximum(joint, 0.0, out=joint)
-        joint *= p.P_l
-        joint *= p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
-        joint += 1.0
-        np.log2(joint, out=joint)
-        joint *= 0.5
-    return main, joint, single_1, single_2
+
+def _joint_bits(p: GeneralGaussianParams, residual: np.ndarray) -> np.ndarray:
+    """The joint term from var(X_l | X_1e, X_2e) / P_l, in place; every step is
+    monotone, so a larger residual never gives a smaller term."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.maximum(residual, 0.0, out=residual)
+        residual *= p.P_l
+        residual *= p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
+        residual += 1.0
+        np.log2(residual, out=residual)
+        residual *= 0.5
+    return residual
+
+
+def general_line_bounds(
+    p: GeneralGaussianParams, rho_1: np.ndarray, rho_2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Over each line of valid rho_12 at broadcastable (rho_1, rho_2): a lower
+    bound on the main term of :func:`general_rate_terms_grid` and an upper
+    bound on its effective leakage, each in O(1) per line.
+
+    Valid rho_12 lie within rho_1 rho_2 +- sqrt((1 - rho_1^2)(1 - rho_2^2) +
+    PSD_SLACK), the triples whose determinant is at least -PSD_SLACK.  The
+    single leakages do not depend on rho_12.  The joint term is at most its
+    own clamp, 1/2 log2(1 + P_l (h_l_1e^2/N_1e + h_l_2e^2/N_2e)(1 -
+    max(rho_1^2, rho_2^2))), a zero-power input's rho taken as 0.  The main
+    term's conditional variance is linear in rho_12 with slope
+    2 h_1e_l h_2e_l sqrt(P_1e P_2e), so the main term is least at the end
+    of that interval, clipped to [-1, 1], on the side of the slope's sign.
+    Each bound is computed with the grid's own steps, which are monotone in
+    the value they bound.
+    """
+    r1, r2 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2))
+    # The slope's sign, from the factor the main term scales rho_12 by.
+    j1, j2 = p.h_1e_l * math.sqrt(p.P_1e), p.h_2e_l * math.sqrt(p.P_2e)
+    # In place: the bounds cover every line of the grid at once.
+    end = (1.0 - r1 * r1) * (1.0 - r2 * r2)
+    end += PSD_SLACK
+    np.sqrt(end, out=end)
+    end *= np.sign(2.0 * j1 * j2)
+    end += r1 * r2
+    np.clip(end, -1.0, 1.0, out=end)
+    main = _general_main_term(p, r1, r2, end)
+    del end
+    q1, q2 = _heard_correlations(p, r1, r2)
+    cap = np.array(np.maximum(q1 * q1, q2 * q2), dtype=float)
+    np.subtract(1.0, cap, out=cap)
+    return main, effective_leakages(_joint_bits(p, cap), *_general_single_terms(p, r1, r2))

@@ -163,7 +163,7 @@ MUTANTS = (
     Mutant(
         "no second descent from off the edges",
         "optimize.py",
-        "            starts.append(best_off_edge[i])",
+        "            starts.append(_grid_point(axis, best_off_edge[i]))",
         "            pass",
         ("tests/test_optimize.py::"
          "test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge",),
@@ -171,10 +171,39 @@ MUTANTS = (
     Mutant(
         "the last strictly smallest grid chunk wins a tie",
         "optimize.py",
-        "if i not in best or found[0] < best[i][0]:",
-        "if i not in best or found[0] <= best[i][0]:",
-        ("tests/test_optimize.py::test_broadcast_walk_matches_materialized_walk[flat-1]",
-         "tests/test_optimize.py::test_optimize_general_pinned_results[fig3a-P_l-20-jamming]"),
+        "best[i] = min(best[i], whole)",
+        "best[i] = whole if whole[0] <= best[i][0] else best[i]",
+        ("tests/test_optimize.py::test_broadcast_walk_matches_materialized_walk[flat-1]",),
+    ),
+    Mutant(
+        "the last least line of a chunk wins a tie",
+        "optimize.py",
+        "int(flat[rates == least].min())",
+        "int(flat[rates == least].max())",
+        ("tests/test_optimize.py::test_broadcast_walk_matches_materialized_walk[flat-default]",),
+    ),
+    # The early stop of the coarse walk and the line bounds it reads.
+    Mutant(
+        "the main term's bound taken at the wrong end of the rho_12 interval",
+        "oracle.py",
+        "end *= np.sign(2.0 * j1 * j2)",
+        "end *= -np.sign(2.0 * j1 * j2)",
+        ("tests/test_optimize.py::test_line_bounds_hold_on_every_valid_cell[pool-16]",
+         "tests/test_optimize.py::test_line_bounds_hold_on_every_valid_cell[gen-point]"),
+    ),
+    Mutant(
+        "a rate of 0 rules out every line, not only those after it in C order",
+        "optimize.py",
+        "return first_open[i][c] > flat // n",
+        "return True",
+        ("tests/test_optimize.py::test_a_zero_found_first_leaves_the_lines_before_it_open",),
+    ),
+    Mutant(
+        "a NaN bound rules its line out",
+        "optimize.py",
+        "reach.append(np.minimum.accumulate(np.minimum.reduceat(b, starts)[::-1])[::-1])",
+        "reach.append(np.fmin.accumulate(np.fmin.reduceat(b, starts)[::-1])[::-1])",
+        ("tests/test_optimize.py::test_a_nan_bound_rules_no_line_out",),
     ),
     Mutant(
         "invalid triples left in the search",

@@ -261,7 +261,7 @@ def test_criterion_09_optimizer_matches_exhaustive_reference():
                 main, *leakages = general_rate_terms_grid(p, r1, r2, r12)
                 return (main,), *leakages
 
-            (ref,) = minimize_rate(grid_terms, fine)
+            (ref,) = minimize_rate(grid_terms, lambda r1, r2: (0.0,), fine)
             diff = abs(res.rate.secure_rate - ref.rate.secure_rate)
             assert diff <= 1e-3, (
                 f"draw {k}: optimizer {res.rate.secure_rate:.6f}, "

@@ -2,6 +2,7 @@ import json
 import re
 import threading
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
 
@@ -272,6 +273,21 @@ def test_fig3a_hl2_sweep_equals_its_committed_csv(tmp_path, capsys):
                  "--out", str(csv), "--svg", str(svg)]) == 0
     assert csv.read_bytes() == Path(__file__).with_name("fig3a_hl2.csv").read_bytes()
     capsys.readouterr()
+
+
+def test_fig3a_hl2_point_at_0_01_equals_its_committed_stdout(capsys):
+    # The committed config is the bundled fig3a_hl2 at coarse_resolution
+    # 0.01, where the walk stops after a few of its chunks of lines; the
+    # committed stdout, evaluations= included, is what the walk of every
+    # line printed.
+    here = Path(__file__).parent
+    config = here / "fig3a_hl2_fine.json"
+    fine, bundled = load_config(str(config)), load_config("fig3a_hl2")
+    assert (fine.general, fine.orthogonal) == (bundled.general, bundled.orthogonal)
+    assert fine.optimizer == replace(bundled.optimizer, coarse_resolution=0.01)
+    assert main(["point", "--config", str(config)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert out == (here / "fig3a_hl2_fine_point.txt").read_bytes()
 
 
 def test_sweep_command_defaults_to_config_output(tmp_path, capsys, monkeypatch):
@@ -665,13 +681,14 @@ def search_outcome(res):
 
 
 def grid_search_alone(p, cfg):
-    """minimize_rate on the one main term of p's grid terms."""
+    """minimize_rate on the one main term of p's grid terms, with the zero
+    line bound, so every line of the grid is walked unless a rate is 0."""
 
     def terms(r1, r2, r12, det):
         main, *leakages = general_rate_terms_grid(p, r1, r2, r12, det)
         return (main,), *leakages
 
-    (res,) = minimize_rate(terms, cfg)
+    (res,) = minimize_rate(terms, lambda r1, r2: (0.0,), cfg)
     return res
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from refpoints import GEN_POINT, POOL_POINTS
+from refpoints import GEN_POINT, POOL_POINTS, pool_point
 from wiretap_rates import cli, core, optimize, oracle
 from wiretap_rates.core import (
     CorrelationTriple,
@@ -19,10 +19,20 @@ from wiretap_rates.gaussian import GeneralGaussianParams, strip_jamming
 from wiretap_rates.optimize import (
     SearchConfig,
     correlation_grid_axis,
-    minimize_rate,
     optimize_general,
 )
 from wiretap_rates.oracle import rate_general_oracle
+
+
+def zero_bound(terms):
+    """The line bound every objective meets: 0 for each of its main terms."""
+    objectives = len(terms(*np.zeros((3, 1)), np.ones(1))[0])
+    return lambda r1, r2: (0.0,) * objectives
+
+
+def minimize_rate(terms, cfg):
+    """optimize.minimize_rate on a test objective, with the zero bound."""
+    return optimize.minimize_rate(terms, zero_bound(terms), cfg)
 
 
 def quadratic_objective(target):
@@ -176,9 +186,11 @@ POOL_PARAMS = {
 }
 
 # (rho_star, (main, joint, single_1, single_2) as float.hex, evaluations,
-# on_boundary) of optimize_general at coarse_resolution 0.05: no jamming is
-# the pair's first result, jamming its second.  Any change to the search or
-# the grid terms that moves a bit of these fails here.
+# on_boundary) of optimize_general at coarse_resolution 0.05, or at the
+# resolution a key's third entry gives: no jamming is the pair's first
+# result, jamming its second.  Any change to the search or the grid terms
+# that moves a bit of these fails here.  At 0.01 the walk stops after a few
+# of its 204 chunks; at 0.05 the first chunk holds 58% of the lines.
 PINNED_SEARCHES = {
     ("scenario-16", "jamming"): (
         (0.0504, 0.04, 0.99),
@@ -210,13 +222,35 @@ PINNED_SEARCHES = {
         ("0x1.191bba891f171p+1", "0x1.19fe07f9bf397p+1",
          "0x1.198c04ea5dbd7p+1", "0x1.1072fca1e5ce6p+1"),
         39163, False),
+    ("scenario-16", "jamming", "0.01"): (
+        (0.0504, 0.04, 0.98992),
+        ("0x1.7e2f7222a006bp+0", "0x1.f07288cdc9a32p-2",
+         "0x1.714251c0dfa51p-2", "0x1.f06f3eeba38a0p-2"),
+        4929673, False),
+    ("scenario-16", "no-jamming", "0.01"): (
+        (0.05584, -0.027919999999999997, -0.49999999999999994),
+        ("0x1.8dd9cab1fc75dp+0", "0x1.f20306751eefap-2",
+         "0x1.5e44ac32599d7p-2", "0x1.f2084ed3af976p-2"),
+        4929697, False),
+    ("scenario-23", "jamming", "0.01"): (
+        (0.11, 0.1004, 0.9804799999999999),
+        ("0x1.32958126ae387p+0", "0x1.24d52962acc81p-1",
+         "0x1.85ba5011344dfp-2", "0x1.24d50ae154290p-1"),
+        4929685, False),
+    ("scenario-23", "no-jamming", "0.01"): (
+        (0.11136000000000001, -0.10936000000000001, -0.98208),
+        ("0x1.40824dfec055bp+0", "0x1.2510bc78fda85p-1",
+         "0x1.58b70087e643bp-2", "0x1.2512956ae45b4p-1"),
+        4929715, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES), ids="-".join)
 def test_optimize_general_pinned_results(case):
-    res_njg, res_g = optimize_general(POOL_PARAMS[case[0]], SearchConfig(coarse_resolution=0.05))
-    res = res_g if case[1] == "jamming" else res_njg
+    name, objective, *resolution = case
+    cfg = SearchConfig(coarse_resolution=float(resolution[0]) if resolution else 0.05)
+    res_njg, res_g = optimize_general(POOL_PARAMS[name], cfg)
+    res = res_g if objective == "jamming" else res_njg
     b = res.rate
     got = (
         res.rho_star.as_tuple(),
@@ -406,53 +440,65 @@ def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypa
                 assert "main_rate must be finite" in got
 
 
-def coarse_chunks(cfg):
-    """The shapes of the coarse stage's chunks."""
+def full_walk_chunks(cfg):
+    """The shapes of the coarse stage's chunks of lines when it walks them all."""
     n = correlation_grid_axis(cfg.coarse_resolution).size
-    rows = max(1, optimize._CHUNK_TARGET // (n * n))
-    return [(min(rows, n - start), n, n) for start in range(0, n, rows)]
+    lines = max(1, optimize._CHUNK_TARGET // n)
+    return [(min(lines, n * n - start), n) for start in range(0, n * n, lines)]
 
 
-def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
-    # The validity mask and the grid's joint term share one determinant per
-    # chunk, for both searches of the pair.  Chunk-sized determinants are
-    # counted wherever the function is bound; the descents and the final
-    # reads evaluate smaller arrays.
-    chunk_calls = []
-
-    def counted(r1, r2, r12):
-        det = correlation_determinant(r1, r2, r12)
-        if np.ndim(det) == 3:
-            chunk_calls.append(np.shape(det))
-        return det
-
-    for module in (core, oracle, optimize):
-        monkeypatch.setattr(module, "correlation_determinant", counted, raising=False)
-    cfg = SearchConfig(coarse_resolution=0.05)
-    chunks = coarse_chunks(cfg)
-    assert len(chunks) > 1
-    optimize_general(GEN_POINT, cfg)
-    assert chunk_calls == chunks
-
-
-def test_coarse_chunks_of_one_shape_share_their_rate_arrays(monkeypatch):
-    # Rate arrays allocated anew per chunk made the heap shrink and grow
-    # again, paging in every chunk's arrays.  Each chunk writes its rates
-    # into the previous chunk's arrays when the shapes match.
+def record_coarse_chunks(monkeypatch):
+    """A list that collects the rate arrays of every coarse chunk walked."""
     evaluate = optimize._evaluate
     returned = []
 
     def recorded(*args, **kwargs):
         rates, valid, used = evaluate(*args, **kwargs)
-        if valid.ndim == 3:
+        if valid.ndim == 2:
             returned.append(rates)
         return rates, valid, used
 
     monkeypatch.setattr(optimize, "_evaluate", recorded)
+    return returned
+
+
+def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
+    # The validity mask and the grid's joint term share one determinant per
+    # chunk of lines, for both searches of the pair.  Chunk-sized (2-D)
+    # determinants are counted wherever the function is bound; the descents
+    # and the final reads evaluate 1-D arrays, and the grid's valid-cell
+    # count, made once per resolution, is made before counting starts.
+    cfg = SearchConfig(coarse_resolution=0.01)
+    optimize._valid_cells(cfg.coarse_resolution)
+    chunk_calls = []
+
+    def counted(r1, r2, r12):
+        det = correlation_determinant(r1, r2, r12)
+        if np.ndim(det) == 2:
+            chunk_calls.append(np.shape(det))
+        return det
+
+    for module in (core, oracle, optimize):
+        monkeypatch.setattr(module, "correlation_determinant", counted, raising=False)
+    chunks = record_coarse_chunks(monkeypatch)
+    optimize_general(POOL_POINTS["scenario-16"], cfg)
+    # The walk stops early, after more than one chunk of whole lines.
+    full = full_walk_chunks(cfg)
+    assert 1 < len(chunks) < len(full)
+    assert chunk_calls == [rates[0].shape for rates in chunks] == full[:len(chunks)]
+
+
+def test_coarse_chunks_of_one_shape_share_their_rate_arrays(monkeypatch):
+    # Rate arrays allocated anew per chunk made the heap shrink and grow
+    # again, paging in every chunk's arrays.  Each chunk writes its rates
+    # into the previous chunk's arrays when the shapes match.  Under the zero
+    # bound the quadratic objective, never 0 on the grid, is walked to the
+    # last, shorter chunk.
+    returned = record_coarse_chunks(monkeypatch)
     cfg = SearchConfig(coarse_resolution=0.02)
-    chunks = coarse_chunks(cfg)
+    chunks = full_walk_chunks(cfg)
     assert len(set(chunks)) == 2 and len(chunks) > 2
-    optimize_general(GEN_POINT, cfg)
+    minimize_rate(two_mains, cfg)
     assert [rates[0].shape for rates in returned] == chunks
     assert all(len(rates) == 2 for rates in returned)
     for prev, cur in zip(returned, returned[1:]):
@@ -467,11 +513,85 @@ def test_each_coarse_chunk_evaluates_the_grid_terms_once_per_point(monkeypatch):
 
     def counted(*args):
         terms = oracle.general_rate_terms_grid(*args)
-        if np.ndim(terms[0]) == 3:
+        if np.ndim(terms[0]) == 2:
             chunk_calls.append(np.shape(terms[0]))
         return terms
 
     monkeypatch.setattr(optimize, "general_rate_terms_grid", counted)
+    chunks = record_coarse_chunks(monkeypatch)
     fig3a = cli.load_config("fig3a")
     cli.general_point(fig3a.orthogonal, GEN_POINT, fig3a.optimizer)
-    assert chunk_calls == coarse_chunks(fig3a.optimizer)
+    assert chunks and all(len(rates) == 2 for rates in chunks)
+    assert chunk_calls == [rates[0].shape for rates in chunks]
+
+
+# The pool scenarios, the figures and degenerate parameters: zero powers, no
+# jamming gains, and negative gains on both sides of the main term's slope.
+BOUND_PARAMS = {
+    **{f"pool-{k}": pool_point(k) for k in range(24)},
+    "gen-point": GEN_POINT,
+    "fig3a": cli.load_config("fig3a").general,
+    "fig3a_hl2": cli.load_config("fig3a_hl2").general,
+    "fig3a-P_l-20": POOL_PARAMS["fig3a-P_l-20"],
+    "P_1e-0": dataclasses.replace(GEN_POINT, P_1e=0.0),
+    "P_2e-0": dataclasses.replace(GEN_POINT, P_2e=0.0),
+    "P_1e-P_2e-0": dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0),
+    "P_l-0": dataclasses.replace(GEN_POINT, P_l=0.0),
+    "no-jamming-gains": dataclasses.replace(GEN_POINT, h_1e_l=0.0, h_2e_l=0.0),
+    "negative-gains": dataclasses.replace(GEN_POINT, h_1e_l=-0.5, h_2e_l=-0.4,
+                                          h_l_1e=-0.9, h_2e_1e=-0.3),
+    "negative-jamming-gains": dataclasses.replace(GEN_POINT, h_1e_l=-0.5, h_2e_l=-0.4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_PARAMS))
+def test_line_bounds_hold_on_every_valid_cell(name):
+    # Every valid cell of the whole 0.05 grid has a secure rate at or above
+    # its line's bound, for both objectives of optimize_general, exactly as
+    # the search computes them: no margin is needed here.
+    terms, bound = optimize._general_objective(BOUND_PARAMS[name])
+    axis = correlation_grid_axis(0.05)
+    views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
+    rates, valid, _ = optimize._evaluate(terms, *views)
+    bounds = bound(axis[:, None], axis[None, :])
+    assert len(bounds) == len(rates) == 2
+    for sec, low in zip(rates, bounds):
+        low = np.broadcast_to(np.asarray(low)[:, :, None], sec.shape)
+        assert np.isfinite(sec[valid]).all()
+        assert (sec[valid] >= low[valid]).all(), float(np.max((low - sec)[valid]))
+
+
+def test_a_zero_found_first_leaves_the_lines_before_it_open(monkeypatch):
+    # Two cells have rate 0, A before B in C order.  The bound ranks B's line
+    # first; a rate of 0 rules out only the lines after it, so A's line,
+    # whose bound is 0, is still walked, and A wins the tie.
+    monkeypatch.setattr(optimize, "_CHUNK_TARGET", 1)
+    a, b = (-0.5, -0.5, 0.0), (0.5, 0.5, 0.0)
+
+    def terms(r1, r2, r12, det):
+        q = np.minimum(*(sum((r - t) ** 2 for r, t in zip((r1, r2, r12), c)) for c in (a, b)))
+        return (np.full(q.shape, 10.0),), 10.0 - q, 50.0, 50.0
+
+    def bound(r1, r2):
+        return (np.where((r1 == b[0]) & (r2 == b[1]), -1.0, 0.0),)
+
+    cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
+    (res,) = optimize.minimize_rate(terms, bound, cfg)
+    assert res.rho_star.as_tuple() == a and res.rate.secure_rate == 0.0
+
+
+def test_a_nan_bound_rules_no_line_out(monkeypatch):
+    # Every line's bound is its least rate, except the minimum's line, whose
+    # bound is NaN: the walk must still reach it after every other line is
+    # ruled out.
+    monkeypatch.setattr(optimize, "_CHUNK_TARGET", 1)
+    target = (0.5, -0.5, 0.0)
+    terms = quadratic_objective(target)
+
+    def bound(r1, r2):
+        low = (r1 - target[0]) ** 2 + (r2 - target[1]) ** 2
+        return (np.where(low == 0.0, math.nan, low),)
+
+    cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
+    (res,) = optimize.minimize_rate(terms, bound, cfg)
+    assert res.rho_star.as_tuple() == target and res.rate.secure_rate == 0.0
