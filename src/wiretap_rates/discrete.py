@@ -318,13 +318,18 @@ def legitimate_input_grid(
 
 @dataclass(frozen=True)
 class SupInfResult:
-    """Outcome of the exhaustive sup-inf search.
+    """Outcome of the grid sup-inf search.
 
     rate           best worst-case secure rate on the grid.
     r_star         maximizing legitimate input law.
     q_star         minimizing eavesdropper law at r_star.
     refined_rate   inner minimum at r_star re-run at half the resolution.
-    evaluations    number of rate evaluations performed.
+    evaluations    grid pairs evaluated or ruled out: every (legitimate,
+                   eavesdropper) pair of the two grids plus the recheck
+                   pairs, the count held against the budget.  The probe
+                   bound of ``sup_inf_rate`` rules most of the pairs out
+                   unscored, so fewer are evaluated; the count does not
+                   depend on how many.
     """
 
     rate: float
@@ -344,20 +349,33 @@ def sup_inf_rate(
     Both laws run over exhaustive simplex grids with step 1/m,
     m = round(1/grid_resolution), counted against ``max_evaluations`` before
     any is built (a resolution below 1/max_evaluations is refused before
-    counting).  Legitimate laws are taken from the lazy outer grid in
-    batches, and every (legitimate, eavesdropper) pair of a batch is
-    evaluated in stacks of at most ``_STACK_CELLS`` joint-pmf cells, which
-    span several legitimate laws and may end inside one.  Each pair gets the
-    rate it gets alone (see ``_entropies``), so the result does not depend on
-    the stack size.  Ties break toward the earliest grid point in
-    enumeration order on both sides.  The outer grid at step 1/m is
+    counting).  A budget above MAX_GRID_POINTS is refused before anything is
+    counted.
+
+    The search is exact but scores few pairs.  Legitimate laws are taken
+    from the lazy outer grid in batches.  Each law of a batch is first
+    scored on the probe laws, the point masses q = delta(x_1e, x_2e), which
+    lie on the inner grid at every m.  The least probe rate ub(r) is at
+    least the law's worst case over the whole inner grid.  The laws are then
+    visited by descending ub, ties in enumeration order, and the rest of
+    each visited law's row is scored, several laws per stack.  The visit
+    stops at the first law that cannot win: its ub is below the incumbent's
+    worst case, or equal to it with the law after the incumbent in
+    enumeration order.  Every law after it in the visit is ruled out in the
+    same way.  Ties break toward the earliest grid point in enumeration
+    order on both sides: r_star is the earliest law of the largest worst
+    case, and q_star the first minimum of its row.
+
+    Pairs are evaluated in stacks of at most ``_STACK_CELLS`` joint-pmf
+    cells, and each pair gets the rate it gets alone (see ``_entropies``),
+    so neither the stack size nor the pruning moves any result bit: they
+    are those of scoring every pair.  The outer grid at step 1/m is
     contained in the one at step 1/(2m), so along such nested grids
     (m -> 2m) the result can only grow whenever the inner minimization is
     trivial.  It is not monotone in ``grid_resolution`` otherwise: on a
     channel with 2x2x2 inputs and BSC(0.2) collusion taps, m = 2 gives
     0.3121 and m = 3 gives 0.2825.  The finer-grid inner recheck at r_star
-    is reported as ``refined_rate`` to expose any inner coarseness.  A
-    budget above MAX_GRID_POINTS is refused before anything is counted.
+    is reported as ``refined_rate`` to expose any inner coarseness.
     """
     if not (0.0 < grid_resolution <= 1.0):
         raise DomainError(f"grid resolution must lie in (0, 1], got {grid_resolution!r}")
@@ -385,33 +403,48 @@ def sup_inf_rate(
         )
 
     q_grid = eavesdropper_input_grid(n_x1e, n_x2e, m)
+    # A point mass is the composition with all m units on one letter: 1.0 exactly.
+    is_probe = q_grid.reshape(n_inner, n_q).max(axis=1) == 1.0
+    probes, others = q_grid[is_probe], q_grid[~is_probe]
     # Legitimate laws per batch: the batch and its rates hold about
-    # _STACK_CELLS numbers.
+    # _STACK_CELLS numbers.  Laws per visit: one stack of their other pairs.
     batch = max(1, _STACK_CELLS // (n_xl * n_q + n_inner))
+    per_visit = max(1, _STACK_CELLS // (ch.transition.size * max(1, len(others))))
     laws = legitimate_input_grid(n_xl, n_x1e, n_x2e, m)
-    best_rate = -math.inf
-    best_r = best_q = None
-    evaluations = 0
+    best_rate, best_law = -math.inf, -1  # the incumbent, by enumeration index
+    best_r = best_row = None
+    first = 0  # enumeration index of the batch's first law
     while chunk := list(itertools.islice(laws, batch)):
         rs = np.stack(chunk)
-        rates = _product_rates(ch, rs, q_grid)
-        evaluations += rates.size
-        worst = rates.min(axis=1)
-        # The first maximum of the batch is what a strict > across its laws keeps.
-        i = int(np.argmax(worst))
-        if worst[i] > best_rate:
-            best_rate, best_r = float(worst[i]), rs[i]
-            best_q = q_grid[np.argmin(rates[i])]
+        probe_rates = _product_rates(ch, rs, probes)
+        bound = probe_rates.min(axis=1)
+        order = np.argsort(-bound, kind="stable")
+        while len(order):
+            ahead = order[:per_visit]
+            can_win = (bound[ahead] > best_rate) | (
+                (bound[ahead] == best_rate) & (first + ahead < best_law))
+            visit = ahead[:int(np.logical_and.accumulate(can_win).sum())]
+            if not len(visit):
+                break
+            rows = np.empty((len(visit), n_inner))
+            rows[:, is_probe] = probe_rates[visit]
+            rows[:, ~is_probe] = _product_rates(ch, rs[visit], others)
+            for i, row in zip(visit, rows):
+                worst = row.min()
+                if worst > best_rate or (worst == best_rate and first + i < best_law):
+                    best_rate, best_law, best_r, best_row = worst, first + i, rs[i], row
+            order = order[len(visit):]
+        first += len(rs)
 
     refined = _product_rates(
         ch, best_r[np.newaxis], eavesdropper_input_grid(n_x1e, n_x2e, 2 * m)
     )
     return SupInfResult(
-        rate=best_rate,
+        rate=float(best_rate),
         r_star=LegitimateInputDist(best_r),
-        q_star=EavesdropperInputDist(best_q),
+        q_star=EavesdropperInputDist(q_grid[np.argmin(best_row)]),
         refined_rate=float(refined.min()),
-        evaluations=evaluations + refined.size,
+        evaluations=total,
     )
 
 

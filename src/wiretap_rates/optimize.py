@@ -26,6 +26,7 @@ from .core import (
     DomainError,
     GridBudgetError,
     MAX_GRID_POINTS,
+    PSD_SLACK,
     RateBreakdown,
     correlation_determinant,
     effective_leakages,
@@ -183,11 +184,37 @@ def _grid_point(axis: np.ndarray, cell: _Cell) -> _Point:
 
 @functools.cache
 def _valid_cells(resolution: float) -> int:
-    """The valid triples of the grid at ``resolution``, a rho_1 row at a time
-    by the walk's determinant and mask; counted once per resolution."""
+    """The valid triples of the grid at ``resolution``, as the walk's mask
+    counts them; counted once per resolution, a rho_1 row of (rho_1, rho_2)
+    lines at a time.
+
+    The determinant is a concave quadratic in rho_12, so the valid cells of a
+    line are those of the interval rho_1 rho_2 -+ sqrt((1 - rho_1^2)(1 -
+    rho_2^2) + PSD_SLACK).  The cells within two of either end of the
+    interval are tested by ``valid_correlation`` itself, which settles the
+    rounding there.  A cell three or more inside has a determinant at least
+    1e-8 above -PSD_SLACK on any grid the budget allows, and one three or
+    more outside as far below, beyond any rounding of the determinant.
+    """
     axis = correlation_grid_axis(resolution)
-    r2, r12 = axis[:, None], axis[None, :]
-    return sum(int(np.count_nonzero(valid_correlation(r1, r2, r12))) for r1 in axis)
+    m = axis.size - 1
+    near = np.arange(-2, 3)
+    count = 0
+    for r1 in axis:
+        centre = r1 * axis
+        half = np.sqrt((1.0 - r1 * r1) * (1.0 - axis * axis) + PSD_SLACK)
+        # Cell k holds rho_12 = (2k - m)/m; the interval's first and last cells.
+        k_lo = np.clip(np.ceil((centre - half + 1.0) * m / 2.0), 0, m).astype(int)
+        k_hi = np.clip(np.floor((centre + half + 1.0) * m / 2.0), 0, m).astype(int)
+        count += int(np.maximum(k_hi - k_lo - 5, 0).sum())  # cells k_lo + 3 to k_hi - 3
+        # The cells within two of either end, each once: the window at the
+        # interval's last cell starts after the first window ends.
+        k = np.concatenate([k_lo[:, None] + near, k_hi[:, None] + near], axis=1)
+        tested = (k >= 0) & (k <= m)
+        tested[:, near.size:] &= k[:, near.size:] > k_lo[:, None] + 2
+        valid = valid_correlation(r1, axis[:, None], axis[np.clip(k, 0, m)])
+        count += int(np.count_nonzero(valid & tested))
+    return count
 
 
 def _chunk_winners(sec: np.ndarray, valid: np.ndarray, lines: np.ndarray,

@@ -206,6 +206,20 @@ MUTANTS = (
         ("tests/test_optimize.py::test_a_nan_bound_rules_no_line_out",),
     ),
     Mutant(
+        "the valid-cell count drops the last sure cell inside each interval",
+        "optimize.py",
+        "count += int(np.maximum(k_hi - k_lo - 5, 0).sum())",
+        "count += int(np.maximum(k_hi - k_lo - 6, 0).sum())",
+        ("tests/test_optimize.py::test_valid_cell_count_equals_the_cell_by_cell_count[0.1]",),
+    ),
+    Mutant(
+        "the valid-cell count trusts its interval estimate without testing the ends",
+        "optimize.py",
+        "count += int(np.count_nonzero(valid & tested))",
+        "count += int(np.count_nonzero(tested))",
+        ("tests/test_optimize.py::test_valid_cell_count_equals_the_cell_by_cell_count[0.5]",),
+    ),
+    Mutant(
         "invalid triples left in the search",
         "optimize.py",
         "where=~(valid & np.isfinite(sec))",
@@ -236,13 +250,29 @@ MUTANTS = (
         "",
         ("tests/test_oracle.py::test_grid_joint_leakage_next_to_rho12_minus_one",),
     ),
-    # The discrete sup-inf search.
+    # The discrete sup-inf search and its probe bound.
     Mutant(
-        "outer sup keeps the last of tied legitimate laws",
+        "outer sup keeps the last visited of tied legitimate laws",
         "discrete.py",
-        "if worst[i] > best_rate:",
-        "if worst[i] >= best_rate:",
-        ("tests/test_discrete.py::test_sup_inf_is_independent_of_the_stack_size[3]",),
+        "if worst > best_rate or (worst == best_rate and first + i < best_law):",
+        "if worst >= best_rate:",
+        ("tests/test_discrete.py::"
+         "test_sup_inf_equals_the_full_matrix_search[inert-eavesdroppers-m3]",
+         "tests/test_discrete.py::test_sup_inf_pinned_tie_break[channel-22]"),
+    ),
+    Mutant(
+        "the probe bound taken as the largest probe rate, not the least",
+        "discrete.py",
+        "bound = probe_rates.min(axis=1)",
+        "bound = probe_rates.max(axis=1)",
+        ("tests/test_discrete.py::test_sup_inf_equals_the_full_matrix_search[dm_bsc_taps]",),
+    ),
+    Mutant(
+        "a law whose probe bound ties the incumbent is visited even after it",
+        "discrete.py",
+        "(bound[ahead] == best_rate) & (first + ahead < best_law))",
+        "(bound[ahead] == best_rate))",
+        ("tests/test_discrete.py::test_sup_inf_equals_the_full_matrix_search[taps-b-m3]",),
     ),
     Mutant(
         "the inner recheck run at m instead of 2m",

@@ -368,18 +368,21 @@ def test_point_equals_one_row_sweep_at_its_own_value(tmp_path, capsys, name):
     assert dict(zip(columns, row.split(",")[1:])) == want
 
 
+def committed_dm_stdout(config: str) -> bytes:
+    # Printed by the search that scored every pair of both grids.
+    return Path(__file__).with_name(f"{config}_dm.txt").read_bytes()
+
+
 def test_dm_command_on_bundled_config(capsys):
     rc = main(["dm", "--config", "dm_bsc"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "sup-inf rate" in out
-    assert "0.41" in out
+    assert capsys.readouterr().out.encode() == committed_dm_stdout("dm_bsc")
 
 
 def test_dm_command_on_bundled_tap_config(capsys):
     rc = main(["dm", "--config", "dm_bsc_taps"])
     assert rc == 0
-    assert "sup-inf rate        = 0.517074\n" in capsys.readouterr().out
+    assert capsys.readouterr().out.encode() == committed_dm_stdout("dm_bsc_taps")
 
 
 def test_dm_command_rejects_gaussian_config(tmp_path, capsys):

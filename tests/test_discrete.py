@@ -26,6 +26,7 @@ from wiretap_rates.discrete import (
     simplex_grid,
     sup_inf_rate,
 )
+from wiretap_rates.cli import load_config
 from wiretap_rates.core import MAX_GRID_POINTS, DomainError, GridBudgetError
 
 
@@ -277,19 +278,102 @@ def bsc_tap_channel(p_main, p_1, p_2, t_1, t_2) -> DMChannel:
     return build_orthogonal_dm(main, collusion)
 
 
-def test_sup_inf_matches_naive_double_loop():
-    ch = tapped_channel()
-    res = sup_inf_rate(ch, 0.5)
+def full_matrix_sup_inf(ch: DMChannel, m: int):
+    """The exhaustive search, as ``sup_inf_rate`` ran before it pruned: every
+    (legitimate, eavesdropper) pair scored, the earliest law of the largest
+    worst case, the first minimum of its row.  Returns the result's five
+    fields and the (laws, q grid, rate matrix) it read them from."""
+    laws = np.array(list(legitimate_input_grid(*ch.input_sizes, m)))
+    qs = eavesdropper_input_grid(*ch.input_sizes[1:], m)
+    rows = discrete._product_rates(ch, laws, qs)
+    best = int(np.argmax(rows.min(axis=1)))
+    refined = discrete._product_rates(
+        ch, laws[best][np.newaxis], eavesdropper_input_grid(*ch.input_sizes[1:], 2 * m))
+    fields = (float(rows[best].min()), float(refined.min()), laws[best].tolist(),
+              qs[np.argmin(rows[best])].tolist(), rows.size + refined.size)
+    return fields, (laws, qs, rows)
 
-    m = 2
-    best = -math.inf
-    for r in legitimate_input_grid(2, 2, 1, m):
-        inner = min(
-            rate_dm_fixed(ch, LegitimateInputDist(r), EavesdropperInputDist(q)).secure_rate
-            for q in eavesdropper_input_grid(2, 1, m)
-        )
-        best = max(best, inner)
-    assert res.rate == pytest.approx(best, abs=1e-12)
+
+def record_product_rates(monkeypatch) -> list:
+    """Record every ``_product_rates`` call of the search as (rs, qs)."""
+    calls = []
+    product_rates = discrete._product_rates
+
+    def spy(ch, rs, qs):
+        calls.append((rs.copy(), qs.copy()))
+        return product_rates(ch, rs, qs)
+
+    monkeypatch.setattr(discrete, "_product_rates", spy)
+    return calls
+
+
+def inert_eavesdropper_channel() -> DMChannel:
+    # 2x2 eavesdropper inputs that reach no output: at any law that is the
+    # same in every context, every eavesdropper law gives the same rate.
+    main = np.einsum("al,bl,cl->abcl", bsc(0.1), bsc(0.3), bsc(0.25))
+    return build_orthogonal_dm(main, np.ones((1, 1, 2, 2)))
+
+
+TAPS_A = (0.05, 0.3, 0.25, 0.2, 0.15)
+TAPS_B = (0.09366497167192404, 0.22972591094473757, 0.3815144672003159,
+          0.060671304355965905, 0.28125417297538813)
+
+
+def bundled_dm(name: str) -> tuple[DMChannel, int]:
+    config = load_config(name)
+    return config.dm_channel, round(1.0 / config.dm.grid_resolution)
+
+
+SEARCH_CASES = {
+    "tapped-m2": lambda: (tapped_channel(), 2),
+    **{f"taps-{tag}-m{m}": (lambda taps=taps, m=m: (bsc_tap_channel(*taps), m))
+       for tag, taps in (("a", TAPS_A), ("b", TAPS_B)) for m in (2, 3, 4)},
+    "dm_bsc": lambda: bundled_dm("dm_bsc"),
+    "dm_bsc_taps": lambda: bundled_dm("dm_bsc_taps"),
+    "noncolluding-m20": lambda: (reduce_noncolluding(bsc_tap_channel(*TAPS_A)), 20),
+    "inert-eavesdroppers-m3": lambda: (inert_eavesdropper_channel(), 3),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_CASES)
+def test_sup_inf_equals_the_full_matrix_search(monkeypatch, case):
+    ch, m = SEARCH_CASES[case]()
+    expected, (laws, qs, rows) = full_matrix_sup_inf(ch, m)
+    calls = record_product_rates(monkeypatch)
+    res = sup_inf_rate(ch, 1.0 / m)
+    assert (res.rate, res.refined_rate, res.r_star.r.tolist(), res.q_star.q.tolist(),
+            res.evaluations) == expected
+
+    # The last call is the recheck: r_star against the whole grid at 2m.
+    *search, (recheck_rs, recheck_qs) = calls
+    assert recheck_rs.tolist() == [res.r_star.r.tolist()]
+    assert np.array_equal(recheck_qs, eavesdropper_input_grid(*ch.input_sizes[1:], 2 * m))
+    law_index = {r.tobytes(): i for i, r in enumerate(laws)}
+    q_index = {q.tobytes(): j for j, q in enumerate(qs)}
+    scored = [(law_index[r.tobytes()], q_index[q.tobytes()])
+              for rs, call_qs in search for r in rs for q in call_qs]
+    assert len(set(scored)) == len(scored), "a pair was scored twice"
+    assert len(scored) + len(recheck_qs) <= res.evaluations
+    if case == "dm_bsc_taps":
+        assert len(scored) <= rows.size // 3
+
+    # Every law scored beyond its probe laws could still win when it was
+    # scored: its probe bound is above the incumbent's worst case, or equal
+    # to it with the law ahead of the incumbent.  The incumbent moves only
+    # between calls.
+    is_probe = qs.reshape(len(qs), -1).max(axis=1) == 1.0
+    bound, worst = rows[:, is_probe].min(axis=1), rows.min(axis=1)
+    best, best_law = -math.inf, len(laws)
+    for rs, call_qs in search:
+        if len(call_qs) and (call_qs.reshape(len(call_qs), -1).max(axis=1) == 1.0).all():
+            continue  # a probe call
+        visited = [law_index[r.tobytes()] for r in rs]
+        for i in visited:
+            assert bound[i] > best or (bound[i] == best and i < best_law), \
+                f"law {i} scored after it was ruled out"
+        for i in visited:
+            if worst[i] > best or (worst[i] == best and i < best_law):
+                best, best_law = worst[i], i
 
 
 def test_stacked_secure_rates_equal_scalar_evaluations():

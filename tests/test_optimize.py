@@ -77,6 +77,15 @@ def test_grid_axis_snaps_resolution():
     assert correlation_grid_axis(0.3).size == 7
 
 
+@pytest.mark.parametrize("resolution", [0.5, 0.1, 0.05, 0.02, 0.01])
+def test_valid_cell_count_equals_the_cell_by_cell_count(resolution):
+    # The per-line interval count against the walk's own mask, cell by cell.
+    axis = correlation_grid_axis(resolution)
+    r2, r12 = axis[:, None], axis[None, :]
+    by_cell = sum(int(np.count_nonzero(valid_correlation(r1, r2, r12))) for r1 in axis)
+    assert optimize._valid_cells.__wrapped__(resolution) == by_cell
+
+
 def test_grid_axis_rejects_bad_resolution():
     with pytest.raises(DomainError):
         correlation_grid_axis(0.0)
