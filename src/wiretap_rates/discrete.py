@@ -114,8 +114,10 @@ class DMChannel:
         count = math.prod(shape)
         values = tokens[6:]
         if len(values) != count:
+            # The product of huge sizes is too long to print.
+            expected = count if count <= 2 ** 63 else "more than 2**63"
             raise DomainError(
-                f"channel text has {len(values)} values, expected {count}"
+                f"channel text has {len(values)} values, expected {expected}"
             )
         try:
             flat = np.array([float(v) for v in values])
@@ -339,6 +341,21 @@ class SupInfResult:
     evaluations: int
 
 
+def _comb_up_to(n: int, k: int, cap: float) -> int:
+    """C(n, k) if it is at most ``cap``, else some count above ``cap``.
+
+    C(n, k) is built as C(n - k + i, i) for i = 1 to min(k, n - k), which
+    never falls, so it stops at the first past the cap: a few dozen steps.
+    """
+    k = min(k, n - k)
+    count = 1
+    for i in range(1, k + 1):
+        if count > cap:
+            break
+        count = count * (n - k + i) // i
+    return count
+
+
 def sup_inf_rate(
     ch: DMChannel,
     grid_resolution: float,
@@ -391,15 +408,21 @@ def sup_inf_rate(
     m = max(1, round(1.0 / grid_resolution))
     n_xl, n_x1e, n_x2e = ch.input_sizes
     n_q = n_x1e * n_x2e  # simplex grids over k outcomes have C(m + k - 1, m) points
-    n_outer = math.comb(m + n_xl - 1, m) ** n_q
-    n_inner = math.comb(m + n_q - 1, m)
-    n_recheck = math.comb(2 * m + n_q - 1, 2 * m)
+    # Each count is exact up to the budget and only known to pass it beyond:
+    # the exact count can have more digits than Python will print.
+    n_outer = _comb_up_to(m + n_xl - 1, m, max_evaluations)
+    # With 2 or more laws per eavesdropper input pair, 2^24 > MAX_GRID_POINTS.
+    n_outer **= min(n_q, MAX_GRID_POINTS.bit_length())
+    n_inner = _comb_up_to(m + n_q - 1, m, max_evaluations)
+    n_recheck = _comb_up_to(2 * m + n_q - 1, 2 * m, max_evaluations)
     total = n_outer * n_inner + n_recheck
     if total > max_evaluations:
+        over = f"over {max_evaluations}"
+        parts = [n if n <= max_evaluations else over for n in (n_outer, n_inner, n_recheck)]
         raise GridBudgetError(
-            f"sup-inf grid needs {total} evaluations "
-            f"({n_outer} outer x {n_inner} inner + {n_recheck} recheck), "
-            f"budget is {max_evaluations}"
+            f"sup-inf grid needs {over if over in parts else total} evaluations "
+            "({} outer x {} inner + {} recheck), ".format(*parts)
+            + f"budget is {max_evaluations}"
         )
 
     q_grid = eavesdropper_input_grid(n_x1e, n_x2e, m)

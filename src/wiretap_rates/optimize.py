@@ -4,12 +4,13 @@ The adversarial coordination of the two eavesdropper transmissions is a
 choice of (rho_1, rho_2, rho_12) inside the elliptope (the set of valid 3x3
 correlation matrices).  The searcher is deliberately simple and fully
 deterministic: a coarse grid over the valid set followed by coordinate
-descent with shrinking steps around the incumbent.  The grid is walked as
-lines of rho_12, those with the least lower bounds on the rate first, and
-the walk stops once no line left can hold a grid minimum; the result is the
-exhaustive grid's.  Ties are broken toward the lexicographically smallest
-triple in grid order, and repeated runs produce identical results
-regardless of BLAS threading since all reductions are order-fixed.
+descent with shrinking steps around the incumbent.  Each search minimizes
+one objective.  The grid is walked as lines of rho_12, those with the least
+lower bounds on the rate first, and the walk stops once no line left can
+hold a grid minimum; the result is the exhaustive grid's.  Ties are broken
+toward the lexicographically smallest triple in grid order, and repeated
+runs produce identical results regardless of BLAS threading since all
+reductions are order-fixed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
     valid_correlation,
 )
 from .gaussian import GeneralGaussianParams, strip_jamming
-from .oracle import _general_main_term, general_line_bounds, general_rate_terms_grid
+from .oracle import general_line_bounds, general_rate_terms_grid
 
 __all__ = [
     "SearchConfig",
@@ -45,9 +46,13 @@ __all__ = [
 ]
 
 _MAX_SWEEPS_PER_PASS = 25
-# Most cells per coarse chunk of lines: 199 lines of the 0.01 grid.  From
-# 20,000 to 50,000 cells per chunk a 0.01 search ran at the same speed.
-_CHUNK_TARGET = 40_000
+# Most cells per coarse chunk of lines: 99 lines of the 0.01 grid, 487 of the
+# 0.05 grid's 1,681.  Where the rate is 0 everywhere, as on fig3a, each search
+# stops after its first chunk, so the chunk is all it walks: at 40,000 cells
+# (975 lines at 0.05) a fig3a sweep point took 10.2-10.6 ms against 8.4-8.9
+# ms (perfbench sweep-fig3a op_p50_ms, 2 vCPUs), and a 0.01 search ran at
+# the same speed from 20,000 to 50,000 cells.
+_CHUNK_TARGET = 20_000
 # Bits by which a line's bound must exceed an incumbent to rule the line out;
 # far above the round-off of the bound and the rates.
 _BOUND_MARGIN = 1e-9
@@ -128,21 +133,21 @@ def correlation_grid_axis(resolution: float) -> np.ndarray:
     return (2.0 * i - m) / m
 
 
-# terms(rho_1, rho_2, rho_12, det): (mains, leak_joint, leak_single_1,
-# leak_single_2), mains a tuple of one main term per objective, all sharing
-# the leakages; each broadcastable to the triples.  det, their determinant as
-# an array of their shape, may be overwritten.  Invalid triples are ignored.
+# terms(rho_1, rho_2, rho_12, det): (main, leak_joint, leak_single_1,
+# leak_single_2), each broadcastable to the triples, as
+# general_rate_terms_grid returns them.  det, their determinant as an array
+# of their shape, may be overwritten.  Invalid triples are ignored.
 GridObjective = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ]
 
 
 # bound(rho_1, rho_2): for each line of rho_12 at the broadcast (rho_1, rho_2),
-# one lower bound per main term of the objective on its secure rate at every
-# valid rho_12 of the line; each broadcastable to the lines.  NaN bounds no
-# line.  Every objective meets the zero bound, since secure rates are >= 0.
-LineBound = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray | float, ...]]
+# a lower bound on the objective's secure rate at every valid rho_12 of the
+# line, broadcastable to the lines.  NaN bounds no line.  Every objective
+# meets the zero bound, since secure rates are >= 0.
+LineBound = Callable[[np.ndarray, np.ndarray], np.ndarray | float]
 
 # A search point: (secure rate, (rho_1, rho_2, rho_12)).
 _Point = tuple[float, tuple[float, float, float]]
@@ -154,26 +159,24 @@ _NO_CELL = (math.inf, math.inf)
 
 
 def _evaluate(terms: GridObjective, r1: np.ndarray, r2: np.ndarray, r12: np.ndarray,
-              out: list[np.ndarray] | None = None):
-    """The secure rates of each objective over the broadcast triples, their
+              out: np.ndarray | None = None):
+    """The objective's secure rates over the broadcast triples, their
     validity, and the valid count.
 
     The one place the valid set is applied: rates are +inf at invalid triples
     and where not finite (a nan would win argmin and then lose every
-    comparison).  The determinant, which the objective may overwrite, the
-    valid set and the effective leakage are computed once for all objectives.
-    The rates go into the arrays ``out``, one per objective, if of this shape.
+    comparison).  The determinant, which the objective may overwrite, is
+    computed once for the valid set and the objective.  The rates go into the
+    array ``out`` if it has their shape.
     """
     det = correlation_determinant(r1, r2, r12)
     valid = valid_correlation(r1, r2, r12, det)
-    mains, *leakages = terms(r1, r2, r12, det)
-    leakage = effective_leakages(*leakages)
-    if out is None or out[0].shape != valid.shape:
-        out = [np.empty(valid.shape) for _ in mains]
-    for main, sec in zip(mains, out):
-        secure_rates(main, leakage, out=sec)
-        np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
-    return out, valid, int(np.count_nonzero(valid))
+    main, *leakages = terms(r1, r2, r12, det)
+    if out is None or out.shape != valid.shape:
+        out = np.empty(valid.shape)
+    sec = secure_rates(main, effective_leakages(*leakages), out=out)
+    np.copyto(sec, np.inf, where=~(valid & np.isfinite(sec)))
+    return sec, valid, int(np.count_nonzero(valid))
 
 
 def _grid_point(axis: np.ndarray, cell: _Cell) -> _Point:
@@ -246,8 +249,8 @@ def _least_cell(rates: np.ndarray, flat: np.ndarray) -> _Cell:
     return float(least), int(flat[rates == least].min())
 
 
-def _descend(terms: GridObjective, i: int, cfg: SearchConfig, best: _Point):
-    """Coordinate descent of objective i from ``best``; its end point and evaluations."""
+def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point):
+    """Coordinate descent from ``best``; its end point and evaluations."""
     evaluations = 0
     step = cfg.coarse_resolution
     for _ in range(cfg.refine_iterations):
@@ -259,68 +262,48 @@ def _descend(terms: GridObjective, i: int, cfg: SearchConfig, best: _Point):
                 cands[:, ax] = np.clip(cands[:, ax] + (-step, step), -1.0, 1.0)
                 rates, _, used = _evaluate(terms, *cands.T)
                 evaluations += used
-                k = int(np.argmin(rates[i]))
-                if rates[i][k] < best[0]:
-                    best = float(rates[i][k]), tuple(cands[k].tolist())
+                k = int(np.argmin(rates))
+                if rates[k] < best[0]:
+                    best = float(rates[k]), tuple(cands[k].tolist())
             if sweep_start - best[0] < cfg.tolerance:
                 break
     return best, evaluations
 
 
 def _walk_plan(bound: LineBound, axis: np.ndarray, starts: np.ndarray):
-    """The order in which the coarse walk visits the lines of rho_12, and per
-    objective, for each chunk of that order (from the visit positions
-    ``starts``): the least bound of the lines from that chunk on, and the
-    first of them in C order that the margin alone cannot rule out for a
-    rate of 0.
+    """The order in which the coarse walk visits the lines of rho_12, and,
+    for each chunk of that order (from the visit positions ``starts``): the
+    least bound of the lines from that chunk on, and the first of them in C
+    order that the margin alone cannot rule out for a rate of 0.
 
     Line l is (axis[l // n], axis[l % n]); its cells have flat indices l * n
-    to l * n + n - 1.  Each objective ranks the lines by its bound, ties in C
-    order, and each line is visited at its best rank, ties in C order, so
-    every objective's most promising lines come first.  Only the order
-    outlives the call, not its O(n^2) working arrays.
+    to l * n + n - 1.  The lines are visited by their bound, ties in C order.
     """
     n = axis.size
-    lower = [np.broadcast_to(np.asarray(b, dtype=float), (n, n)).ravel()
-             for b in bound(axis[:, None], axis[None, :])]
-    line = np.arange(n * n)
-    best_rank = np.full(n * n, n * n)
-    rank = np.empty_like(line)
-    for b in lower:
-        rank[np.argsort(b, kind="stable")] = line
-        np.minimum(best_rank, rank, out=best_rank)
-    best_rank *= n * n
-    best_rank += line
-    order = np.argsort(best_rank)  # distinct keys: any sort is stable
-    # Freed before the suffix arrays are made, so the plan's peak stays near
-    # that of one chunk's rates.
-    del line, rank, best_rank
-    reach, first_open = [], []
-    for b in lower:
-        b = b[order]
-        reach.append(np.minimum.accumulate(np.minimum.reduceat(b, starts)[::-1])[::-1])
-        open_line = np.where(b > _BOUND_MARGIN, n * n, order)
-        first_open.append(
-            np.minimum.accumulate(np.minimum.reduceat(open_line, starts)[::-1])[::-1])
+    lower = np.broadcast_to(np.asarray(bound(axis[:, None], axis[None, :]), dtype=float),
+                            (n, n)).ravel()
+    order = np.argsort(lower, kind="stable")
+    lower = lower[order]
+    reach = np.minimum.accumulate(np.minimum.reduceat(lower, starts)[::-1])[::-1]
+    open_line = np.where(lower > _BOUND_MARGIN, n * n, order)
+    first_open = np.minimum.accumulate(np.minimum.reduceat(open_line, starts)[::-1])[::-1]
     return order, reach, first_open
 
 
 def minimize_rate(terms: GridObjective, bound: LineBound,
-                  cfg: SearchConfig) -> list[OptimizationResult]:
-    """Minimize secrecy-rate objectives over valid correlation triples.
+                  cfg: SearchConfig) -> OptimizationResult:
+    """Minimize a secrecy-rate objective over valid correlation triples.
 
-    Returns one result per main term of ``terms`` (see ``GridObjective``), in
-    order, each what a search of that objective alone gives; the secure rate
-    combines the terms as :func:`wiretap_rates.core.secure_rates` does.
-    ``bound`` gives one lower bound per main term on each line of rho_12 (see
-    ``LineBound``).  The coarse stage walks the grid at
+    ``terms`` gives the four rate terms (see ``GridObjective``), which the
+    secure rate combines as :func:`wiretap_rates.core.secure_rates` does;
+    ``bound`` gives a lower bound on the secure rate of each line of rho_12
+    (see ``LineBound``).  The coarse stage walks the grid at
     ``cfg.coarse_resolution`` as its lines of rho_12, in chunks of whole
     lines, calling ``terms`` once per chunk on the broadcast views (lines,
-    1), (lines, 1), (1, n) of its axis.  Each objective ranks the lines by
-    its bound, and each line is visited at its best rank, ties in C order.
-    The least cell of the whole grid and the least off its edges are kept
-    per objective as (rate, flat index); the walk stops once every line left
-    is ruled out for all of them: its bound exceeds the rate by more than
+    1), (lines, 1), (1, n) of its axis.  The lines are visited by their
+    bound, ties in C order.  The least cell of the whole grid and the least
+    off its edges are kept as (rate, flat index); the walk stops once every
+    line left is ruled out for both: its bound exceeds the rate by more than
     _BOUND_MARGIN, or the rate is 0 and its cell comes first in C order.  A
     NaN bound rules no line out.  So the result is that of the exhaustive
     grid: invalid triples are masked off, and the first strictly smallest
@@ -352,19 +335,18 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     chunk_starts = np.arange(0, n * n, max(1, _CHUNK_TARGET // n))
     order, reach, first_open = _walk_plan(bound, axis, chunk_starts)
 
-    def ruled_out(cell: _Cell, i: int, c: int) -> bool:
+    def ruled_out(cell: _Cell, c: int) -> bool:
         """Whether no line from chunk c on can beat ``cell``."""
         rate, flat = cell
         if rate == 0.0:
-            return first_open[i][c] > flat // n
-        return reach[i][c] > rate + _BOUND_MARGIN
+            return first_open[c] > flat // n
+        return reach[c] > rate + _BOUND_MARGIN
 
-    # By objective, the least cell of the grid, and off the edges of the
-    # valid set (every |rho| < 1).
-    best = [_NO_CELL] * len(reach)
-    best_off_edge = [_NO_CELL] * len(reach)
+    # The least cell of the grid, and off the edges of the valid set (every
+    # |rho| < 1).
+    best = best_off_edge = _NO_CELL
 
-    # Each chunk's rates reuse the previous chunk's arrays: new ones per chunk
+    # Each chunk's rates reuse the previous chunk's array: a new one per chunk
     # made the heap shrink and regrow, 20,000 page faults per 0.01 point.
     r12 = axis[None, :]
     rates = None
@@ -373,12 +355,10 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
         rates, valid, _ = _evaluate(terms, axis[i1, None], axis[i2, None], r12, out=rates)
         # The axis holds +-1 only at its ends.
         inner = (0 < i1) & (i1 < n - 1) & (0 < i2) & (i2 < n - 1)
-        for i, sec in enumerate(rates):
-            whole, off_edge = _chunk_winners(sec, valid, lines, inner)
-            best[i] = min(best[i], whole)
-            best_off_edge[i] = min(best_off_edge[i], off_edge)
-        if c < chunk_starts.size and all(ruled_out(cell, i, c) for i in range(len(reach))
-                                         for cell in (best[i], best_off_edge[i])):
+        whole, off_edge = _chunk_winners(rates, valid, lines, inner)
+        best = min(best, whole)
+        best_off_edge = min(best_off_edge, off_edge)
+        if c < chunk_starts.size and ruled_out(best, c) and ruled_out(best_off_edge, c):
             break
 
     # On an edge of the valid set (some |rho| = 1) the rate can tie exactly
@@ -386,48 +366,36 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     # staying on it takes two coordinates moving together.  So when the grid
     # minimum sits on an edge, the best point off the edges is refined too,
     # and the lower result wins (the edge start on a tie).
-    results = []
-    for i, cell in enumerate(best):
-        grid_min = _grid_point(axis, cell)
-        starts = [grid_min]
-        if best_off_edge[i] != _NO_CELL and max(map(abs, grid_min[1])) == 1.0:
-            starts.append(_grid_point(axis, best_off_edge[i]))
-        descents = [_descend(terms, i, cfg, start) for start in starts]
-        _, rho = min((end for end, _ in descents), key=lambda end: end[0])
-        rho_star = CorrelationTriple(*rho)
-        mains, *leakages = terms(*(np.array([r]) for r in (*rho, rho_star.determinant)))
-        results.append(OptimizationResult(
-            rho_star=rho_star,
-            rate=RateBreakdown(*(float(np.ravel(t)[0]) for t in (mains[i], *leakages))),
-            evaluations=evaluations + sum(used for _, used in descents),
-            on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
-        ))
-    return results
+    grid_min = _grid_point(axis, best)
+    starts = [grid_min]
+    if best_off_edge != _NO_CELL and max(map(abs, grid_min[1])) == 1.0:
+        starts.append(_grid_point(axis, best_off_edge))
+    descents = [_descend(terms, cfg, start) for start in starts]
+    _, rho = min((end for end, _ in descents), key=lambda end: end[0])
+    rho_star = CorrelationTriple(*rho)
+    at_star = terms(*(np.array([r]) for r in (*rho, rho_star.determinant)))
+    return OptimizationResult(
+        rho_star=rho_star,
+        rate=RateBreakdown(*(float(np.ravel(t)[0]) for t in at_star)),
+        evaluations=evaluations + sum(used for _, used in descents),
+        on_boundary=rho_star.determinant <= cfg.coarse_resolution ** 2,
+    )
 
 
 def optimize_general(p: GeneralGaussianParams,
                      cfg: SearchConfig) -> tuple[OptimizationResult, OptimizationResult]:
     """Worst-case coordination of the eavesdroppers in the shared-band model:
-    the searches without jamming (R_njg) and with it (R_g), from one walk."""
-    return tuple(minimize_rate(*_general_objective(p), cfg))
+    the search without jamming (R_njg, on ``strip_jamming(p)``), then the
+    search with it (R_g), each of :func:`general_rate_terms_grid` bounded by
+    :func:`_general_line_bound`."""
+    return tuple(
+        minimize_rate(functools.partial(general_rate_terms_grid, q),
+                      functools.partial(_general_line_bound, q), cfg)
+        for q in (strip_jamming(p), p)
+    )
 
 
-def _general_objective(p: GeneralGaussianParams) -> tuple[GridObjective, LineBound]:
-    """The (R_njg, R_g) objective of :func:`optimize_general` and its bound.
-
-    Jamming enters only the main term of :func:`general_rate_terms_grid`, so
-    both share its leakages; the main term of ``strip_jamming(p)`` does not
-    depend on the correlations and is computed once.  Each line's bounds
-    come from :func:`general_line_bounds`, with that constant for R_njg.
-    """
-    main_njg = _general_main_term(strip_jamming(p), 0.0, 0.0, 0.0)
-
-    def terms(r1, r2, r12, det):
-        main, *leakages = general_rate_terms_grid(p, r1, r2, r12, det)
-        return (main_njg, main), *leakages
-
-    def bound(r1, r2):
-        main, leakage = general_line_bounds(p, r1, r2)
-        return secure_rates(main_njg, leakage), secure_rates(main, leakage)
-
-    return terms, bound
+def _general_line_bound(p: GeneralGaussianParams, r1: np.ndarray, r2: np.ndarray):
+    """The lower bound on the secure rate of each line of rho_12 that
+    :func:`general_line_bounds` gives."""
+    return secure_rates(*general_line_bounds(p, r1, r2))

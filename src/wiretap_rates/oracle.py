@@ -372,11 +372,14 @@ def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
 
 
 def _general_main_term(p: GeneralGaussianParams, r1, r2, r12) -> np.ndarray:
-    """The main term of :func:`general_rate_terms_grid`; constant without jamming."""
+    """The main term of :func:`general_rate_terms_grid`; without jamming it
+    does not depend on the correlations and is one value, of shape ()."""
     sd_l, sd_1, sd_2 = math.sqrt(p.P_l), math.sqrt(p.P_1e), math.sqrt(p.P_2e)
+    j1, j2 = p.h_1e_l * sd_1, p.h_2e_l * sd_2
+    if j1 == 0.0 and j2 == 0.0:
+        r1 = r2 = r12 = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # cov(Y_l, X_l) / sd_l and var(Y_l | X_l).
-        j1, j2 = p.h_1e_l * sd_1, p.h_2e_l * sd_2
         explained = p.h_l * sd_l + j1 * r1 + j2 * r2 if p.P_l > 0.0 else 0.0
         main = np.asarray(r12 - r1 * r2)
         main *= 2.0 * j1 * j2
@@ -408,7 +411,9 @@ def general_rate_terms_grid(
 
     main      var(Y_l | X_l) is N_l plus the jamming X_l does not explain,
               g^T S_{E|X_l} g with g = (h_1e_l, h_2e_l) and S_{E|X_l} the
-              covariance of (X_1e, X_2e) given X_l; 0 when P_l = 0.
+              covariance of (X_1e, X_2e) given X_l; 0 when P_l = 0.  With
+              no jamming, h_1e_l^2 P_1e = h_2e_l^2 P_2e = 0, it is N_l and
+              the term reads no correlation.
     single_j  given all three inputs only the noise N_je is left.
     joint     given (X_1e, X_2e), both eavesdropper outputs see X_l through
               v = var(X_l | X_1e, X_2e) in independent noises:
@@ -416,9 +421,9 @@ def general_rate_terms_grid(
 
     Each term has the shape its own correlations broadcast to, so on the
     search's views (L,1), (L,1), (1,n) of L lines of rho_12 only the main and
-    joint terms, built in place, cost L*n.  No determinant of an assembled
-    covariance is taken, so the terms keep full precision up to the edge of
-    the valid set.
+    joint terms, built in place, cost L*n, and without jamming the main term
+    costs one value.  No determinant of an assembled covariance is taken, so
+    the terms keep full precision up to the edge of the valid set.
     Values at triples outside it are unspecified; the search masks them.
 
     ``det``, when given, is ``correlation_determinant(rho_1, rho_2, rho_12)``

@@ -154,8 +154,8 @@ MUTANTS = (
     Mutant(
         "descent accepts moves that only tie",
         "optimize.py",
-        "if rates[i][k] < best[0]:",
-        "if rates[i][k] <= best[0]:",
+        "if rates[k] < best[0]:",
+        "if rates[k] <= best[0]:",
         ("tests/test_optimize.py::"
          "test_broadcast_walk_matches_materialized_walk[flat-default]",
          "tests/test_optimize.py::test_optimize_general_pinned_results[fig3a-P_l-20-jamming]"),
@@ -163,16 +163,16 @@ MUTANTS = (
     Mutant(
         "no second descent from off the edges",
         "optimize.py",
-        "            starts.append(_grid_point(axis, best_off_edge[i]))",
-        "            pass",
+        "        starts.append(_grid_point(axis, best_off_edge))",
+        "        pass",
         ("tests/test_optimize.py::"
          "test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge",),
     ),
     Mutant(
         "the last strictly smallest grid chunk wins a tie",
         "optimize.py",
-        "best[i] = min(best[i], whole)",
-        "best[i] = whole if whole[0] <= best[i][0] else best[i]",
+        "best = min(best, whole)",
+        "best = whole if whole[0] <= best[0] else best",
         ("tests/test_optimize.py::test_broadcast_walk_matches_materialized_walk[flat-1]",),
     ),
     Mutant(
@@ -194,15 +194,15 @@ MUTANTS = (
     Mutant(
         "a rate of 0 rules out every line, not only those after it in C order",
         "optimize.py",
-        "return first_open[i][c] > flat // n",
+        "return first_open[c] > flat // n",
         "return True",
         ("tests/test_optimize.py::test_a_zero_found_first_leaves_the_lines_before_it_open",),
     ),
     Mutant(
         "a NaN bound rules its line out",
         "optimize.py",
-        "reach.append(np.minimum.accumulate(np.minimum.reduceat(b, starts)[::-1])[::-1])",
-        "reach.append(np.fmin.accumulate(np.fmin.reduceat(b, starts)[::-1])[::-1])",
+        "reach = np.minimum.accumulate(np.minimum.reduceat(lower, starts)[::-1])[::-1]",
+        "reach = np.fmin.accumulate(np.fmin.reduceat(lower, starts)[::-1])[::-1]",
         ("tests/test_optimize.py::test_a_nan_bound_rules_no_line_out",),
     ),
     Mutant(
@@ -218,6 +218,14 @@ MUTANTS = (
         "count += int(np.count_nonzero(valid & tested))",
         "count += int(np.count_nonzero(tested))",
         ("tests/test_optimize.py::test_valid_cell_count_equals_the_cell_by_cell_count[0.5]",),
+    ),
+    Mutant(
+        "R_njg searched with jamming, on p instead of strip_jamming(p)",
+        "optimize.py",
+        "for q in (strip_jamming(p), p)",
+        "for q in (p, p)",
+        ("tests/test_optimize.py::test_optimize_general_pinned_results[scenario-16-no-jamming]",
+         "tests/test_cli.py::test_point_searches_at_once_equal_searches_in_order"),
     ),
     Mutant(
         "invalid triples left in the search",
@@ -242,6 +250,14 @@ MUTANTS = (
         "return gap if gap > 0.0 else 0.0",
         "return gap",
         ("tests/test_core.py::test_combine_breakdown_clamps_negative_gap",),
+    ),
+    Mutant(
+        "the main term taken as one value when only one eavesdropper does not jam",
+        "oracle.py",
+        "if j1 == 0.0 and j2 == 0.0:",
+        "if j1 == 0.0 or j2 == 0.0:",
+        ("tests/test_oracle.py::test_grid_preserves_input_shape",
+         "tests/test_oracle.py::test_degenerate_powers_evaluate_to_limits"),
     ),
     Mutant(
         "joint residual variance not held to 1 - max(rho_1^2, rho_2^2)",

@@ -258,10 +258,9 @@ def test_criterion_09_optimizer_matches_exhaustive_reference():
             def grid_terms(r1, r2, r12, det):
                 # The grid computes its own determinant, independently of the
                 # search's.
-                main, *leakages = general_rate_terms_grid(p, r1, r2, r12)
-                return (main,), *leakages
+                return general_rate_terms_grid(p, r1, r2, r12)
 
-            (ref,) = minimize_rate(grid_terms, lambda r1, r2: (0.0,), fine)
+            ref = minimize_rate(grid_terms, lambda r1, r2: 0.0, fine)
             diff = abs(res.rate.secure_rate - ref.rate.secure_rate)
             assert diff <= 1e-3, (
                 f"draw {k}: optimizer {res.rate.secure_rate:.6f}, "

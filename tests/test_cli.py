@@ -1,3 +1,4 @@
+import functools
 import json
 import re
 import threading
@@ -496,6 +497,30 @@ def test_dm_over_budget_exits_with_one_line(tmp_path, capsys):
     assert_one_line_error(capsys, "budget error")
 
 
+def test_dm_grid_count_too_long_to_print_exits_with_one_line(tmp_path, capsys):
+    # A valid channel with 2x47x47 inputs: at step 0.01 its outer grid counts
+    # 101^2209 laws, 4,428 digits, more than Python prints.
+    (tmp_path / "ch.dmc").write_text("1 1 1 2 47 47\n" + "1.0\n" * 4418)
+    path = write_config(tmp_path, {
+        "kind": "dm",
+        "dm": {"channel_file": "ch.dmc", "grid_resolution": 0.01},
+    })
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(capsys, "budget error: sup-inf grid needs over 2000000 evaluations")
+
+
+def test_dm_alphabet_sizes_too_long_to_multiply_out_are_config_error(tmp_path, capsys):
+    # Six 800-digit sizes multiply to 4,800 digits, more than Python prints.
+    (tmp_path / "ch.dmc").write_text(" ".join(["9" * 800] * 6) + "\n1.0\n")
+    path = write_config(tmp_path, {
+        "kind": "dm",
+        "dm": {"channel_file": "ch.dmc", "grid_resolution": 0.1},
+    })
+    assert main(["dm", "--config", path]) == 1
+    assert_one_line_error(capsys, "config error: channel file 'ch.dmc': channel text "
+                                  "has 1 values, expected more than 2**63")
+
+
 @pytest.mark.parametrize("budget", [MAX_GRID_POINTS + 1, 1e300], ids=["cap+1", "1e300"])
 def test_dm_budget_above_the_cap_exits_with_one_line(tmp_path, capsys, budget):
     # Within the cap, this degraded channel at step 0.001 takes 1,002 evaluations.
@@ -640,20 +665,21 @@ def test_config_errors_echo_values_cut_short(tmp_path, capsys, case):
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_search_error_on_either_thread_propagates(tmp_path, capsys, monkeypatch,
                                                   failing, error, prefix):
-    # Both searches of a point run in one walk on the calling thread. The
-    # "worker" case fails the R_njg main term (jamming stripped), computed
-    # before the walk; the "caller" case fails the grid terms the R_g search
-    # walks. Either error must reach the caller unchanged, raised on the
-    # calling thread, with no thread started.
+    # Both searches of a point run one after the other on the calling
+    # thread. The "worker" case fails the grid terms of the R_njg search,
+    # whose parameters have jamming stripped; the "caller" case fails those
+    # of the R_g search, after R_njg is done. Either error must reach the
+    # caller unchanged, raised on the calling thread, with no thread started.
     message = f"the {failing} search failed"
-    name = "_general_main_term" if failing == "worker" else "general_rate_terms_grid"
     raised_on = []
 
-    def fail(*args):
-        raised_on.append(threading.current_thread())
-        raise error(message)
+    def fail(p, *args):
+        if (p == strip_jamming(p)) == (failing == "worker"):
+            raised_on.append(threading.current_thread())
+            raise error(message)
+        return general_rate_terms_grid(p, *args)
 
-    monkeypatch.setattr(optimize, name, fail)
+    monkeypatch.setattr(optimize, "general_rate_terms_grid", fail)
     path = write_config(tmp_path, {
         "kind": "general-gaussian",
         "orthogonal": ORTHO_BLOCK,
@@ -684,21 +710,17 @@ def search_outcome(res):
 
 
 def grid_search_alone(p, cfg):
-    """minimize_rate on the one main term of p's grid terms, with the zero
-    line bound, so every line of the grid is walked unless a rate is 0."""
-
-    def terms(r1, r2, r12, det):
-        main, *leakages = general_rate_terms_grid(p, r1, r2, r12, det)
-        return (main,), *leakages
-
-    (res,) = minimize_rate(terms, lambda r1, r2: (0.0,), cfg)
-    return res
+    """minimize_rate on p's grid terms with the zero line bound, so every
+    line of the grid is walked unless a rate is 0."""
+    return minimize_rate(functools.partial(general_rate_terms_grid, p),
+                         lambda r1, r2: 0.0, cfg)
 
 
 def test_point_searches_at_once_equal_searches_in_order():
-    # general_point's R_njg and R_g searches share one walk of the grid; each
-    # result must be, bit for bit, what the search of its main term gives
-    # alone: R_njg on the grid of the parameters with jamming stripped.
+    # general_point's R_njg and R_g searches skip the lines their bounds rule
+    # out; each result must be, bit for bit, what the search of its grid
+    # terms gives walking every line: R_njg on the grid of the parameters
+    # with jamming stripped.
     fig3a, fig3b = load_config("fig3a"), load_config("fig3b")
     rng = AuditRng(20241018)
     cases = [(fig3a.general, fig3a.optimizer), (fig3b.general, fig3b.optimizer),

@@ -83,6 +83,12 @@ def test_from_text_rejects_wrong_count():
         DMChannel.from_text("\n".join(lines + ["0.5"]))
 
 
+def test_from_text_rejects_sizes_whose_count_is_too_long_to_print():
+    # Six 800-digit sizes multiply to 4,800 digits, more than Python prints.
+    with pytest.raises(DomainError, match=r"has 1 values, expected more than 2\*\*63$"):
+        DMChannel.from_text(" ".join(["9" * 800] * 6) + "\n1.0\n")
+
+
 @pytest.mark.parametrize("sizes", ["-1 -1 1 1 1 1", "1 1 1 -2 -1 1"])
 def test_from_text_rejects_sizes_below_one(sizes):
     with pytest.raises(DomainError, match="at least 1"):
@@ -472,6 +478,28 @@ def test_sup_inf_checks_budget_before_building_grids(monkeypatch):
     with pytest.raises(GridBudgetError,
                        match=r"194481 outer x 1771 inner \+ 12341 recheck"):
         sup_inf_rate(ch, 0.05)
+
+
+def test_sup_inf_budget_check_counts_no_further_than_the_budget(monkeypatch):
+    # With 2x47x47 inputs at step 0.01 the outer grid holds 101^2209 laws, a
+    # count of 4,428 digits, more than Python prints; the inner grids count
+    # thousands of digits too.  Each count stops once past the budget.
+    def refuse(*args):
+        raise AssertionError("grid built before the budget check")
+
+    monkeypatch.setattr(discrete, "legitimate_input_grid", refuse)
+    monkeypatch.setattr(discrete, "simplex_grid", refuse)
+    ch = DMChannel(np.ones((1, 1, 1, 2, 47, 47)))
+    over = "over 2000000"
+    with pytest.raises(GridBudgetError, match=(
+            f"^sup-inf grid needs {over} evaluations "
+            f"\\({over} outer x {over} inner \\+ {over} recheck\\), budget is 2000000$")):
+        sup_inf_rate(ch, 0.01)
+    # Past the budget by the outer grid alone: with 2x5x5 inputs at step 1/2,
+    # 3^25 laws, counted as far as 3^24.
+    with pytest.raises(GridBudgetError, match=(
+            f"needs {over} evaluations \\({over} outer x 325 inner \\+ 20475 recheck\\)")):
+        sup_inf_rate(DMChannel(np.ones((1, 1, 1, 2, 5, 5))), 0.5)
 
 
 def test_sup_inf_refuses_a_budget_above_the_cap_before_any_grid(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,15 +25,14 @@ from wiretap_rates.optimize import (
 from wiretap_rates.oracle import rate_general_oracle
 
 
-def zero_bound(terms):
-    """The line bound every objective meets: 0 for each of its main terms."""
-    objectives = len(terms(*np.zeros((3, 1)), np.ones(1))[0])
-    return lambda r1, r2: (0.0,) * objectives
+def zero_bound(r1, r2):
+    """The line bound every objective meets, since secure rates are >= 0."""
+    return 0.0
 
 
 def minimize_rate(terms, cfg):
     """optimize.minimize_rate on a test objective, with the zero bound."""
-    return optimize.minimize_rate(terms, zero_bound(terms), cfg)
+    return optimize.minimize_rate(terms, zero_bound, cfg)
 
 
 def quadratic_objective(target):
@@ -40,14 +40,13 @@ def quadratic_objective(target):
 
     def f(r1, r2, r12, det):
         q = (r1 - target[0]) ** 2 + (r2 - target[1]) ** 2 + (r12 - target[2]) ** 2
-        return (np.full(q.shape, 10.0),), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
+        return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
     return f
 
 
 def flat(r1, r2, r12, det):
-    main, *leakages = (np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
-    return (main,), *leakages
+    return tuple(np.full(r1.shape, v) for v in (1.0, 0.5, 2.0, 2.0))
 
 
 DIP_TARGET = (-0.4, -0.4, -0.4)
@@ -58,7 +57,7 @@ def dip(r1, r2, r12, det):
     t = DIP_TARGET
     d2 = (r1 - t[0]) ** 2 + (r2 - t[1]) ** 2 + (r12 - t[2]) ** 2
     q = np.minimum(1.0, d2 / 0.15 ** 2)
-    return (np.full(q.shape, 10.0),), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
+    return np.full(q.shape, 10.0), 10.0 - q, np.full(q.shape, 50.0), np.full(q.shape, 50.0)
 
 
 def test_grid_axis_contains_exact_anchors():
@@ -119,7 +118,7 @@ def test_search_config_validation():
 
 def test_minimize_finds_interior_grid_minimum():
     # target lies exactly on the 0.05 grid, so the coarse stage lands on it
-    (res,) = minimize_rate(
+    res = minimize_rate(
         quadratic_objective((0.3, -0.2, 0.1)), SearchConfig(coarse_resolution=0.05)
     )
     assert res.rho_star.as_tuple() == pytest.approx((0.3, -0.2, 0.1), abs=1e-12)
@@ -130,11 +129,11 @@ def test_minimize_finds_interior_grid_minimum():
 def test_minimize_refines_off_grid_minimum():
     target = (0.313, -0.207, 0.093)
     cfg = SearchConfig(coarse_resolution=0.1, refine_iterations=6)
-    (res,) = minimize_rate(quadratic_objective(target), cfg)
+    res = minimize_rate(quadratic_objective(target), cfg)
     for got, want in zip(res.rho_star.as_tuple(), target):
         assert abs(got - want) <= 0.01
     # descent may never end above the best coarse value
-    (coarse_only,) = minimize_rate(
+    coarse_only = minimize_rate(
         quadratic_objective(target),
         SearchConfig(coarse_resolution=0.1, refine_iterations=0),
     )
@@ -142,7 +141,7 @@ def test_minimize_refines_off_grid_minimum():
 
 
 def test_minimize_constant_objective_breaks_ties_lexicographically():
-    (res,) = minimize_rate(flat, SearchConfig(coarse_resolution=0.5))
+    res = minimize_rate(flat, SearchConfig(coarse_resolution=0.5))
     # first valid triple in (rho_1, rho_2, rho_12) order: both eavesdroppers
     # anti-aligned with the source forces their mutual correlation to 1
     assert res.rho_star.as_tuple() == (-1.0, -1.0, 1.0)
@@ -154,7 +153,7 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
     # ties and the grid minimum is the edge corner (-1, -1, 1), from which
     # every axis move leaves the valid set.  Descent from the best point off
     # the edges finds the dip.
-    (res,) = minimize_rate(dip, SearchConfig(coarse_resolution=0.5))
+    res = minimize_rate(dip, SearchConfig(coarse_resolution=0.5))
     assert res.rate.secure_rate < 1e-6
     assert res.rho_star.as_tuple() == pytest.approx(DIP_TARGET, abs=1e-3)
 
@@ -162,7 +161,7 @@ def test_minimize_refines_off_edge_when_grid_minimum_is_on_an_edge():
 def lowest_outside(r1, r2, r12, det):
     """Finite everywhere; the secure rate is max(2 + det, 0), so every
     invalid triple (det < -PSD_SLACK) beats every valid one."""
-    return (12.0 + det,), np.full(det.shape, 10.0), 50.0, 50.0
+    return 12.0 + det, np.full(det.shape, 10.0), 50.0, 50.0
 
 
 def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
@@ -170,7 +169,7 @@ def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
     # own mask keeps the invalid triples out.
     axis = correlation_grid_axis(0.1)
     views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
-    (sec,), valid, _ = optimize._evaluate(lowest_outside, *views)
+    sec, valid, _ = optimize._evaluate(lowest_outside, *views)
     want = valid_correlation(*np.meshgrid(axis, axis, axis, indexing="ij"))
     np.testing.assert_array_equal(valid, want)
     assert 0 < np.count_nonzero(valid) < valid.size
@@ -178,8 +177,8 @@ def test_search_masks_an_objective_that_is_lowest_outside_the_valid_set():
     assert np.all(np.isfinite(sec[valid]))
 
     for refine in (0, 3):
-        (res,) = minimize_rate(lowest_outside, SearchConfig(coarse_resolution=0.1,
-                                                            refine_iterations=refine))
+        res = minimize_rate(lowest_outside, SearchConfig(coarse_resolution=0.1,
+                                                         refine_iterations=refine))
         assert is_valid_correlation(*res.rho_star.as_tuple())
         assert res.rate.secure_rate >= 2.0 - 1e-12
         if refine == 0:
@@ -198,8 +197,8 @@ POOL_PARAMS = {
 # on_boundary) of optimize_general at coarse_resolution 0.05, or at the
 # resolution a key's third entry gives: no jamming is the pair's first
 # result, jamming its second.  Any change to the search or the grid terms
-# that moves a bit of these fails here.  At 0.01 the walk stops after a few
-# of its 204 chunks; at 0.05 the first chunk holds 58% of the lines.
+# that moves a bit of these fails here.  At 0.01 each walk stops after a few
+# of its 409 chunks; at 0.05 the first chunk holds 29% of the lines.
 PINNED_SEARCHES = {
     ("scenario-16", "jamming"): (
         (0.0504, 0.04, 0.99),
@@ -289,25 +288,19 @@ def test_optimize_general_never_exceeds_fixed_points():
 
 
 def materialized_minimize_rate(terms, cfg):
-    """minimize_rate as walks over materialized triples, one per main term.
+    """minimize_rate as a walk over materialized triples.
 
-    Each objective is searched alone.  Each chunk of rho_1 rows is
-    meshgridded, flattened, compressed to its valid triples and searched by
-    first-wins argmin, and descent evaluates only its valid candidates.
-    Scalar or lower-dimensional terms are broadcast to the triples.
+    Each chunk of rho_1 rows is meshgridded, flattened, compressed to its
+    valid triples and searched by first-wins argmin, and descent evaluates
+    only its valid candidates.  Scalar or lower-dimensional terms are
+    broadcast to the triples.
     """
-    objectives = len(terms(*np.zeros((3, 1)), np.ones(1))[0])
-    return [materialized_search(terms, i, cfg) for i in range(objectives)]
-
-
-def materialized_search(terms, i, cfg):
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
 
     def evaluate(r1, r2, r12):
         det = correlation_determinant(r1, r2, r12)
-        mains, *leakages = terms(r1, r2, r12, det)
-        out = [np.broadcast_to(t, r1.shape) for t in (mains[i], *leakages)]
+        out = [np.broadcast_to(t, r1.shape) for t in terms(r1, r2, r12, det)]
         main, joint, s1, s2 = out
         sec = np.maximum(main - np.minimum(joint, np.maximum(s1, s2)), 0.0)
         sec = np.where(np.isfinite(sec), sec, np.inf)
@@ -384,8 +377,8 @@ def with_nan(where):
     base = quadratic_objective((-0.55, 0.0, 0.1))
 
     def f(r1, r2, r12, det):
-        (main,), joint, s1, s2 = base(r1, r2, r12, det)
-        return (np.where(where(r1, r2, r12), math.nan, main),), joint, s1, s2
+        main, joint, s1, s2 = base(r1, r2, r12, det)
+        return np.where(where(r1, r2, r12), math.nan, main), joint, s1, s2
 
     return f
 
@@ -393,16 +386,16 @@ def with_nan(where):
 def low_dim(r1, r2, r12, det):
     """Scalars and terms of fewer correlations; ties along rho_12 remain."""
     joint = 10.0 - (r1 - 0.3) ** 2 - (r2 + 0.2) ** 2
-    return (10.0,), joint, np.float64(50.0), 50.0 + 0.0 * r12
+    return 10.0, joint, np.float64(50.0), 50.0 + 0.0 * r12
 
 
-def two_mains(r1, r2, r12, det):
-    """The quadratic objective's rate and the dip's, through two main terms
-    over one set of leakages: on the 0.5 grid the dip's minimum lies on an
-    edge and the quadratic's does not, so each objective needs its own starts."""
-    (main,), joint, s1, s2 = PARITY_OBJECTIVES["quadratic"](r1, r2, r12, det)
-    (_,), dip_joint, _, _ = dip(r1, r2, r12, det)
-    return (main, main - dip_joint + joint), joint, s1, s2
+def dip_through_quadratic_leakage(r1, r2, r12, det):
+    """The dip's rate, up to round-off, over the quadratic objective's
+    leakages, which vary from cell to cell; on the 0.5 grid its minimum
+    lies on an edge."""
+    main, joint, s1, s2 = PARITY_OBJECTIVES["quadratic"](r1, r2, r12, det)
+    _, dip_joint, _, _ = dip(r1, r2, r12, det)
+    return main - dip_joint + joint, joint, s1, s2
 
 
 PARITY_OBJECTIVES = {
@@ -419,16 +412,16 @@ PARITY_OBJECTIVES = {
     # still start from the first valid cell and fail on its rate terms.
     "nan-everywhere": with_nan(lambda r1, r2, r12: r1 + r2 + r12 < 4.0),
     "low-dim": low_dim,
-    "two-mains": two_mains,
+    "dip-through-quadratic-leakage": dip_through_quadratic_leakage,
 }
 
 
 def search_outcome(search, terms, cfg):
     try:
-        results = search(terms, cfg)
+        res = search(terms, cfg)
     except DomainError as err:
         return str(err)
-    return [(res.rho_star, res.rate, res.evaluations, res.on_boundary) for res in results]
+    return res.rho_star, res.rate, res.evaluations, res.on_boundary
 
 
 @pytest.mark.parametrize("rows_per_chunk", ["default", 1])
@@ -457,23 +450,29 @@ def full_walk_chunks(cfg):
 
 
 def record_coarse_chunks(monkeypatch):
-    """A list that collects the rate arrays of every coarse chunk walked."""
-    evaluate = optimize._evaluate
-    returned = []
+    """A list that collects, per search, the rate arrays of every coarse
+    chunk walked."""
+    evaluate, search = optimize._evaluate, optimize.minimize_rate
+    searches = []
+
+    def recorded_search(*args):
+        searches.append([])
+        return search(*args)
 
     def recorded(*args, **kwargs):
         rates, valid, used = evaluate(*args, **kwargs)
         if valid.ndim == 2:
-            returned.append(rates)
+            searches[-1].append(rates)
         return rates, valid, used
 
+    monkeypatch.setattr(optimize, "minimize_rate", recorded_search)
     monkeypatch.setattr(optimize, "_evaluate", recorded)
-    return returned
+    return searches
 
 
 def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
     # The validity mask and the grid's joint term share one determinant per
-    # chunk of lines, for both searches of the pair.  Chunk-sized (2-D)
+    # chunk of lines, in each search of the pair.  Chunk-sized (2-D)
     # determinants are counted wherever the function is bound; the descents
     # and the final reads evaluate 1-D arrays, and the grid's valid-cell
     # count, made once per resolution, is made before counting starts.
@@ -489,53 +488,60 @@ def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
 
     for module in (core, oracle, optimize):
         monkeypatch.setattr(module, "correlation_determinant", counted, raising=False)
-    chunks = record_coarse_chunks(monkeypatch)
+    searches = record_coarse_chunks(monkeypatch)
     optimize_general(POOL_POINTS["scenario-16"], cfg)
-    # The walk stops early, after more than one chunk of whole lines.
+    # Each walk stops early: R_njg's after its first chunk of whole lines,
+    # R_g's after more.
     full = full_walk_chunks(cfg)
-    assert 1 < len(chunks) < len(full)
-    assert chunk_calls == [rates[0].shape for rates in chunks] == full[:len(chunks)]
+    njg, g = searches
+    assert len(njg) == 1 < len(g) < len(full)
+    for chunks in searches:
+        assert [rates.shape for rates in chunks] == full[:len(chunks)]
+    assert chunk_calls == [rates.shape for chunks in searches for rates in chunks]
 
 
 def test_coarse_chunks_of_one_shape_share_their_rate_arrays(monkeypatch):
     # Rate arrays allocated anew per chunk made the heap shrink and grow
     # again, paging in every chunk's arrays.  Each chunk writes its rates
-    # into the previous chunk's arrays when the shapes match.  Under the zero
+    # into the previous chunk's array when the shapes match.  Under the zero
     # bound the quadratic objective, never 0 on the grid, is walked to the
     # last, shorter chunk.
-    returned = record_coarse_chunks(monkeypatch)
+    searches = record_coarse_chunks(monkeypatch)
     cfg = SearchConfig(coarse_resolution=0.02)
     chunks = full_walk_chunks(cfg)
     assert len(set(chunks)) == 2 and len(chunks) > 2
-    minimize_rate(two_mains, cfg)
-    assert [rates[0].shape for rates in returned] == chunks
-    assert all(len(rates) == 2 for rates in returned)
+    minimize_rate(PARITY_OBJECTIVES["quadratic"], cfg)
+    (returned,) = searches
+    assert [rates.shape for rates in returned] == chunks
     for prev, cur in zip(returned, returned[1:]):
-        shared = [a is b for a, b in zip(prev, cur)]
-        assert shared == [prev[0].shape == cur[0].shape] * 2
+        assert (prev is cur) == (prev.shape == cur.shape)
 
 
 def test_each_coarse_chunk_evaluates_the_grid_terms_once_per_point(monkeypatch):
-    # A point's R_njg and R_g searches walk the grid once: one call of the
-    # grid terms per chunk serves both.
+    # Each search of a point calls the grid terms once per chunk of its walk,
+    # R_njg on the parameters with jamming stripped, whose main term is one
+    # value, then R_g.
     chunk_calls = []
 
-    def counted(*args):
-        terms = oracle.general_rate_terms_grid(*args)
-        if np.ndim(terms[0]) == 2:
-            chunk_calls.append(np.shape(terms[0]))
+    def counted(p, *args):
+        terms = oracle.general_rate_terms_grid(p, *args)
+        if np.ndim(terms[1]) == 2:
+            chunk_calls.append((p, np.shape(terms[0]), np.shape(terms[1])))
         return terms
 
     monkeypatch.setattr(optimize, "general_rate_terms_grid", counted)
-    chunks = record_coarse_chunks(monkeypatch)
+    searches = record_coarse_chunks(monkeypatch)
     fig3a = cli.load_config("fig3a")
     cli.general_point(fig3a.orthogonal, GEN_POINT, fig3a.optimizer)
-    assert chunks and all(len(rates) == 2 for rates in chunks)
-    assert chunk_calls == [rates[0].shape for rates in chunks]
+    njg, g = searches
+    assert njg and g
+    assert chunk_calls == ([(strip_jamming(GEN_POINT), (), rates.shape) for rates in njg]
+                           + [(GEN_POINT, rates.shape, rates.shape) for rates in g])
 
 
 # The pool scenarios, the figures and degenerate parameters: zero powers, no
-# jamming gains, and negative gains on both sides of the main term's slope.
+# jamming gains or only one, and negative gains on both sides of the main
+# term's slope.
 BOUND_PARAMS = {
     **{f"pool-{k}": pool_point(k) for k in range(24)},
     "gen-point": GEN_POINT,
@@ -547,6 +553,7 @@ BOUND_PARAMS = {
     "P_1e-P_2e-0": dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0),
     "P_l-0": dataclasses.replace(GEN_POINT, P_l=0.0),
     "no-jamming-gains": dataclasses.replace(GEN_POINT, h_1e_l=0.0, h_2e_l=0.0),
+    "h_2e_l-0": dataclasses.replace(GEN_POINT, h_2e_l=0.0),
     "negative-gains": dataclasses.replace(GEN_POINT, h_1e_l=-0.5, h_2e_l=-0.4,
                                           h_l_1e=-0.9, h_2e_1e=-0.3),
     "negative-jamming-gains": dataclasses.replace(GEN_POINT, h_1e_l=-0.5, h_2e_l=-0.4),
@@ -556,15 +563,15 @@ BOUND_PARAMS = {
 @pytest.mark.parametrize("name", sorted(BOUND_PARAMS))
 def test_line_bounds_hold_on_every_valid_cell(name):
     # Every valid cell of the whole 0.05 grid has a secure rate at or above
-    # its line's bound, for both objectives of optimize_general, exactly as
-    # the search computes them: no margin is needed here.
-    terms, bound = optimize._general_objective(BOUND_PARAMS[name])
+    # its line's bound, for both searches of optimize_general, exactly as
+    # they compute them: no margin is needed here.
+    p = BOUND_PARAMS[name]
     axis = correlation_grid_axis(0.05)
     views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
-    rates, valid, _ = optimize._evaluate(terms, *views)
-    bounds = bound(axis[:, None], axis[None, :])
-    assert len(bounds) == len(rates) == 2
-    for sec, low in zip(rates, bounds):
+    for q in (strip_jamming(p), p):
+        terms = functools.partial(oracle.general_rate_terms_grid, q)
+        sec, valid, _ = optimize._evaluate(terms, *views)
+        low = optimize._general_line_bound(q, axis[:, None], axis[None, :])
         low = np.broadcast_to(np.asarray(low)[:, :, None], sec.shape)
         assert np.isfinite(sec[valid]).all()
         assert (sec[valid] >= low[valid]).all(), float(np.max((low - sec)[valid]))
@@ -579,13 +586,13 @@ def test_a_zero_found_first_leaves_the_lines_before_it_open(monkeypatch):
 
     def terms(r1, r2, r12, det):
         q = np.minimum(*(sum((r - t) ** 2 for r, t in zip((r1, r2, r12), c)) for c in (a, b)))
-        return (np.full(q.shape, 10.0),), 10.0 - q, 50.0, 50.0
+        return np.full(q.shape, 10.0), 10.0 - q, 50.0, 50.0
 
     def bound(r1, r2):
-        return (np.where((r1 == b[0]) & (r2 == b[1]), -1.0, 0.0),)
+        return np.where((r1 == b[0]) & (r2 == b[1]), -1.0, 0.0)
 
     cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
-    (res,) = optimize.minimize_rate(terms, bound, cfg)
+    res = optimize.minimize_rate(terms, bound, cfg)
     assert res.rho_star.as_tuple() == a and res.rate.secure_rate == 0.0
 
 
@@ -599,8 +606,8 @@ def test_a_nan_bound_rules_no_line_out(monkeypatch):
 
     def bound(r1, r2):
         low = (r1 - target[0]) ** 2 + (r2 - target[1]) ** 2
-        return (np.where(low == 0.0, math.nan, low),)
+        return np.where(low == 0.0, math.nan, low)
 
     cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
-    (res,) = optimize.minimize_rate(terms, bound, cfg)
+    res = optimize.minimize_rate(terms, bound, cfg)
     assert res.rho_star.as_tuple() == target and res.rate.secure_rate == 0.0

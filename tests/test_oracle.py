@@ -21,7 +21,7 @@ from wiretap_rates.core import (
     theta,
     valid_correlation,
 )
-from wiretap_rates.gaussian import GeneralGaussianParams
+from wiretap_rates.gaussian import GeneralGaussianParams, strip_jamming
 from wiretap_rates.optimize import correlation_grid_axis
 from wiretap_rates.oracle import (
     GENERAL_LABELS,
@@ -218,6 +218,16 @@ def test_degenerate_powers_evaluate_to_limits():
         (dataclasses.replace(p, P_1e=0.0), rho, 1, theta(p.P_l * (1 - 0.4 ** 2) * gain)),
         (dataclasses.replace(p, P_2e=0.0), rho, 1, theta(p.P_l * (1 - 0.3 ** 2) * gain)),
         (dataclasses.replace(p, P_1e=0.0, P_2e=0.0), rho, 1, theta(p.P_l * gain)),
+        # Without jamming the main term is that of the legitimate link alone;
+        # with one jamming gain 0, that of the other eavesdropper's jamming.
+        (strip_jamming(p), rho, 0, theta(p.P_l * p.h_l ** 2 / p.N_l)),
+        (
+            dataclasses.replace(p, h_2e_l=0.0),
+            rho,
+            0,
+            theta((p.h_l * math.sqrt(p.P_l) + p.h_1e_l * math.sqrt(p.P_1e) * 0.3) ** 2
+                  / (p.h_1e_l ** 2 * p.P_1e * (1 - 0.3 ** 2) + p.N_l)),
+        ),
         # No legitimate signal, no rate and no leakage.
         (dataclasses.replace(p, P_l=0.0), rho, 0, 0.0),
         (dataclasses.replace(p, P_l=0.0), rho, 1, 0.0),
@@ -348,14 +358,17 @@ def test_grid_preserves_input_shape():
     # constant inputs give constant outputs
     assert np.ptp(main) == 0.0
     # broadcastable inputs give each term the shape its own correlations
-    # broadcast to: single_1 reads rho_2, single_2 reads rho_1, and with both
-    # eavesdroppers silent the joint term reads none
-    for params, joint_shape in (
-        (GEN_POINT, (2, 5)),
-        (dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0), ()),
+    # broadcast to: single_1 reads rho_2, single_2 reads rho_1, with both
+    # eavesdroppers silent the joint term reads none, and the main term reads
+    # none only when neither eavesdropper jams
+    for params, main_shape, joint_shape in (
+        (GEN_POINT, (2, 5), (2, 5)),
+        (dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0), (), ()),
+        (strip_jamming(GEN_POINT), (), (2, 5)),
+        (dataclasses.replace(GEN_POINT, h_2e_l=0.0), (2, 5), (2, 5)),
     ):
         terms = general_rate_terms_grid(params, np.full((2, 1), 0.1), np.zeros((1, 5)), 0.0)
-        assert [np.shape(arr) for arr in terms] == [(2, 5), joint_shape, (1, 5), (2, 1)]
+        assert [np.shape(arr) for arr in terms] == [main_shape, joint_shape, (1, 5), (2, 1)]
 
 
 _FIG3A = load_config("fig3a").general
