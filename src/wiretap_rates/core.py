@@ -20,6 +20,7 @@ __all__ = [
     "MAX_GRID_POINTS",
     "PSD_SLACK",
     "theta",
+    "gain_squared",
     "CorrelationTriple",
     "ZERO_RHO",
     "RateBreakdown",
@@ -55,6 +56,17 @@ def theta(x: float) -> float:
     if x < 0.0:
         raise DomainError(f"theta argument must be non-negative, got {x!r}")
     return 0.5 * math.log2(1.0 + x)
+
+
+def gain_squared(name: str, gain: float) -> float:
+    """``gain ** 2`` bit for bit, for the gain called ``name``.  A float
+    square past the float range, where Python raises OverflowError (|gain|
+    above about 1.3e154), raises DomainError instead."""
+    try:
+        return gain ** 2
+    except OverflowError:
+        raise DomainError(f"gain {name} = {gain!r} is too large: "
+                          "its square overflows a float") from None
 
 
 def correlation_determinant(rho_1: float, rho_2: float, rho_12: float) -> float:

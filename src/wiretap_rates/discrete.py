@@ -326,12 +326,11 @@ class SupInfResult:
     r_star         maximizing legitimate input law.
     q_star         minimizing eavesdropper law at r_star.
     refined_rate   inner minimum at r_star re-run at half the resolution.
-    evaluations    grid pairs evaluated or ruled out: every (legitimate,
-                   eavesdropper) pair of the two grids plus the recheck
-                   pairs, the count held against the budget.  The probe
-                   bound of ``sup_inf_rate`` rules most of the pairs out
-                   unscored, so fewer are evaluated; the count does not
-                   depend on how many.
+    evaluations    (legitimate, eavesdropper) pairs scored: each law's
+                   probe pairs, the other pairs of each law visited, and the
+                   recheck pairs.  The probe bound of ``sup_inf_rate`` rules
+                   most of the grid's pairs out unscored, so the count is
+                   below the budget's, which counts every pair.
     """
 
     rate: float
@@ -385,8 +384,9 @@ def sup_inf_rate(
 
     Pairs are evaluated in stacks of at most ``_STACK_CELLS`` joint-pmf
     cells, and each pair gets the rate it gets alone (see ``_entropies``),
-    so neither the stack size nor the pruning moves any result bit: they
-    are those of scoring every pair.  The outer grid at step 1/m is
+    so neither the stack size nor the pruning moves any rate or law: they
+    are those of scoring every pair.  Only ``evaluations``, the pairs
+    scored, depends on both.  The outer grid at step 1/m is
     contained in the one at step 1/(2m), so along such nested grids
     (m -> 2m) the result can only grow whenever the inner minimization is
     trivial.  It is not monotone in ``grid_resolution`` otherwise: on a
@@ -437,9 +437,11 @@ def sup_inf_rate(
     best_rate, best_law = -math.inf, -1  # the incumbent, by enumeration index
     best_r = best_row = None
     first = 0  # enumeration index of the batch's first law
+    evaluations = 0
     while chunk := list(itertools.islice(laws, batch)):
         rs = np.stack(chunk)
         probe_rates = _product_rates(ch, rs, probes)
+        evaluations += probe_rates.size
         bound = probe_rates.min(axis=1)
         order = np.argsort(-bound, kind="stable")
         while len(order):
@@ -452,6 +454,7 @@ def sup_inf_rate(
             rows = np.empty((len(visit), n_inner))
             rows[:, is_probe] = probe_rates[visit]
             rows[:, ~is_probe] = _product_rates(ch, rs[visit], others)
+            evaluations += len(visit) * len(others)
             for i, row in zip(visit, rows):
                 worst = row.min()
                 if worst > best_rate or (worst == best_rate and first + i < best_law):
@@ -467,7 +470,7 @@ def sup_inf_rate(
         r_star=LegitimateInputDist(best_r),
         q_star=EavesdropperInputDist(q_grid[np.argmin(best_row)]),
         refined_rate=float(refined.min()),
-        evaluations=total,
+        evaluations=evaluations + refined.size,
     )
 
 

@@ -22,6 +22,7 @@ from .core import (
     CorrelationTriple,
     DomainError,
     RateBreakdown,
+    gain_squared,
     theta,
 )
 
@@ -137,15 +138,15 @@ class GeneralGaussianParams:
 def _listen_snr(p: OrthogonalGaussianParams, j: int) -> float:
     # SNR of the legitimate signal in eavesdropper j's listening band.
     if j == 1:
-        return p.h_1m ** 2 * p.P_l / p.N_1e_m
-    return p.h_2m ** 2 * p.P_l / p.N_2e_m
+        return gain_squared("h_1m", p.h_1m) * p.P_l / p.N_1e_m
+    return gain_squared("h_2m", p.h_2m) * p.P_l / p.N_2e_m
 
 
 def _cross_snr(p: OrthogonalGaussianParams, j: int) -> float:
     # SNR of the other eavesdropper's transmission in j's cross band.
     if j == 1:
-        return p.h_1c ** 2 * p.P_2e / p.N_1e_c
-    return p.h_2c ** 2 * p.P_1e / p.N_2e_c
+        return gain_squared("h_1c", p.h_1c) * p.P_2e / p.N_1e_c
+    return gain_squared("h_2c", p.h_2c) * p.P_1e / p.N_2e_c
 
 
 def rate_orthogonal(p: OrthogonalGaussianParams) -> RateBreakdown:
@@ -168,7 +169,8 @@ def rate_orthogonal(p: OrthogonalGaussianParams) -> RateBreakdown:
     c2 = _cross_snr(p, 2)
     leak_1 = theta(s1 + c1 + s1 * c1)
     leak_2 = theta(s2 + c2 + s2 * c2)
-    return RateBreakdown(theta(p.h_l ** 2 * p.P_l / p.N_l), leak_joint, leak_1, leak_2)
+    main = theta(gain_squared("h_l", p.h_l) * p.P_l / p.N_l)
+    return RateBreakdown(main, leak_joint, leak_1, leak_2)
 
 
 def rate_noncolluding(p: OrthogonalGaussianParams) -> float:

@@ -27,7 +27,6 @@ from .core import (
     DomainError,
     GridBudgetError,
     MAX_GRID_POINTS,
-    PSD_SLACK,
     RateBreakdown,
     correlation_determinant,
     effective_leakages,
@@ -97,10 +96,10 @@ class OptimizationResult:
 
     rho_star      minimizing triple.
     rate          full breakdown of the objective at rho_star.
-    evaluations   number of valid triples of the coarse grid, evaluated or
-                  ruled out by their line's bound, plus those the descents
-                  evaluated; the final read of the terms at rho_star is not
-                  counted.
+    evaluations   number of valid triples the search evaluated: those of
+                  the coarse chunks it walked, whole chunks of lines at a
+                  time, and the descents' candidates.  The final read of the
+                  terms at rho_star is not counted.
     on_boundary   True when the correlation-matrix determinant at rho_star
                   is at most coarse_resolution^2, i.e. the optimum sits on
                   (or numerically at) the edge of the valid set.
@@ -183,41 +182,6 @@ def _grid_point(axis: np.ndarray, cell: _Cell) -> _Point:
     """A grid cell's rate and triple."""
     n = axis.size
     return cell[0], tuple(float(axis[i]) for i in np.unravel_index(cell[1], (n, n, n)))
-
-
-@functools.cache
-def _valid_cells(resolution: float) -> int:
-    """The valid triples of the grid at ``resolution``, as the walk's mask
-    counts them; counted once per resolution, a rho_1 row of (rho_1, rho_2)
-    lines at a time.
-
-    The determinant is a concave quadratic in rho_12, so the valid cells of a
-    line are those of the interval rho_1 rho_2 -+ sqrt((1 - rho_1^2)(1 -
-    rho_2^2) + PSD_SLACK).  The cells within two of either end of the
-    interval are tested by ``valid_correlation`` itself, which settles the
-    rounding there.  A cell three or more inside has a determinant at least
-    1e-8 above -PSD_SLACK on any grid the budget allows, and one three or
-    more outside as far below, beyond any rounding of the determinant.
-    """
-    axis = correlation_grid_axis(resolution)
-    m = axis.size - 1
-    near = np.arange(-2, 3)
-    count = 0
-    for r1 in axis:
-        centre = r1 * axis
-        half = np.sqrt((1.0 - r1 * r1) * (1.0 - axis * axis) + PSD_SLACK)
-        # Cell k holds rho_12 = (2k - m)/m; the interval's first and last cells.
-        k_lo = np.clip(np.ceil((centre - half + 1.0) * m / 2.0), 0, m).astype(int)
-        k_hi = np.clip(np.floor((centre + half + 1.0) * m / 2.0), 0, m).astype(int)
-        count += int(np.maximum(k_hi - k_lo - 5, 0).sum())  # cells k_lo + 3 to k_hi - 3
-        # The cells within two of either end, each once: the window at the
-        # interval's last cell starts after the first window ends.
-        k = np.concatenate([k_lo[:, None] + near, k_hi[:, None] + near], axis=1)
-        tested = (k >= 0) & (k <= m)
-        tested[:, near.size:] &= k[:, near.size:] > k_lo[:, None] + 2
-        valid = valid_correlation(r1, axis[:, None], axis[np.clip(k, 0, m)])
-        count += int(np.count_nonzero(valid & tested))
-    return count
 
 
 def _chunk_winners(sec: np.ndarray, valid: np.ndarray, lines: np.ndarray,
@@ -329,10 +293,8 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
         )
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
-    # Counted before the walk's arrays exist, so their peaks do not add up.
-    evaluations = _valid_cells(cfg.coarse_resolution)
-
-    chunk_starts = np.arange(0, n * n, max(1, _CHUNK_TARGET // n))
+    chunk_lines = max(1, _CHUNK_TARGET // n)
+    chunk_starts = np.arange(0, n * n, chunk_lines)
     order, reach, first_open = _walk_plan(bound, axis, chunk_starts)
 
     def ruled_out(cell: _Cell, c: int) -> bool:
@@ -350,9 +312,12 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     # made the heap shrink and regrow, 20,000 page faults per 0.01 point.
     r12 = axis[None, :]
     rates = None
-    for c, lines in enumerate(np.split(order, chunk_starts[1:]), start=1):
+    evaluations = 0
+    for c, start in enumerate(chunk_starts, start=1):
+        lines = order[start:start + chunk_lines]
         i1, i2 = lines // n, lines % n
-        rates, valid, _ = _evaluate(terms, axis[i1, None], axis[i2, None], r12, out=rates)
+        rates, valid, used = _evaluate(terms, axis[i1, None], axis[i2, None], r12, out=rates)
+        evaluations += used
         # The axis holds +-1 only at its ends.
         inner = (0 < i1) & (i1 < n - 1) & (0 < i2) & (i2 < n - 1)
         whole, off_edge = _chunk_winners(rates, valid, lines, inner)

@@ -43,6 +43,7 @@ from .core import (
     RateBreakdown,
     correlation_determinant,
     effective_leakages,
+    gain_squared,
     rate_terms,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
@@ -483,7 +484,8 @@ def _joint_bits(p: GeneralGaussianParams, residual: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.maximum(residual, 0.0, out=residual)
         residual *= p.P_l
-        residual *= p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e
+        residual *= (gain_squared("h_l_1e", p.h_l_1e) / p.N_1e
+                     + gain_squared("h_l_2e", p.h_l_2e) / p.N_2e)
         residual += 1.0
         np.log2(residual, out=residual)
         residual *= 0.5

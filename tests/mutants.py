@@ -206,18 +206,12 @@ MUTANTS = (
         ("tests/test_optimize.py::test_a_nan_bound_rules_no_line_out",),
     ),
     Mutant(
-        "the valid-cell count drops the last sure cell inside each interval",
+        "the coarse walk's evaluations left out of the count",
         "optimize.py",
-        "count += int(np.maximum(k_hi - k_lo - 5, 0).sum())",
-        "count += int(np.maximum(k_hi - k_lo - 6, 0).sum())",
-        ("tests/test_optimize.py::test_valid_cell_count_equals_the_cell_by_cell_count[0.1]",),
-    ),
-    Mutant(
-        "the valid-cell count trusts its interval estimate without testing the ends",
-        "optimize.py",
-        "count += int(np.count_nonzero(valid & tested))",
-        "count += int(np.count_nonzero(tested))",
-        ("tests/test_optimize.py::test_valid_cell_count_equals_the_cell_by_cell_count[0.5]",),
+        "        evaluations += used\n        # The axis holds",
+        "        # The axis holds",
+        ("tests/test_optimize.py::test_optimize_general_pinned_results[scenario-16-jamming]",
+         "tests/test_optimize.py::test_broadcast_walk_matches_materialized_walk[low-dim-1]"),
     ),
     Mutant(
         "R_njg searched with jamming, on p instead of strip_jamming(p)",
@@ -260,6 +254,14 @@ MUTANTS = (
          "tests/test_oracle.py::test_degenerate_powers_evaluate_to_limits"),
     ),
     Mutant(
+        "eavesdropper 1's single leakage takes the cross power of its own input",
+        "oracle.py",
+        "b1, c1 = p.h_l_1e * sd_l, p.h_2e_1e * sd_2",
+        "b1, c1 = p.h_l_1e * sd_l, p.h_2e_1e * sd_1",
+        ("tests/test_oracle.py::"
+         "test_rates_do_not_change_when_the_eavesdroppers_swap_names[gen-point]",),
+    ),
+    Mutant(
         "joint residual variance not held to 1 - max(rho_1^2, rho_2^2)",
         "oracle.py",
         "        np.minimum(joint, 1.0 - np.maximum(q1 * q1, q2 * q2), out=joint)\n",
@@ -289,6 +291,14 @@ MUTANTS = (
         "(bound[ahead] == best_rate) & (first + ahead < best_law))",
         "(bound[ahead] == best_rate))",
         ("tests/test_discrete.py::test_sup_inf_equals_the_full_matrix_search[taps-b-m3]",),
+    ),
+    Mutant(
+        "each visited law's probe pairs counted twice",
+        "discrete.py",
+        "evaluations += len(visit) * len(others)",
+        "evaluations += len(visit) * n_inner",
+        ("tests/test_discrete.py::test_sup_inf_equals_the_full_matrix_search[dm_bsc_taps]",
+         "tests/test_discrete.py::test_sup_inf_is_independent_of_the_stack_size[3]"),
     ),
     Mutant(
         "the inner recheck run at m instead of 2m",

@@ -24,7 +24,7 @@ from wiretap_rates.cli import (
 )
 from wiretap_rates.core import MAX_GRID_POINTS, DomainError, GridBudgetError
 from wiretap_rates.gaussian import rate_orthogonal, strip_jamming
-from wiretap_rates.optimize import minimize_rate, optimize_general
+from wiretap_rates.optimize import optimize_general
 from wiretap_rates.oracle import general_rate_terms_grid
 
 ORTHO_BLOCK = {
@@ -276,19 +276,20 @@ def test_fig3a_hl2_sweep_equals_its_committed_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_fig3a_hl2_point_at_0_01_equals_its_committed_stdout(capsys):
+def test_fig3a_hl2_point_at_0_01_equals_its_committed_stdout(capsys, evaluation_counts):
     # The committed config is the bundled fig3a_hl2 at coarse_resolution
-    # 0.01, where the walk stops after a few of its chunks of lines; the
-    # committed stdout, evaluations= included, is what the walk of every
-    # line printed.
+    # 0.01, where each walk stops after a few of its chunks of lines.  Each
+    # search's evaluations= is the count of valid triples it evaluated,
+    # counted here apart from the search.
     here = Path(__file__).parent
     config = here / "fig3a_hl2_fine.json"
     fine, bundled = load_config(str(config)), load_config("fig3a_hl2")
     assert (fine.general, fine.orthogonal) == (bundled.general, bundled.orthogonal)
     assert fine.optimizer == replace(bundled.optimizer, coarse_resolution=0.01)
     assert main(["point", "--config", str(config)]) == 0
-    out = capsys.readouterr().out.encode()
-    assert out == (here / "fig3a_hl2_fine_point.txt").read_bytes()
+    out = capsys.readouterr().out
+    assert out.encode() == (here / "fig3a_hl2_fine_point.txt").read_bytes()
+    assert [int(n) for n in re.findall(r"evaluations=(\d+)", out)] == evaluation_counts
 
 
 def test_sweep_command_defaults_to_config_output(tmp_path, capsys, monkeypatch):
@@ -556,6 +557,24 @@ def test_grid_over_budget_exits_with_one_line(tmp_path, capsys, command, resolut
     assert_one_line_error(capsys, "budget error")
 
 
+@pytest.mark.parametrize(
+    "kind, block, gain",
+    [("orthogonal-gaussian", "orthogonal", g) for g in ("h_l", "h_1m", "h_2m", "h_1c", "h_2c")]
+    + [("general-gaussian", "orthogonal", "h_1c"),
+       ("general-gaussian", "general", "h_l_1e"), ("general-gaussian", "general", "h_l_2e")],
+)
+def test_gain_whose_square_overflows_exits_with_one_line(tmp_path, capsys, kind, block, gain):
+    # The gain is finite, but Python raises OverflowError on its square.
+    blocks = {"orthogonal": dict(ORTHO_BLOCK)}
+    if kind == "general-gaussian":
+        blocks.update(general=dict(GENERAL_BLOCK), optimizer={"coarse_resolution": 0.25})
+    blocks[block][gain] = 1e200
+    path = write_config(tmp_path, {"kind": kind, **blocks})
+    assert main(["point", "--config", path]) == 1
+    assert_one_line_error(
+        capsys, f"domain error: gain {gain} = 1e+200 is too large: its square overflows")
+
+
 @pytest.mark.parametrize("draws", ["0", "-3", "100001", "1000000000000"])
 def test_audit_draws_out_of_range_exits_with_one_line(tmp_path, capsys, draws):
     out = tmp_path / "rows.csv"
@@ -704,7 +723,6 @@ def search_outcome(res):
     return (
         tuple(x.hex() for x in (b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2)),
         tuple(x.hex() for x in res.rho_star.as_tuple()),
-        res.evaluations,
         res.on_boundary,
     )
 
@@ -712,15 +730,18 @@ def search_outcome(res):
 def grid_search_alone(p, cfg):
     """minimize_rate on p's grid terms with the zero line bound, so every
     line of the grid is walked unless a rate is 0."""
-    return minimize_rate(functools.partial(general_rate_terms_grid, p),
-                         lambda r1, r2: 0.0, cfg)
+    return optimize.minimize_rate(functools.partial(general_rate_terms_grid, p),
+                                  lambda r1, r2: 0.0, cfg)
 
 
-def test_point_searches_at_once_equal_searches_in_order():
+def test_point_searches_at_once_equal_searches_in_order(evaluation_counts):
     # general_point's R_njg and R_g searches skip the lines their bounds rule
     # out; each result must be, bit for bit, what the search of its grid
     # terms gives walking every line: R_njg on the grid of the parameters
-    # with jamming stripped.
+    # with jamming stripped.  Each counts the triples it evaluated.  Where
+    # the rate is positive the zero-bound walk evaluates every line, so the
+    # walk by bound takes no more; where it is 0 both stop early, after
+    # chunks of different lines.
     fig3a, fig3b = load_config("fig3a"), load_config("fig3b")
     rng = AuditRng(20241018)
     cases = [(fig3a.general, fig3a.optimizer), (fig3b.general, fig3b.optimizer),
@@ -734,5 +755,10 @@ def test_point_searches_at_once_equal_searches_in_order():
         alone_g = grid_search_alone(gen, cfg)
         assert search_outcome(res_njg) == search_outcome(alone_njg), gen
         assert search_outcome(res_g) == search_outcome(alone_g), gen
+        searches = (res_njg, res_g, res_njg, res_g, alone_njg, alone_g)
+        assert evaluation_counts[-6:] == [res.evaluations for res in searches], gen
+        for res, alone in ((res_njg, alone_njg), (res_g, alone_g)):
+            if res.rate.secure_rate > 0.0:
+                assert res.evaluations <= alone.evaluations, gen
         assert (row["R_njg"], row["R_g"]) == (alone_njg.rate.secure_rate,
                                               alone_g.rate.secure_rate)

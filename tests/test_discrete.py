@@ -288,7 +288,8 @@ def full_matrix_sup_inf(ch: DMChannel, m: int):
     """The exhaustive search, as ``sup_inf_rate`` ran before it pruned: every
     (legitimate, eavesdropper) pair scored, the earliest law of the largest
     worst case, the first minimum of its row.  Returns the result's five
-    fields and the (laws, q grid, rate matrix) it read them from."""
+    fields, evaluations being the pairs it scored, and the (laws, q grid,
+    rate matrix) it read them from."""
     laws = np.array(list(legitimate_input_grid(*ch.input_sizes, m)))
     qs = eavesdropper_input_grid(*ch.input_sizes[1:], m)
     rows = discrete._product_rates(ch, laws, qs)
@@ -344,11 +345,11 @@ SEARCH_CASES = {
 @pytest.mark.parametrize("case", SEARCH_CASES)
 def test_sup_inf_equals_the_full_matrix_search(monkeypatch, case):
     ch, m = SEARCH_CASES[case]()
-    expected, (laws, qs, rows) = full_matrix_sup_inf(ch, m)
+    (*expected, every_pair), (laws, qs, rows) = full_matrix_sup_inf(ch, m)
     calls = record_product_rates(monkeypatch)
     res = sup_inf_rate(ch, 1.0 / m)
-    assert (res.rate, res.refined_rate, res.r_star.r.tolist(), res.q_star.q.tolist(),
-            res.evaluations) == expected
+    assert [res.rate, res.refined_rate, res.r_star.r.tolist(),
+            res.q_star.q.tolist()] == expected
 
     # The last call is the recheck: r_star against the whole grid at 2m.
     *search, (recheck_rs, recheck_qs) = calls
@@ -359,7 +360,7 @@ def test_sup_inf_equals_the_full_matrix_search(monkeypatch, case):
     scored = [(law_index[r.tobytes()], q_index[q.tobytes()])
               for rs, call_qs in search for r in rs for q in call_qs]
     assert len(set(scored)) == len(scored), "a pair was scored twice"
-    assert len(scored) + len(recheck_qs) <= res.evaluations
+    assert res.evaluations == len(scored) + len(recheck_qs) <= every_pair
     if case == "dm_bsc_taps":
         assert len(scored) <= rows.size // 3
 
@@ -382,6 +383,18 @@ def test_sup_inf_equals_the_full_matrix_search(monkeypatch, case):
                 best, best_law = worst[i], i
 
 
+@pytest.mark.parametrize("case", ["tapped-m2", "taps-a-m3", "taps-b-m3", "dm_bsc_taps"])
+def test_sup_inf_rate_does_not_change_when_the_eavesdroppers_swap_names(case):
+    # Exchanging eavesdroppers 1 and 2 swaps Y_1e with Y_2e and X_1e with
+    # X_2e.  The laws are enumerated in another order, so only the rates
+    # are compared.
+    ch, m = SEARCH_CASES[case]()
+    swapped = DMChannel(ch.transition.transpose(0, 2, 1, 3, 5, 4))
+    res, res_swapped = sup_inf_rate(ch, 1.0 / m), sup_inf_rate(swapped, 1.0 / m)
+    assert res_swapped.rate == pytest.approx(res.rate, rel=0.0, abs=1e-12)
+    assert res_swapped.refined_rate == pytest.approx(res.refined_rate, rel=0.0, abs=1e-12)
+
+
 def test_stacked_secure_rates_equal_scalar_evaluations():
     ch = tapped_channel()
     qs = eavesdropper_input_grid(2, 1, 4)
@@ -401,15 +414,18 @@ def test_stacked_secure_rates_equal_scalar_evaluations():
 # end inside the third.
 @pytest.mark.parametrize("joints_per_stack", [1, 3, 47])
 def test_sup_inf_is_independent_of_the_stack_size(monkeypatch, joints_per_stack):
+    # Only the count of pairs scored moves: the stack size sets the batches
+    # of laws the probe bound ranks.
     ch = bsc_tap_channel(0.05, 0.3, 0.25, 0.2, 0.15)
     whole = sup_inf_rate(ch, 1.0 / 3.0)
     monkeypatch.setattr(discrete, "_STACK_CELLS", joints_per_stack * ch.transition.size)
+    calls = record_product_rates(monkeypatch)
     split = sup_inf_rate(ch, 1.0 / 3.0)
     assert split.rate == whole.rate
     assert split.refined_rate == whole.refined_rate
     assert np.array_equal(split.r_star.r, whole.r_star.r)
     assert np.array_equal(split.q_star.q, whole.q_star.q)
-    assert split.evaluations == whole.evaluations
+    assert split.evaluations == sum(len(rs) * len(qs) for rs, qs in calls)
 
 
 THIRD, TWO_THIRDS = 1.0 / 3.0, 2.0 / 3.0
@@ -444,12 +460,14 @@ def test_sup_inf_pinned_tie_break(taps, rate, refined_rate, r_star, q_star):
     # both channels, so q_star is fixed by rounding and first-wins tie
     # breaking: each law must get exactly the value it gets alone.
     # Entropies summed over whole stacks move q_star on the second channel.
+    # Pairs scored: 256 laws on 4 probe laws each, 12 laws visited on the 16
+    # other eavesdropper laws, and the 84 recheck laws.
     res = sup_inf_rate(bsc_tap_channel(*taps), 1.0 / 3.0)
     assert res.rate == rate
     assert res.refined_rate == refined_rate
     assert res.r_star.r.tolist() == r_star
     assert res.q_star.q.tolist() == q_star
-    assert res.evaluations == 256 * 20 + 84
+    assert res.evaluations == 256 * 4 + 12 * 16 + 84
 
 
 def test_bundled_tap_channel_is_the_channel_5_construction():
@@ -514,7 +532,8 @@ def test_sup_inf_refuses_a_budget_above_the_cap_before_any_grid(monkeypatch):
         with pytest.raises(GridBudgetError, match=f"at most {MAX_GRID_POINTS}$"):
             sup_inf_rate(ch, 0.001, budget)
     monkeypatch.undo()
-    assert sup_inf_rate(ch, 0.5, MAX_GRID_POINTS).evaluations == 81 * 10 + 35
+    # 81 laws on 4 probe laws each, 32 visited on the 6 others, 35 rechecked.
+    assert sup_inf_rate(ch, 0.5, MAX_GRID_POINTS).evaluations == 81 * 4 + 32 * 6 + 35
 
 
 def test_build_orthogonal_dm_pairs_outputs():

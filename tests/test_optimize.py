@@ -76,15 +76,6 @@ def test_grid_axis_snaps_resolution():
     assert correlation_grid_axis(0.3).size == 7
 
 
-@pytest.mark.parametrize("resolution", [0.5, 0.1, 0.05, 0.02, 0.01])
-def test_valid_cell_count_equals_the_cell_by_cell_count(resolution):
-    # The per-line interval count against the walk's own mask, cell by cell.
-    axis = correlation_grid_axis(resolution)
-    r2, r12 = axis[:, None], axis[None, :]
-    by_cell = sum(int(np.count_nonzero(valid_correlation(r1, r2, r12))) for r1 in axis)
-    assert optimize._valid_cells.__wrapped__(resolution) == by_cell
-
-
 def test_grid_axis_rejects_bad_resolution():
     with pytest.raises(DomainError):
         correlation_grid_axis(0.0)
@@ -197,67 +188,70 @@ POOL_PARAMS = {
 # on_boundary) of optimize_general at coarse_resolution 0.05, or at the
 # resolution a key's third entry gives: no jamming is the pair's first
 # result, jamming its second.  Any change to the search or the grid terms
-# that moves a bit of these fails here.  At 0.01 each walk stops after a few
-# of its 409 chunks; at 0.05 the first chunk holds 29% of the lines.
+# that moves a bit of these fails here; a change to how far the walk goes
+# moves only evaluations.  At 0.01 each walk stops after a few of its 409
+# chunks; at 0.05 the first chunk holds 29% of the lines.
 PINNED_SEARCHES = {
     ("scenario-16", "jamming"): (
         (0.0504, 0.04, 0.99),
         ("0x1.7e2f479b64419p+0", "0x1.f06e8a66a4915p-2",
          "0x1.714251c0dfa51p-2", "0x1.f06f3eeba38a0p-2"),
-        39198, False),
+        17263, False),
     ("scenario-16", "no-jamming"): (
         (0.060000000000000005, -0.060000000000000005, -1.0),
         ("0x1.8dd9cab1fc75dp+0", "0x1.f1d63054d3141p-2",
          "0x1.5520388547c48p-2", "0x1.f340862e83ce0p-2"),
-        39187, True),
+        17339, True),
     ("scenario-23", "jamming"): (
         (0.1, 0.04, 0.894),
         ("0x1.31eca0d6c7197p+0", "0x1.230fd85144951p-1",
          "0x1.790b8f9271389p-2", "0x1.230f4cb4b1e4bp-1"),
-        39181, False),
+        17155, False),
     ("scenario-23", "no-jamming"): (
         (0.11160000000000002, -0.10560000000000001, -0.9463999999999999),
         ("0x1.40824dfec055bp+0", "0x1.250dee1686847p-1",
          "0x1.598bdd2a3fc3ep-2", "0x1.251d7090db5c9p-1"),
-        39199, False),
+        17027, False),
     ("fig3a-P_l-20", "jamming"): (
         (-0.8, -0.8, 0.85),
         ("0x1.d24b127196869p+0", "0x1.de34ef8d04682p+0",
          "0x1.0f12b64be8fa8p+1", "0x1.0f12b64be8fa8p+1"),
-        39163, False),
+        14313, False),
     ("fig3a-P_l-20", "no-jamming"): (
         (-0.7, 0.0, -0.1),
         ("0x1.191bba891f171p+1", "0x1.19fe07f9bf397p+1",
          "0x1.198c04ea5dbd7p+1", "0x1.1072fca1e5ce6p+1"),
-        39163, False),
+        16496, False),
     ("scenario-16", "jamming", "0.01"): (
         (0.0504, 0.04, 0.98992),
         ("0x1.7e2f7222a006bp+0", "0x1.f07288cdc9a32p-2",
          "0x1.714251c0dfa51p-2", "0x1.f06f3eeba38a0p-2"),
-        4929673, False),
+        58571, False),
     ("scenario-16", "no-jamming", "0.01"): (
         (0.05584, -0.027919999999999997, -0.49999999999999994),
         ("0x1.8dd9cab1fc75dp+0", "0x1.f20306751eefap-2",
          "0x1.5e44ac32599d7p-2", "0x1.f2084ed3af976p-2"),
-        4929697, False),
+        19735, False),
     ("scenario-23", "jamming", "0.01"): (
         (0.11, 0.1004, 0.9804799999999999),
         ("0x1.32958126ae387p+0", "0x1.24d52962acc81p-1",
          "0x1.85ba5011344dfp-2", "0x1.24d50ae154290p-1"),
-        4929685, False),
+        77697, False),
     ("scenario-23", "no-jamming", "0.01"): (
         (0.11136000000000001, -0.10936000000000001, -0.98208),
         ("0x1.40824dfec055bp+0", "0x1.2510bc78fda85p-1",
          "0x1.58b70087e643bp-2", "0x1.2512956ae45b4p-1"),
-        4929715, False),
+        19623, False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SEARCHES), ids="-".join)
-def test_optimize_general_pinned_results(case):
+def test_optimize_general_pinned_results(case, evaluation_counts):
     name, objective, *resolution = case
     cfg = SearchConfig(coarse_resolution=float(resolution[0]) if resolution else 0.05)
     res_njg, res_g = optimize_general(POOL_PARAMS[name], cfg)
+    # Each count is that of the triples the search evaluated.
+    assert evaluation_counts == [res_njg.evaluations, res_g.evaluations]
     res = res_g if objective == "jamming" else res_njg
     b = res.rate
     got = (
@@ -420,13 +414,14 @@ def search_outcome(search, terms, cfg):
     try:
         res = search(terms, cfg)
     except DomainError as err:
-        return str(err)
-    return res.rho_star, res.rate, res.evaluations, res.on_boundary
+        return str(err), None
+    return (res.rho_star, res.rate, res.on_boundary), res.evaluations
 
 
 @pytest.mark.parametrize("rows_per_chunk", ["default", 1])
 @pytest.mark.parametrize("name", sorted(PARITY_OBJECTIVES))
-def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypatch):
+def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypatch,
+                                                  evaluation_counts):
     # One row per chunk puts chunk boundaries inside the 0.5 and 0.1 grids,
     # which the default chunk size holds whole.
     if rows_per_chunk == 1:
@@ -435,11 +430,20 @@ def test_broadcast_walk_matches_materialized_walk(name, rows_per_chunk, monkeypa
     for res in (0.5, 0.1):
         for refine in (0, 3):
             cfg = SearchConfig(coarse_resolution=res, refine_iterations=refine)
-            got = search_outcome(minimize_rate, terms, cfg)
-            want = search_outcome(materialized_minimize_rate, terms, cfg)
+            got, evaluations = search_outcome(minimize_rate, terms, cfg)
+            want, every_line = search_outcome(materialized_minimize_rate, terms, cfg)
             assert got == want, (res, refine)
             if name == "nan-everywhere":
                 assert "main_rate must be finite" in got
+                continue
+            # Under the zero bound only a rate of 0 stops the walk early, as
+            # on low-dim; otherwise it evaluates what the materialized walk
+            # does, every valid triple of the grid.
+            assert evaluations == evaluation_counts[-1], (res, refine)
+            if got[1].secure_rate > 0.0:
+                assert evaluations == every_line, (res, refine)
+            else:
+                assert evaluations <= every_line, (res, refine)
 
 
 def full_walk_chunks(cfg):
@@ -474,10 +478,8 @@ def test_each_coarse_chunk_computes_the_determinant_once(monkeypatch):
     # The validity mask and the grid's joint term share one determinant per
     # chunk of lines, in each search of the pair.  Chunk-sized (2-D)
     # determinants are counted wherever the function is bound; the descents
-    # and the final reads evaluate 1-D arrays, and the grid's valid-cell
-    # count, made once per resolution, is made before counting starts.
+    # and the final reads evaluate 1-D arrays.
     cfg = SearchConfig(coarse_resolution=0.01)
-    optimize._valid_cells(cfg.coarse_resolution)
     chunk_calls = []
 
     def counted(r1, r2, r12):

@@ -438,3 +438,90 @@ def test_grid_given_the_search_determinant_is_bit_identical(params):
             np.ascontiguousarray(np.broadcast_to(got, shape)).view(np.uint64),
             np.ascontiguousarray(np.broadcast_to(want, shape)).view(np.uint64),
         )
+
+
+def swap_eavesdroppers(p: GeneralGaussianParams) -> GeneralGaussianParams:
+    """``p`` with eavesdroppers 1 and 2 exchanging names."""
+    return dataclasses.replace(
+        p, h_1e_l=p.h_2e_l, h_2e_l=p.h_1e_l, h_l_1e=p.h_l_2e, h_l_2e=p.h_l_1e,
+        h_2e_1e=p.h_1e_2e, h_1e_2e=p.h_2e_1e, P_1e=p.P_2e, P_2e=p.P_1e,
+        N_1e=p.N_2e, N_2e=p.N_1e,
+    )
+
+
+# The gains into each output of the shared-band model, by its noise.
+_OUTPUT_GAINS = {"N_l": ("h_l", "h_1e_l", "h_2e_l"),
+                 "N_1e": ("h_l_1e", "h_2e_1e"), "N_2e": ("h_l_2e", "h_1e_2e")}
+
+
+def rescale_output(p, noise: str, a: float, gains=_OUTPUT_GAINS):
+    """``p`` with one output multiplied by ``a``: the gains into it by ``a``
+    and its noise variance ``noise`` by a^2."""
+    return dataclasses.replace(p, **{g: getattr(p, g) * a for g in gains[noise]},
+                               **{noise: getattr(p, noise) * a * a})
+
+
+# Points with every rate term positive, and with one or both eavesdropper
+# powers 0, where the grid terms take their degenerate branches.
+SYMMETRY_PARAMS = {
+    "gen-point": GEN_POINT,
+    **{f"draw-{k}": draw_general_params(AuditRng(k)) for k in range(3)},
+    "P_1e-0": dataclasses.replace(GEN_POINT, P_1e=0.0),
+    "P_1e-P_2e-0": dataclasses.replace(GEN_POINT, P_1e=0.0, P_2e=0.0),
+    "no-jamming": strip_jamming(GEN_POINT),
+}
+
+
+def assert_same_rates(a, b, tol=1e-12):
+    """Two sequences of rate terms agree to ``tol`` bits."""
+    np.testing.assert_allclose(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                               rtol=0.0, atol=tol)
+
+
+def _terms(b):
+    return b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2
+
+
+@pytest.mark.parametrize("name", SYMMETRY_PARAMS)
+def test_rates_do_not_change_when_the_eavesdroppers_swap_names(name):
+    # Swapping eavesdroppers 1 and 2, and rho_1 with rho_2, exchanges the two
+    # single leakages and moves no other term, in the covariance route at
+    # drawn triples and in the grid terms at every valid triple of the 0.1
+    # grid.
+    p = SYMMETRY_PARAMS[name]
+    q = swap_eavesdroppers(p)
+    rng = AuditRng(7)
+    for rho in [draw_correlation(rng) for _ in range(20)] + [CorrelationTriple(0.3, 1.0, 0.3)]:
+        main, joint, single_1, single_2 = _terms(rate_general_oracle(p, rho))
+        swapped = rate_general_oracle(q, CorrelationTriple(rho.rho_2, rho.rho_1, rho.rho_12))
+        assert_same_rates(_terms(swapped), (main, joint, single_2, single_1))
+
+    axis = correlation_grid_axis(0.1)
+    r1, r2, r12 = axis[:, None, None], axis[None, :, None], axis[None, None, :]
+    valid = valid_correlation(r1, r2, r12)
+    shape = valid.shape
+    main, joint, single_1, single_2 = (np.broadcast_to(t, shape)[valid]
+                                       for t in general_rate_terms_grid(p, r1, r2, r12))
+    swapped = [np.broadcast_to(t, shape)[valid]
+               for t in general_rate_terms_grid(q, r2, r1, r12)]
+    for got, want in zip(swapped, (main, joint, single_2, single_1)):
+        assert_same_rates(got, want)
+
+
+@pytest.mark.parametrize("noise, a", [("N_l", 3.0), ("N_1e", 0.3), ("N_2e", 7.0)])
+@pytest.mark.parametrize("name", SYMMETRY_PARAMS)
+def test_rates_do_not_change_when_an_output_is_rescaled(name, noise, a):
+    # An output times a, its gains times a and its noise variance times a^2,
+    # carries the same information.
+    p = SYMMETRY_PARAMS[name]
+    q = rescale_output(p, noise, a)
+    rng = AuditRng(11)
+    for rho in [draw_correlation(rng) for _ in range(20)]:
+        assert_same_rates(_terms(rate_general_oracle(q, rho)),
+                          _terms(rate_general_oracle(p, rho)))
+    axis = correlation_grid_axis(0.1)
+    views = (axis[:, None, None], axis[None, :, None], axis[None, None, :])
+    valid = valid_correlation(*views)
+    for got, want in zip(general_rate_terms_grid(q, *views), general_rate_terms_grid(p, *views)):
+        assert_same_rates(np.broadcast_to(got, valid.shape)[valid],
+                          np.broadcast_to(want, valid.shape)[valid])
