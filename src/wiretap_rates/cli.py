@@ -167,10 +167,10 @@ def _check_value(block: str, key: str, annotation: str, value: object):
         if isinstance(value, bool) or not isinstance(value, (int, float)) \
                 or not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where} must be a finite number, got {_shown(value)}")
-        value = float(value)
         if annotation == "float":
-            return value
-        if value != int(value):
+            return float(value)
+        # A JSON integer is kept exact: through a float, 2**53 + 1 reads as 2**53.
+        if isinstance(value, float) and value != int(value):
             raise ConfigError(f"{where} must be an integer, got {_shown(value)}")
         return int(value)
     if isinstance(value, str) or (value is None and annotation == "str | None"):

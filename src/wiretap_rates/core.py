@@ -155,8 +155,7 @@ class RateBreakdown:
 
     Y_je stands for all of eavesdropper j's outputs; :func:`rate_terms`
     gives the four terms as index sets.  The rule that combines them is
-    derived, never stored: see ``effective_leakage``, ``secure_rate`` and
-    ``clamped``.
+    derived, never stored: see ``effective_leakage`` and ``secure_rate``.
     """
 
     main_rate: float
@@ -180,11 +179,6 @@ class RateBreakdown:
         """max(0, main_rate - effective_leakage)."""
         gap = self.main_rate - self.effective_leakage
         return gap if gap > 0.0 else 0.0
-
-    @property
-    def clamped(self) -> bool:
-        """True iff the difference was negative before clamping."""
-        return self.main_rate - self.effective_leakage < 0.0
 
 
 def rate_terms(

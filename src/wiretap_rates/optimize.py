@@ -34,7 +34,7 @@ from .core import (
     valid_correlation,
 )
 from .gaussian import GeneralGaussianParams, strip_jamming
-from .oracle import general_line_bounds, general_rate_terms_grid
+from .oracle import general_line_bound, general_rate_terms_grid
 
 __all__ = [
     "SearchConfig",
@@ -234,26 +234,6 @@ def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point):
     return best, evaluations
 
 
-def _walk_plan(bound: LineBound, axis: np.ndarray, starts: np.ndarray):
-    """The order in which the coarse walk visits the lines of rho_12, and,
-    for each chunk of that order (from the visit positions ``starts``): the
-    least bound of the lines from that chunk on, and the first of them in C
-    order that the margin alone cannot rule out for a rate of 0.
-
-    Line l is (axis[l // n], axis[l % n]); its cells have flat indices l * n
-    to l * n + n - 1.  The lines are visited by their bound, ties in C order.
-    """
-    n = axis.size
-    lower = np.broadcast_to(np.asarray(bound(axis[:, None], axis[None, :]), dtype=float),
-                            (n, n)).ravel()
-    order = np.argsort(lower, kind="stable")
-    lower = lower[order]
-    reach = np.minimum.accumulate(np.minimum.reduceat(lower, starts)[::-1])[::-1]
-    open_line = np.where(lower > _BOUND_MARGIN, n * n, order)
-    first_open = np.minimum.accumulate(np.minimum.reduceat(open_line, starts)[::-1])[::-1]
-    return order, reach, first_open
-
-
 def minimize_rate(terms: GridObjective, bound: LineBound,
                   cfg: SearchConfig) -> OptimizationResult:
     """Minimize a secrecy-rate objective over valid correlation triples.
@@ -294,15 +274,23 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     axis = correlation_grid_axis(cfg.coarse_resolution)
     n = axis.size
     chunk_lines = max(1, _CHUNK_TARGET // n)
-    chunk_starts = np.arange(0, n * n, chunk_lines)
-    order, reach, first_open = _walk_plan(bound, axis, chunk_starts)
+    # Line l is (axis[l // n], axis[l % n]); its cells have flat indices l * n
+    # to l * n + n - 1.  The lines are visited by their bound, ties in C
+    # order.  NaN bounds sort last, so while any line is left, the last line
+    # left has a NaN bound if any line does; a NaN bound rules no line out.
+    lower = np.broadcast_to(np.asarray(bound(axis[:, None], axis[None, :]), dtype=float),
+                            (n, n)).ravel()
+    order = np.argsort(lower, kind="stable")
+    lower = lower[order]
+    bounded = not np.isnan(lower[-1])
 
-    def ruled_out(cell: _Cell, c: int) -> bool:
-        """Whether no line from chunk c on can beat ``cell``."""
+    def ruled_out(cell: _Cell, start: int) -> bool:
+        """Whether no line from visit position ``start`` on can beat ``cell``."""
         rate, flat = cell
         if rate == 0.0:
-            return first_open[c] > flat // n
-        return reach[c] > rate + _BOUND_MARGIN
+            open_lines = order[start:][~(lower[start:] > _BOUND_MARGIN)]
+            return open_lines.min(initial=n * n) > flat // n
+        return bounded and lower[start] > rate + _BOUND_MARGIN
 
     # The least cell of the grid, and off the edges of the valid set (every
     # |rho| < 1).
@@ -313,7 +301,7 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     r12 = axis[None, :]
     rates = None
     evaluations = 0
-    for c, start in enumerate(chunk_starts, start=1):
+    for start in range(0, n * n, chunk_lines):
         lines = order[start:start + chunk_lines]
         i1, i2 = lines // n, lines % n
         rates, valid, used = _evaluate(terms, axis[i1, None], axis[i2, None], r12, out=rates)
@@ -323,7 +311,8 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
         whole, off_edge = _chunk_winners(rates, valid, lines, inner)
         best = min(best, whole)
         best_off_edge = min(best_off_edge, off_edge)
-        if c < chunk_starts.size and ruled_out(best, c) and ruled_out(best_off_edge, c):
+        rest = start + chunk_lines
+        if rest < n * n and ruled_out(best, rest) and ruled_out(best_off_edge, rest):
             break
 
     # On an edge of the valid set (some |rho| = 1) the rate can tie exactly
@@ -352,15 +341,9 @@ def optimize_general(p: GeneralGaussianParams,
     """Worst-case coordination of the eavesdroppers in the shared-band model:
     the search without jamming (R_njg, on ``strip_jamming(p)``), then the
     search with it (R_g), each of :func:`general_rate_terms_grid` bounded by
-    :func:`_general_line_bound`."""
+    :func:`general_line_bound`."""
     return tuple(
         minimize_rate(functools.partial(general_rate_terms_grid, q),
-                      functools.partial(_general_line_bound, q), cfg)
+                      functools.partial(general_line_bound, q), cfg)
         for q in (strip_jamming(p), p)
     )
-
-
-def _general_line_bound(p: GeneralGaussianParams, r1: np.ndarray, r2: np.ndarray):
-    """The lower bound on the secure rate of each line of rho_12 that
-    :func:`general_line_bounds` gives."""
-    return secure_rates(*general_line_bounds(p, r1, r2))

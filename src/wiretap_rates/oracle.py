@@ -24,8 +24,8 @@ of one, so the audit's blocks and the scalar calls share each definition.
 :func:`general_rate_terms_grid` evaluates the same four shared-band terms
 over arrays of correlation triples from output variances, without assembling
 a covariance or masking invalid triples; tests compare it with the log-det route.
-:func:`general_line_bounds` bounds its main term below and its effective
-leakage above over each line of valid rho_12, so a search can skip lines.
+:func:`general_line_bound` bounds its secure rate below over each line of
+valid rho_12, so a search can skip lines.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .core import (
     effective_leakages,
     gain_squared,
     rate_terms,
+    secure_rates,
 )
 from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
 
@@ -56,7 +57,7 @@ __all__ = [
     "rate_general_oracle",
     "rate_orthogonal_oracle",
     "general_rate_terms_grid",
-    "general_line_bounds",
+    "general_line_bound",
     "GENERAL_LABELS",
     "ORTHOGONAL_LABELS",
 ]
@@ -492,12 +493,13 @@ def _joint_bits(p: GeneralGaussianParams, residual: np.ndarray) -> np.ndarray:
     return residual
 
 
-def general_line_bounds(
+def general_line_bound(
     p: GeneralGaussianParams, rho_1: np.ndarray, rho_2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Over each line of valid rho_12 at broadcastable (rho_1, rho_2): a lower
-    bound on the main term of :func:`general_rate_terms_grid` and an upper
-    bound on its effective leakage, each in O(1) per line.
+) -> np.ndarray:
+    """A lower bound on the secure rate of :func:`general_rate_terms_grid`
+    over each line of valid rho_12 at broadcastable (rho_1, rho_2), in O(1)
+    per line: its main term bounded below, less its effective leakage
+    bounded above.
 
     Valid rho_12 lie within rho_1 rho_2 +- sqrt((1 - rho_1^2)(1 - rho_2^2) +
     PSD_SLACK), the triples whose determinant is at least -PSD_SLACK.  The
@@ -525,4 +527,5 @@ def general_line_bounds(
     q1, q2 = _heard_correlations(p, r1, r2)
     cap = np.array(np.maximum(q1 * q1, q2 * q2), dtype=float)
     np.subtract(1.0, cap, out=cap)
-    return main, effective_leakages(_joint_bits(p, cap), *_general_single_terms(p, r1, r2))
+    return secure_rates(
+        main, effective_leakages(_joint_bits(p, cap), *_general_single_terms(p, r1, r2)))

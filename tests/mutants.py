@@ -78,6 +78,13 @@ MUTANTS = (
         "if self.max_evaluations < 0:",
         ("tests/test_cli.py::test_dm_budget_below_one_is_config_error[0]",),
     ),
+    Mutant(
+        "integer config values read through a float",
+        "cli.py",
+        "        return int(value)\n",
+        "        return int(float(value))\n",
+        ("tests/test_cli.py::test_integer_fields_keep_every_digit[9007199254740993]",),
+    ),
     # The cap on the sup-inf budget.
     Mutant(
         "sup_inf_rate accepts any max_evaluations",
@@ -194,16 +201,31 @@ MUTANTS = (
     Mutant(
         "a rate of 0 rules out every line, not only those after it in C order",
         "optimize.py",
-        "return first_open[c] > flat // n",
+        "return open_lines.min(initial=n * n) > flat // n",
         "return True",
         ("tests/test_optimize.py::test_a_zero_found_first_leaves_the_lines_before_it_open",),
     ),
     Mutant(
+        "a rate of 0 reads only the next open line in visit order",
+        "optimize.py",
+        "open_lines.min(initial=n * n)",
+        "open_lines[:1].min(initial=n * n)",
+        ("tests/test_optimize.py::"
+         "test_a_zero_walks_on_to_an_open_line_before_it[within-margin]",),
+    ),
+    Mutant(
         "a NaN bound rules its line out",
         "optimize.py",
-        "reach = np.minimum.accumulate(np.minimum.reduceat(lower, starts)[::-1])[::-1]",
-        "reach = np.fmin.accumulate(np.fmin.reduceat(lower, starts)[::-1])[::-1]",
+        "bounded = not np.isnan(lower[-1])",
+        "bounded = True",
         ("tests/test_optimize.py::test_a_nan_bound_rules_no_line_out",),
+    ),
+    Mutant(
+        "a NaN bound rules its line out for a rate of 0",
+        "optimize.py",
+        "~(lower[start:] > _BOUND_MARGIN)",
+        "lower[start:] <= _BOUND_MARGIN",
+        ("tests/test_optimize.py::test_a_zero_walks_on_to_an_open_line_before_it[nan]",),
     ),
     Mutant(
         "the coarse walk's evaluations left out of the count",

@@ -600,6 +600,23 @@ def test_descent_over_budget_exits_before_the_grid(tmp_path, capsys, monkeypatch
     assert_one_line_error(capsys, "budget error")
 
 
+@pytest.mark.parametrize("iterations", [2 ** 53 + 1, 10 ** 30])
+def test_integer_fields_keep_every_digit(tmp_path, capsys, iterations):
+    # Read through a float, 2**53 + 1 became 2**53 and 10**30 was echoed as
+    # 1000000000000000019884624838656.
+    path = write_config(tmp_path, {
+        "kind": "general-gaussian",
+        "orthogonal": ORTHO_BLOCK,
+        "general": GENERAL_BLOCK,
+        "optimizer": {"refine_iterations": iterations},
+    })
+    assert load_config(path).optimizer.refine_iterations == iterations
+    assert main(["point", "--config", path]) == 1
+    assert_one_line_error(
+        capsys, f"budget error: {iterations} refine iterations may take "
+                f"{300 * iterations} descent evaluations, more than {MAX_GRID_POINTS}")
+
+
 def test_nan_in_channel_file_is_config_error(tmp_path, capsys):
     path = dm_config(tmp_path)
     channel = tmp_path / "ch.dmc"

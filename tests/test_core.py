@@ -105,7 +105,6 @@ def test_combine_breakdown_joint_binds():
     b = RateBreakdown(1.0, 0.2, 0.5, 0.6)
     assert b.effective_leakage == 0.2
     assert b.secure_rate == pytest.approx(0.8)
-    assert not b.clamped
 
 
 def test_combine_breakdown_single_binds():
@@ -117,13 +116,11 @@ def test_combine_breakdown_single_binds():
 def test_combine_breakdown_clamps_negative_gap():
     b = RateBreakdown(0.1, 0.5, 0.4, 0.3)
     assert b.secure_rate == 0.0
-    assert b.clamped
 
 
 def test_combine_breakdown_zero_gap_not_clamped():
     b = RateBreakdown(0.5, 0.5, 0.5, 0.5)
     assert b.secure_rate == 0.0
-    assert not b.clamped
 
 
 def test_secure_rates_equal_combine_breakdown_elementwise():

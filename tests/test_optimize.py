@@ -573,29 +573,65 @@ def test_line_bounds_hold_on_every_valid_cell(name):
     for q in (strip_jamming(p), p):
         terms = functools.partial(oracle.general_rate_terms_grid, q)
         sec, valid, _ = optimize._evaluate(terms, *views)
-        low = optimize._general_line_bound(q, axis[:, None], axis[None, :])
+        low = oracle.general_line_bound(q, axis[:, None], axis[None, :])
         low = np.broadcast_to(np.asarray(low)[:, :, None], sec.shape)
         assert np.isfinite(sec[valid]).all()
         assert (sec[valid] >= low[valid]).all(), float(np.max((low - sec)[valid]))
 
 
-def test_a_zero_found_first_leaves_the_lines_before_it_open(monkeypatch):
-    # Two cells have rate 0, A before B in C order.  The bound ranks B's line
-    # first; a rate of 0 rules out only the lines after it, so A's line,
-    # whose bound is 0, is still walked, and A wins the tie.
-    monkeypatch.setattr(optimize, "_CHUNK_TARGET", 1)
-    a, b = (-0.5, -0.5, 0.0), (0.5, 0.5, 0.0)
+# Two cells of the 0.5 grid have rate 0, A before B in C order; every other
+# cell's rate is its squared distance to the nearer of them.
+ZERO_A, ZERO_B = (-0.5, -0.5, 0.0), (0.5, 0.5, 0.0)
 
-    def terms(r1, r2, r12, det):
-        q = np.minimum(*(sum((r - t) ** 2 for r, t in zip((r1, r2, r12), c)) for c in (a, b)))
-        return np.full(q.shape, 10.0), 10.0 - q, 50.0, 50.0
+
+def two_zeros(r1, r2, r12, det):
+    q = np.minimum(*(sum((r - t) ** 2 for r, t in zip((r1, r2, r12), c))
+                     for c in (ZERO_A, ZERO_B)))
+    return np.full(q.shape, 10.0), 10.0 - q, 50.0, 50.0
+
+
+def search_two_zeros(monkeypatch, bound):
+    """The walk over two_zeros at one line per chunk, without descents."""
+    monkeypatch.setattr(optimize, "_CHUNK_TARGET", 1)
+    cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
+    return optimize.minimize_rate(two_zeros, bound, cfg)
+
+
+def test_a_zero_found_first_leaves_the_lines_before_it_open(monkeypatch):
+    # The bound ranks B's line first; a rate of 0 rules out only the lines
+    # after it, so A's line, whose bound is 0, is still walked, and A wins
+    # the tie.
+    def bound(r1, r2):
+        return np.where((r1 == ZERO_B[0]) & (r2 == ZERO_B[1]), -1.0, 0.0)
+
+    res = search_two_zeros(monkeypatch, bound)
+    assert res.rho_star.as_tuple() == ZERO_A and res.rate.secure_rate == 0.0
+
+
+@pytest.mark.parametrize("a_bound", [5e-10, math.nan], ids=["within-margin", "nan"])
+def test_a_zero_walks_on_to_an_open_line_before_it(monkeypatch, a_bound):
+    # The bound ranks B's line first, then the lines after it in C order
+    # (bound 0), which cannot beat it, then A's line, whose bound is within
+    # the margin of 0 or NaN (which sorts last and rules no line out); every
+    # other line before B has its exact least rate as its bound, at least
+    # 0.25.  A's line is still open after B, so the walk goes on to it.
+    axis = correlation_grid_axis(0.5)
+    sec, _, _ = optimize._evaluate(two_zeros, axis[:, None, None], axis[None, :, None],
+                                   axis[None, None, :])
+    least = sec.min(axis=2)
+    lines = np.arange(least.size).reshape(least.shape)
+    b_line, a_line = (np.searchsorted(axis, z[0]) * axis.size + np.searchsorted(axis, z[1])
+                      for z in (ZERO_B, ZERO_A))
+    low = np.where(lines > b_line, 0.0, least)
+    low[lines == b_line] = -1.0
+    low[lines == a_line] = a_bound
+    assert least[(lines < b_line) & (lines != a_line)].min() >= 0.25
 
     def bound(r1, r2):
-        return np.where((r1 == b[0]) & (r2 == b[1]), -1.0, 0.0)
+        return low[np.searchsorted(axis, r1), np.searchsorted(axis, r2)]
 
-    cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
-    res = optimize.minimize_rate(terms, bound, cfg)
-    assert res.rho_star.as_tuple() == a and res.rate.secure_rate == 0.0
+    res = search_two_zeros(monkeypatch, bound)
+    assert res.rho_star.as_tuple() == ZERO_A and res.rate.secure_rate == 0.0
 
 
 def test_a_nan_bound_rules_no_line_out(monkeypatch):
