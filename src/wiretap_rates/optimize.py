@@ -98,8 +98,9 @@ class OptimizationResult:
     rate          full breakdown of the objective at rho_star.
     evaluations   number of valid triples the search evaluated: those of
                   the coarse chunks it walked, whole chunks of lines at a
-                  time, and the descents' candidates.  The final read of the
-                  terms at rho_star is not counted.
+                  time, and the descents' candidates.  From a grid minimum
+                  of rate 0 no descent runs, so only the chunks count.  The
+                  final read of the terms at rho_star is not counted.
     on_boundary   True when the correlation-matrix determinant at rho_star
                   is at most coarse_resolution^2, i.e. the optimum sits on
                   (or numerically at) the edge of the valid set.
@@ -214,7 +215,10 @@ def _least_cell(rates: np.ndarray, flat: np.ndarray) -> _Cell:
 
 
 def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point):
-    """Coordinate descent from ``best``; its end point and evaluations."""
+    """Coordinate descent from ``best``; its end point and evaluations.
+
+    It returns as soon as the incumbent rate is 0, before a pass or within
+    one: secure rates are never below 0, so no move could be accepted."""
     evaluations = 0
     step = cfg.coarse_resolution
     for _ in range(cfg.refine_iterations):
@@ -222,6 +226,8 @@ def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point):
         for _sweep in range(_MAX_SWEEPS_PER_PASS):
             sweep_start = best[0]
             for ax in range(3):
+                if best[0] == 0.0:
+                    return best, evaluations
                 cands = np.array([best[1], best[1]])
                 cands[:, ax] = np.clip(cands[:, ax] + (-step, step), -1.0, 1.0)
                 rates, _, used = _evaluate(terms, *cands.T)
@@ -232,6 +238,21 @@ def _descend(terms: GridObjective, cfg: SearchConfig, best: _Point):
             if sweep_start - best[0] < cfg.tolerance:
                 break
     return best, evaluations
+
+
+def _visit_order(lower: np.ndarray, k: int) -> np.ndarray:
+    """The first k or more lines in visit order: by bound, ties in C order,
+    NaN bounds last.
+
+    These are every line whose bound is at most the k-th least, sorted stably
+    by bound, so only the lines a walk reaches need sorting.  All lines are
+    sorted when k reaches their number or the k-th least bound is NaN."""
+    if k < lower.size:
+        kth = np.partition(lower, k - 1)[k - 1]
+        if not np.isnan(kth):
+            head = np.flatnonzero(lower <= kth)
+            return head[np.argsort(lower[head], kind="stable")]
+    return np.argsort(lower, kind="stable")
 
 
 def minimize_rate(terms: GridObjective, bound: LineBound,
@@ -245,20 +266,24 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     ``cfg.coarse_resolution`` as its lines of rho_12, in chunks of whole
     lines, calling ``terms`` once per chunk on the broadcast views (lines,
     1), (lines, 1), (1, n) of its axis.  The lines are visited by their
-    bound, ties in C order.  The least cell of the whole grid and the least
-    off its edges are kept as (rate, flat index); the walk stops once every
-    line left is ruled out for both: its bound exceeds the rate by more than
-    _BOUND_MARGIN, or the rate is 0 and its cell comes first in C order.  A
-    NaN bound rules no line out.  So the result is that of the exhaustive
-    grid: invalid triples are masked off, and the first strictly smallest
-    rate in C order, which is lexicographic order, wins.
+    bound, ties in C order, as a stable argsort of the bounds orders them;
+    only the prefix of that order the walk reaches is sorted.  The least
+    cell of the whole grid and the least off its edges are kept as (rate,
+    flat index); the walk stops once every line left is ruled out for both:
+    its bound exceeds the rate by more than _BOUND_MARGIN, or the rate is 0
+    and its cell comes first in C order.  A NaN bound rules no line out.  So
+    the result is that of the exhaustive grid: invalid triples are masked
+    off, and the first strictly smallest rate in C order, which is
+    lexicographic order, wins.
     Coordinate descent then shrinks the step by ``cfg.refine_shrink`` each
     pass and sweeps the three coordinates, accepting only strictly
     improving, valid moves.  When the coarse minimum lies on an edge of the
     valid set (some |rho| = 1), a second descent starts from the best grid
     point off the edges, and the lower result wins, so the rate never
-    exceeds any coarse grid point's.  One more call reads the four terms at
-    the winning triple.  Errors of ``terms`` and ``bound`` propagate.
+    exceeds any coarse grid point's.  A rate of 0 cannot be improved on:
+    from a grid minimum of 0 no descent runs, and a descent ends once it
+    reaches 0.  One more call reads the four terms at the winning triple.
+    Errors of ``terms`` and ``bound`` propagate.
 
     Raises GridBudgetError, before the grid is built, when the descents
     could take more than MAX_GRID_POINTS evaluations.
@@ -276,21 +301,22 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     chunk_lines = max(1, _CHUNK_TARGET // n)
     # Line l is (axis[l // n], axis[l % n]); its cells have flat indices l * n
     # to l * n + n - 1.  The lines are visited by their bound, ties in C
-    # order.  NaN bounds sort last, so while any line is left, the last line
-    # left has a NaN bound if any line does; a NaN bound rules no line out.
+    # order, NaN last.  order is a prefix of the visit order, which covers
+    # the first chunk and the stop rule after it, and grows as the walk does.
     lower = np.broadcast_to(np.asarray(bound(axis[:, None], axis[None, :]), dtype=float),
                             (n, n)).ravel()
-    order = np.argsort(lower, kind="stable")
-    lower = lower[order]
-    bounded = not np.isnan(lower[-1])
+    order = _visit_order(lower, 2 * chunk_lines)
+    # A NaN bound rules no line out.
+    bounded = not np.isnan(lower).any()
+    # The unvisited lines, in C order, that may hold a rate of 0.
+    open_zero = ~(lower > _BOUND_MARGIN)
 
     def ruled_out(cell: _Cell, start: int) -> bool:
         """Whether no line from visit position ``start`` on can beat ``cell``."""
         rate, flat = cell
         if rate == 0.0:
-            open_lines = order[start:][~(lower[start:] > _BOUND_MARGIN)]
-            return open_lines.min(initial=n * n) > flat // n
-        return bounded and lower[start] > rate + _BOUND_MARGIN
+            return not open_zero[:flat // n].any()
+        return bounded and lower[order[start]] > rate + _BOUND_MARGIN
 
     # The least cell of the grid, and off the edges of the valid set (every
     # |rho| < 1).
@@ -302,7 +328,12 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     rates = None
     evaluations = 0
     for start in range(0, n * n, chunk_lines):
-        lines = order[start:start + chunk_lines]
+        rest = start + chunk_lines
+        if rest >= order.size and order.size < n * n:
+            # The chunk or the stop rule after it runs past the prefix.
+            order = _visit_order(lower, 2 * rest)
+        lines = order[start:rest]
+        open_zero[lines] = False
         i1, i2 = lines // n, lines % n
         rates, valid, used = _evaluate(terms, axis[i1, None], axis[i2, None], r12, out=rates)
         evaluations += used
@@ -311,7 +342,6 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
         whole, off_edge = _chunk_winners(rates, valid, lines, inner)
         best = min(best, whole)
         best_off_edge = min(best_off_edge, off_edge)
-        rest = start + chunk_lines
         if rest < n * n and ruled_out(best, rest) and ruled_out(best_off_edge, rest):
             break
 
@@ -321,8 +351,10 @@ def minimize_rate(terms: GridObjective, bound: LineBound,
     # minimum sits on an edge, the best point off the edges is refined too,
     # and the lower result wins (the edge start on a tie).
     grid_min = _grid_point(axis, best)
+    # At a rate of 0 neither descent can go lower, and the edge start wins.
     starts = [grid_min]
-    if best_off_edge != _NO_CELL and max(map(abs, grid_min[1])) == 1.0:
+    if (best_off_edge != _NO_CELL and grid_min[0] > 0.0
+            and max(map(abs, grid_min[1])) == 1.0):
         starts.append(_grid_point(axis, best_off_edge))
     descents = [_descend(terms, cfg, start) for start in starts]
     _, rho = min((end for end, _ in descents), key=lambda end: end[0])

@@ -515,13 +515,16 @@ def general_line_bound(
     r1, r2 = (np.asarray(r, dtype=float) for r in (rho_1, rho_2))
     # The slope's sign, from the factor the main term scales rho_12 by.
     j1, j2 = p.h_1e_l * math.sqrt(p.P_1e), p.h_2e_l * math.sqrt(p.P_2e)
-    # In place: the bounds cover every line of the grid at once.
-    end = (1.0 - r1 * r1) * (1.0 - r2 * r2)
-    end += PSD_SLACK
-    np.sqrt(end, out=end)
-    end *= np.sign(2.0 * j1 * j2)
-    end += r1 * r2
-    np.clip(end, -1.0, 1.0, out=end)
+    # With a slope of 0 the main term does not depend on rho_12.
+    end = 0.0
+    if j1 != 0.0 and j2 != 0.0:
+        # In place: the bounds cover every line of the grid at once.
+        end = (1.0 - r1 * r1) * (1.0 - r2 * r2)
+        end += PSD_SLACK
+        np.sqrt(end, out=end)
+        end *= np.sign(2.0 * j1 * j2)
+        end += r1 * r2
+        np.clip(end, -1.0, 1.0, out=end)
     main = _general_main_term(p, r1, r2, end)
     del end
     q1, q2 = _heard_correlations(p, r1, r2)

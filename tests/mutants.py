@@ -165,7 +165,28 @@ MUTANTS = (
         "if rates[k] <= best[0]:",
         ("tests/test_optimize.py::"
          "test_broadcast_walk_matches_materialized_walk[flat-default]",
-         "tests/test_optimize.py::test_optimize_general_pinned_results[fig3a-P_l-20-jamming]"),
+         "tests/test_optimize.py::test_optimize_general_pinned_results[scenario-23-no-jamming]"),
+    ),
+    Mutant(
+        "descent goes on from a rate of 0",
+        "optimize.py",
+        "                if best[0] == 0.0:\n                    return best, evaluations\n",
+        "",
+        ("tests/test_optimize.py::test_no_descent_runs_from_a_grid_minimum_of_0[interior]",),
+    ),
+    Mutant(
+        "descent stops at a rate below the tolerance, not only at 0",
+        "optimize.py",
+        "best[0] == 0.0",
+        "best[0] < cfg.tolerance",
+        ("tests/test_optimize.py::test_descent_moves_from_a_grid_minimum_below_tolerance",),
+    ),
+    Mutant(
+        "a second descent from off the edges after an edge start at 0",
+        "optimize.py",
+        "best_off_edge != _NO_CELL and grid_min[0] > 0.0",
+        "best_off_edge != _NO_CELL",
+        ("tests/test_optimize.py::test_no_descent_runs_from_a_grid_minimum_of_0[edge]",),
     ),
     Mutant(
         "no second descent from off the edges",
@@ -201,31 +222,38 @@ MUTANTS = (
     Mutant(
         "a rate of 0 rules out every line, not only those after it in C order",
         "optimize.py",
-        "return open_lines.min(initial=n * n) > flat // n",
+        "return not open_zero[:flat // n].any()",
         "return True",
         ("tests/test_optimize.py::test_a_zero_found_first_leaves_the_lines_before_it_open",),
     ),
     Mutant(
-        "a rate of 0 reads only the next open line in visit order",
+        "a rate of 0 reads only the next line in visit order",
         "optimize.py",
-        "open_lines.min(initial=n * n)",
-        "open_lines[:1].min(initial=n * n)",
+        "return not open_zero[:flat // n].any()",
+        "return not (open_zero[order[start]] and order[start] < flat // n)",
         ("tests/test_optimize.py::"
          "test_a_zero_walks_on_to_an_open_line_before_it[within-margin]",),
     ),
     Mutant(
         "a NaN bound rules its line out",
         "optimize.py",
-        "bounded = not np.isnan(lower[-1])",
+        "bounded = not np.isnan(lower).any()",
         "bounded = True",
         ("tests/test_optimize.py::test_a_nan_bound_rules_no_line_out",),
     ),
     Mutant(
         "a NaN bound rules its line out for a rate of 0",
         "optimize.py",
-        "~(lower[start:] > _BOUND_MARGIN)",
-        "lower[start:] <= _BOUND_MARGIN",
+        "~(lower > _BOUND_MARGIN)",
+        "lower <= _BOUND_MARGIN",
         ("tests/test_optimize.py::test_a_zero_walks_on_to_an_open_line_before_it[nan]",),
+    ),
+    Mutant(
+        "the visit order's prefix leaves out the lines that tie its k-th bound",
+        "optimize.py",
+        "lower <= kth",
+        "lower < kth",
+        ("tests/test_optimize.py::test_lazy_visit_order_equals_the_full_stable_sort[none]",),
     ),
     Mutant(
         "the coarse walk's evaluations left out of the count",

@@ -292,6 +292,15 @@ def test_fig3a_hl2_point_at_0_01_equals_its_committed_stdout(capsys, evaluation_
     assert [int(n) for n in re.findall(r"evaluations=(\d+)", out)] == evaluation_counts
 
 
+def test_fig3a_point_equals_its_committed_stdout(capsys, evaluation_counts):
+    # Every fig3a rate is 0, so neither search runs a descent: each
+    # evaluations= counts the coarse chunks its walk evaluated.
+    assert main(["point", "--config", "fig3a"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == Path(__file__).with_name("fig3a_point.txt").read_bytes()
+    assert [int(n) for n in re.findall(r"evaluations=(\d+)", out)] == evaluation_counts
+
+
 def test_sweep_command_defaults_to_config_output(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     path = ortho_config(

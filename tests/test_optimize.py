@@ -117,6 +117,41 @@ def test_minimize_finds_interior_grid_minimum():
     assert not res.on_boundary
 
 
+@pytest.mark.parametrize("target", [(0.3, -0.2, 0.1), (1.0, 0.5, 0.5)],
+                         ids=["interior", "edge"])
+def test_no_descent_runs_from_a_grid_minimum_of_0(target, monkeypatch, evaluation_counts):
+    # The target is a cell of the 0.05 grid, where the rate is exactly 0.  A
+    # secure rate is never below 0, so no descent move could be accepted;
+    # on the edge (rho_1 = 1) the descent from off the edges could not win.
+    # Every evaluation is then one of the coarse chunks' (2-D) calls.
+    evaluate = optimize._evaluate
+    ndims = []
+
+    def recorded(terms, r1, *args, **kwargs):
+        ndims.append(np.ndim(r1))
+        return evaluate(terms, r1, *args, **kwargs)
+
+    monkeypatch.setattr(optimize, "_evaluate", recorded)
+    res = minimize_rate(quadratic_objective(target), SearchConfig(coarse_resolution=0.05))
+    assert res.rho_star.as_tuple() == target and res.rate.secure_rate == 0.0
+    assert ndims and set(ndims) == {2}
+    assert evaluation_counts == [res.evaluations]
+
+
+def test_descent_moves_from_a_grid_minimum_below_tolerance():
+    # The grid minimum (0.3, -0.2, 0.1) has rate 1.6e-7, positive but below
+    # the tolerance; the third pass's step, 4e-4, reaches the target.
+    target = (0.3004, -0.2, 0.1)
+    cfg = SearchConfig(coarse_resolution=0.05)
+    grid = minimize_rate(quadratic_objective(target),
+                         dataclasses.replace(cfg, refine_iterations=0))
+    assert grid.rho_star.as_tuple() == (0.3, -0.2, 0.1)
+    assert 0.0 < grid.rate.secure_rate < cfg.tolerance
+    res = minimize_rate(quadratic_objective(target), cfg)
+    assert res.rate.secure_rate < grid.rate.secure_rate
+    assert res.rho_star.as_tuple() == pytest.approx(target, abs=1e-9)
+
+
 def test_minimize_refines_off_grid_minimum():
     target = (0.313, -0.207, 0.093)
     cfg = SearchConfig(coarse_resolution=0.1, refine_iterations=6)
@@ -216,12 +251,12 @@ PINNED_SEARCHES = {
         (-0.8, -0.8, 0.85),
         ("0x1.d24b127196869p+0", "0x1.de34ef8d04682p+0",
          "0x1.0f12b64be8fa8p+1", "0x1.0f12b64be8fa8p+1"),
-        14313, False),
+        14295, False),
     ("fig3a-P_l-20", "no-jamming"): (
         (-0.7, 0.0, -0.1),
         ("0x1.191bba891f171p+1", "0x1.19fe07f9bf397p+1",
          "0x1.198c04ea5dbd7p+1", "0x1.1072fca1e5ce6p+1"),
-        16496, False),
+        16478, False),
     ("scenario-16", "jamming", "0.01"): (
         (0.0504, 0.04, 0.98992),
         ("0x1.7e2f7222a006bp+0", "0x1.f07288cdc9a32p-2",
@@ -649,3 +684,67 @@ def test_a_nan_bound_rules_no_line_out(monkeypatch):
     cfg = SearchConfig(coarse_resolution=0.5, refine_iterations=0)
     res = optimize.minimize_rate(terms, bound, cfg)
     assert res.rho_star.as_tuple() == target and res.rate.secure_rate == 0.0
+
+
+@pytest.mark.parametrize("nan", ["none", "one", "most"])
+def test_lazy_visit_order_equals_the_full_stable_sort(nan, monkeypatch):
+    # One line per chunk, so the prefix of the visit order starts at 2 lines
+    # and grows.  Each line's bound is its least rate rounded down to a
+    # multiple of 0.05: 16 lines tie at 0, so the k-th least bound has ties
+    # past it.  A NaN bound rules no line out, so the walk goes over every
+    # line; with most bounds NaN, the k-th least is NaN before k reaches
+    # every line.  The walk must visit the lines in the order of the full
+    # stable argsort and end as the walk over it does.
+    monkeypatch.setattr(optimize, "_CHUNK_TARGET", 1)
+    terms = PARITY_OBJECTIVES["quadratic"]
+    cfg = SearchConfig(coarse_resolution=0.1)
+    axis = correlation_grid_axis(cfg.coarse_resolution)
+    n = axis.size
+    sec, _, _ = optimize._evaluate(terms, axis[:, None, None], axis[None, :, None],
+                                   axis[None, None, :])
+    low = np.floor(sec.min(axis=2) / 0.05) * 0.05
+    if nan == "one":
+        low.flat[200] = math.nan
+    elif nan == "most":
+        low[low >= 0.4] = math.nan
+    lower = low.ravel()
+
+    def bound(r1, r2):
+        return low[np.searchsorted(axis, r1), np.searchsorted(axis, r2)]
+
+    evaluate, visit_order = optimize._evaluate, optimize._visit_order
+    visited, prefixes = [], []
+
+    def recorded(terms, r1, r2, r12, **kwargs):
+        if np.ndim(r1) == 2:
+            visited.extend(np.searchsorted(axis, r1.ravel()) * n
+                           + np.searchsorted(axis, r2.ravel()))
+        return evaluate(terms, r1, r2, r12, **kwargs)
+
+    def recorded_order(lower, k):
+        order = visit_order(lower, k)
+        prefixes.append((k, order.size))
+        return order
+
+    monkeypatch.setattr(optimize, "_evaluate", recorded)
+    monkeypatch.setattr(optimize, "_visit_order", recorded_order)
+    lazy = optimize.minimize_rate(terms, bound, cfg)
+    lazy_visits = visited[:]
+    monkeypatch.setattr(optimize, "_visit_order",
+                        lambda lower, k: np.argsort(lower, kind="stable"))
+    visited.clear()
+    full = optimize.minimize_rate(terms, bound, cfg)
+
+    assert lazy == full
+    assert lazy_visits == visited
+    assert visited == list(np.argsort(lower, kind="stable")[:len(visited)])
+    # The prefix grew, and took in the ties past its k-th bound.
+    assert prefixes[0] == (2, 16)
+    assert len(prefixes) >= 2
+    if nan == "none":
+        assert len(visited) < n * n
+    else:
+        assert len(prefixes) >= 4
+        assert len(visited) == n * n and prefixes[-1][1] == n * n
+    # NaN at the k-th least bound sorts every line.
+    assert (nan == "most") == any(k < n * n == size for k, size in prefixes)
