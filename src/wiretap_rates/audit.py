@@ -13,9 +13,10 @@ correlation matrix is positive semidefinite.
 
 Draws are taken in blocks.  A block takes its uniforms as one array, each
 state k steps ahead as A^k state + C (A^k - 1)/(A - 1) mod 2^64, in the same
-generator order as one draw at a time, and each block's covariances are
-evaluated as one stack per family; the values equal those of one oracle
-call per draw.
+generator order as one draw at a time.  Each block's covariances are
+evaluated as one stack per family, and each closed form as one batch of the
+block's parameter rows (see :mod:`wiretap_rates.gaussian`); the values equal
+those of one oracle call and one closed-form call per draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ import numpy as np
 
 from .core import (
     CorrelationTriple,
-    ZERO_RHO,
-    DomainError,
-    RateBreakdown,
     effective_leakages,
     secure_rates,
     valid_correlation,
@@ -38,9 +36,9 @@ from .core import (
 from .gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
-    rate_general_closed,
-    rate_orthogonal,
-    single_eavesdropper_leakage,
+    rate_general_closed_rows,
+    rate_orthogonal_rows,
+    single_eavesdropper_leakage_rows,
 )
 from .oracle import _rate_general_oracles, _rate_orthogonal_oracles
 
@@ -231,10 +229,6 @@ class AuditReport:
         return _passes(self.worst_required_error)
 
 
-def _terms(b: RateBreakdown) -> tuple[float, float, float, float]:
-    return b.main_rate, b.leak_joint, b.leak_single_1, b.leak_single_2
-
-
 def _blocks(draws: int) -> Iterator[tuple[int, int]]:
     """(start, stop) of consecutive blocks of at most ``_BLOCK_DRAWS`` draws."""
     for start in range(0, draws, _BLOCK_DRAWS):
@@ -263,12 +257,10 @@ def audit_orthogonal(seed: int = DEFAULT_SEED,
     closed, oracle = np.empty((2, draws, len(_ORTHOGONAL_TERMS)))
     for start, stop in _blocks(draws):
         params, _ = _draw(rng, stop - start, _ORTHOGONAL_RANGES, False)
-        terms = _rate_orthogonal_oracles(params)
-        oracle[start:stop, :4] = terms
-        oracle[start:stop, 4] = secure_rates(terms[:, 0], effective_leakages(*terms[:, 1:].T))
-        for i, row in enumerate(params.tolist(), start):
-            c = rate_orthogonal(OrthogonalGaussianParams(*row))
-            closed[i] = *_terms(c), c.secure_rate
+        for table, terms in ((oracle, _rate_orthogonal_oracles(params)),
+                             (closed, rate_orthogonal_rows(params))):
+            table[start:stop, :4] = terms
+            table[start:stop, 4] = secure_rates(terms[:, 0], effective_leakages(*terms[:, 1:].T))
     return AuditTable(*zip(*_ORTHOGONAL_TERMS), closed, oracle)
 
 
@@ -289,22 +281,22 @@ def audit_general(seed: int = DEFAULT_SEED,
     for start, stop in _blocks(draws):
         # Each draw is its parameters, then its triple.
         params, rhos = _draw(rng, stop - start, _GENERAL_RANGES, True)
-        at_rho = _rate_general_oracles(params, *rhos.T)
-        oracle[start:stop, :4] = _rate_general_oracles(params, 0.0, 0.0, 0.0)
+        # Every draw at the uncorrelated point, then every draw at its
+        # triple, as one batch of each form.
+        k = stop - start
+        both = np.concatenate([params, params])
+        at = np.concatenate([np.zeros_like(rhos), rhos])
+        terms = _rate_general_oracles(both, *at.T)
+        oracle[start:stop, :4] = terms[:k]
         # single_1, single_2, single_2 again for its alternative reading, main, joint.
-        oracle[start:stop, 4:] = at_rho[:, [2, 3, 3, 0, 1]]
-        for i, (row, r) in enumerate(zip(params.tolist(), rhos.tolist()), start):
-            p, rho = GeneralGaussianParams(*row), CorrelationTriple(*r)
-            try:
-                c = rate_general_closed(p, rho)
-                main_c, joint_c = c.main_rate, c.leak_joint
-            except DomainError:
-                main_c = joint_c = math.nan
-            closed[i] = (*_terms(rate_general_closed(p, ZERO_RHO)),
-                         single_eavesdropper_leakage(1, p, rho),
-                         single_eavesdropper_leakage(2, p, rho),
-                         single_eavesdropper_leakage(2, p, rho, rho2_both=True),
-                         main_c, joint_c)
+        oracle[start:stop, 4:] = terms[k:, [2, 3, 3, 0, 1]]
+        terms = rate_general_closed_rows(both, at)
+        closed[start:stop, :4] = terms[:k]
+        closed[start:stop, 4] = single_eavesdropper_leakage_rows(1, params, rhos)
+        closed[start:stop, 5] = single_eavesdropper_leakage_rows(2, params, rhos)
+        closed[start:stop, 6] = single_eavesdropper_leakage_rows(2, params, rhos, rho2_both=True)
+        # nan where the printed form is undefined at the triple.
+        closed[start:stop, 7:] = terms[k:, :2]
     return AuditTable(*zip(*_GENERAL_TERMS), closed, oracle)
 
 

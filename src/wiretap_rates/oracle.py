@@ -48,7 +48,7 @@ from .core import (
     rate_terms,
     secure_rates,
 )
-from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams
+from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams, _param_rows
 
 __all__ = [
     "JointCovariance",
@@ -173,11 +173,6 @@ def _assemble(
     top = np.concatenate([inputs_cov, cross], axis=2)
     bottom = np.concatenate([cross.transpose(0, 2, 1), out], axis=2)
     return np.concatenate([top, bottom], axis=1)
-
-
-def _param_rows(p: GeneralGaussianParams | OrthogonalGaussianParams) -> np.ndarray:
-    """One parameter set as a (1, 13) array of its fields in field order."""
-    return np.array([[getattr(p, f.name) for f in fields(p)]])
 
 
 def _gains(params: np.ndarray, rows: int, at: tuple[tuple[int, int], ...]) -> np.ndarray:

@@ -389,6 +389,43 @@ MUTANTS = (
         "eavesdropper_input_grid(n_x1e, n_x2e, m)",
         ("tests/test_discrete.py::test_sup_inf_pinned_tie_break[channel-5]",),
     ),
+    # The closed forms, each a batch whose scalar call is a batch of one.
+    Mutant(
+        "the joint-argument check dropped from the shared-band batch",
+        "gaussian.py",
+        "checks.add(joint_arg < 0.0, lambda i: _raise(",
+        "checks.add(joint_arg < -math.inf, lambda i: _raise(",
+        ("tests/test_gaussian.py::test_scalar_shared_band_calls_are_batches_of_one",),
+    ),
+    Mutant(
+        "single_2_alt reads rho_1 instead of rho_2",
+        "gaussian.py",
+        "r = rhos[:, 1] if j == 1 or rho2_both else rhos[:, 0]",
+        "r = rhos[:, 1] if j == 1 else rhos[:, 0]",
+        ("tests/test_gaussian.py::test_batch_rows_equal_the_printed_forms_in_plain_floats",),
+    ),
+    Mutant(
+        "the overflow check on a gain's square dropped",
+        "gaussian.py",
+        "checks.add(over, lambda i: gain_squared(",
+        "checks.add(over & False, lambda i: gain_squared(",
+        tuple(f"tests/test_gaussian.py::test_a_gain_whose_square_overflows_raises_domain_error[{case}]"
+              for case in ("orthogonal-h_l", "general-h_l", "single_1-h_l_1e")),
+    ),
+    Mutant(
+        "squares by numpy's multiplication instead of the C library's pow",
+        "gaussian.py",
+        "out = np.fromiter(map(math.pow, flat, repeat(2.0)), float, len(flat))",
+        "out = np.square(np.array(flat))",
+        ("tests/test_gaussian.py::test_batch_rows_equal_the_printed_forms_in_plain_floats",),
+    ),
+    Mutant(
+        "theta by numpy's log2 instead of the C library's",
+        "gaussian.py",
+        "out = 0.5 * np.fromiter(map(math.log2, flat), float, len(flat)).reshape(args.shape)",
+        "out = 0.5 * np.log2(np.array(flat)).reshape(args.shape)",
+        ("tests/test_gaussian.py::test_batch_rows_equal_the_printed_forms_in_plain_floats",),
+    ),
     # The audit.
     Mutant(
         "a block leaves the generator one uniform past its last",

@@ -346,3 +346,14 @@ def test_draw_stream_is_pinned(family):
     draws = draws_in_one_block(AuditRng(12345), 1000, ranges, triple)
     text = ",".join(v.hex() for draw in draws for v in draw)
     assert hashlib.sha256(text.encode()).hexdigest() == DRAW_STREAM_SHA256[family]
+
+
+def test_the_printed_form_is_undefined_at_473_of_1000_draws():
+    # Each of the printed form's sign checks (main-term numerator and
+    # denominator, joint residual) clears zero by at least 1.6e-4 of its
+    # terms' scale at every one of these draws, far above the round-off of
+    # any C library's pow or sqrt, so the count holds on any CPU.
+    lines = report_text(run_audit(seed=12345, draws=1000)).splitlines()
+    for name in ("general/rho/main", "general/rho/joint"):
+        (line,) = [ln for ln in lines if ln.split()[0] == name]
+        assert line.endswith("[info], undefined at 473/1000 draws")

@@ -1,24 +1,39 @@
+import collections
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
+from wiretap_rates import audit
 from wiretap_rates.audit import AuditRng, draw_general_params, draw_orthogonal_params
 from wiretap_rates.cli import load_config, sweep_values
-from wiretap_rates.core import CorrelationTriple, DomainError, ZERO_RHO, theta
+from wiretap_rates.core import (
+    CorrelationTriple,
+    DomainError,
+    ZERO_RHO,
+    effective_leakages,
+    secure_rates,
+    theta,
+    valid_correlation,
+)
 from wiretap_rates.gaussian import (
     GeneralGaussianParams,
     OrthogonalGaussianParams,
     rate_general_closed,
+    rate_general_closed_rows,
     rate_noncolluding,
     rate_orthogonal,
+    rate_orthogonal_rows,
     rate_perfectcolluding,
     single_eavesdropper_leakage,
+    single_eavesdropper_leakage_rows,
     strip_jamming,
 )
+from wiretap_rates.optimize import SearchConfig, correlation_grid_axis, optimize_general
 from wiretap_rates.oracle import rate_general_oracle, rate_orthogonal_oracle
 
-from refpoints import GEN_POINT, OG_POINT
+from refpoints import GEN_POINT, OG_POINT, pool_point
 
 
 def test_orthogonal_terms_assembled_from_snrs():
@@ -245,3 +260,154 @@ def test_param_validation():
         replace(GEN_POINT, N_1e=-2.0)
     with pytest.raises(DomainError):
         replace(GEN_POINT, h_l=math.inf)
+
+
+def row(p):
+    """One parameter set as a (1, 13) array in field order."""
+    return np.array([astuple(p)])
+
+
+@pytest.mark.parametrize("form, gain", [
+    ("orthogonal", "h_l"), ("general", "h_l"), ("single_1", "h_l_1e"),
+])
+def test_a_gain_whose_square_overflows_raises_domain_error(form, gain):
+    # Python raises OverflowError on the square of a finite gain past about
+    # 1.3e154; every closed form names the gain instead, and its batch marks
+    # the row undefined without a RuntimeWarning (which Tier-1 makes an error).
+    evaluate, rows = {
+        "orthogonal": (rate_orthogonal, lambda p: rate_orthogonal_rows(row(p))),
+        "general": (lambda p: rate_general_closed(p, ZERO_RHO),
+                    lambda p: rate_general_closed_rows(row(p), np.zeros((1, 3)))),
+        "single_1": (lambda p: single_eavesdropper_leakage(1, p, ZERO_RHO),
+                     lambda p: single_eavesdropper_leakage_rows(1, row(p), np.zeros((1, 3)))),
+    }[form]
+    p = replace(OG_POINT if form == "orthogonal" else GEN_POINT, **{gain: 1e200})
+    with pytest.raises(DomainError, match=f"^gain {gain} = 1e\\+200 is too large: its square overflows a float$"):
+        evaluate(p)
+    assert np.isnan(rows(p)).all()
+
+
+def printed_orthogonal(p):
+    """rate_orthogonal's four terms in plain floats: Python's ** and theta."""
+    s1 = p.h_1m ** 2 * p.P_l / p.N_1e_m
+    s2 = p.h_2m ** 2 * p.P_l / p.N_2e_m
+    c1 = p.h_1c ** 2 * p.P_2e / p.N_1e_c
+    c2 = p.h_2c ** 2 * p.P_1e / p.N_2e_c
+    return [theta(p.h_l ** 2 * p.P_l / p.N_l), theta(s1 + s2),
+            theta(s1 + c1 + s1 * c1), theta(s2 + c2 + s2 * c2)]
+
+
+def printed_single(j, p, rho, rho2_both=False):
+    """Eavesdropper j's printed single leakage in plain floats."""
+    r1, r2, _ = rho
+    if j == 1:
+        h, g, p_k, n, r = p.h_l_1e, p.h_2e_1e, p.P_2e, p.N_1e, r2
+    else:
+        h, g, p_k, n, r = p.h_l_2e, p.h_1e_2e, p.P_1e, p.N_2e, r2 if rho2_both else r1
+    return theta((h ** 2 * p.P_l + g ** 2 * p_k + 2.0 * h * g * r * math.sqrt(p.P_l * p_k)) / n)
+
+
+def printed_general(p, rho):
+    """The printed shared-band terms in plain floats, or None where the
+    printed expression leaves its domain."""
+    r1, r2, r12 = rho
+    g1, g2 = p.h_1e_l, p.h_2e_l
+    num = (p.h_l ** 2 * p.P_l + r1 ** 2 * g1 ** 2 * p.P_1e + r2 ** 2 * g2 ** 2 * p.P_2e
+           + 2.0 * p.h_l * g1 * r1 * math.sqrt(p.P_l * p.P_1e)
+           + 2.0 * p.h_l * g2 * r2 * math.sqrt(p.P_l * p.P_2e))
+    den = (g1 ** 2 * p.P_1e * (1.0 - r1 ** 2) + g2 ** 2 * p.P_2e * (1.0 - r2 ** 2)
+           + 2.0 * g1 * g2 * r12 * math.sqrt(p.P_1e * p.P_2e) + p.N_l)
+    residual = 1.0 - (r1 ** 2 * p.P_1e ** 2 + r2 ** 2 * p.P_2e ** 2
+                      + 2.0 * r1 * r2 * r12 * p.P_1e * p.P_2e) / (p.P_1e * p.P_2e * (1.0 - r12 ** 2))
+    joint = p.P_l * residual * (p.h_l_1e ** 2 / p.N_1e + p.h_l_2e ** 2 / p.N_2e)
+    if den <= 0.0 or num < 0.0 or joint < 0.0:
+        return None
+    return [theta(num / den), theta(joint), printed_single(1, p, rho), printed_single(2, p, rho)]
+
+
+def audit_draws(family):
+    """The first 1,000 audit draws of a family at seed 12345: parameter
+    rows, and the shared band's triples."""
+    ranges = {"orthogonal": audit._ORTHOGONAL_RANGES, "general": audit._GENERAL_RANGES}[family]
+    return audit._draw(AuditRng(12345), 1000, ranges, family == "general")
+
+
+def test_batch_rows_equal_the_printed_forms_in_plain_floats():
+    # Bit for bit: the batches take squares with the C library's pow and
+    # theta with its log2, as the plain expressions do.
+    params, _ = audit_draws("orthogonal")
+    assert rate_orthogonal_rows(params).tolist() == [
+        printed_orthogonal(OrthogonalGaussianParams(*r)) for r in params.tolist()]
+    params, rhos = audit_draws("general")
+    points = [GeneralGaussianParams(*r) for r in params.tolist()]
+    at_zero = rate_general_closed_rows(params, np.zeros_like(rhos))
+    assert at_zero.tolist() == [printed_general(p, (0.0, 0.0, 0.0)) for p in points]
+    at_rho = rate_general_closed_rows(params, rhos)
+    for p, rho, terms in zip(points, rhos.tolist(), at_rho):
+        expected = printed_general(p, rho)
+        assert np.isnan(terms).all() if expected is None else terms.tolist() == expected
+    for j, rho2_both in ((1, False), (2, False), (2, True)):
+        assert single_eavesdropper_leakage_rows(j, params, rhos, rho2_both).tolist() == [
+            printed_single(j, p, rho, rho2_both) for p, rho in zip(points, rhos.tolist())]
+
+
+def test_scalar_orthogonal_calls_are_batches_of_one():
+    params, _ = audit_draws("orthogonal")
+    batch = rate_orthogonal_rows(params)
+    assert [astuple(rate_orthogonal(OrthogonalGaussianParams(*r))) for r in params.tolist()] == \
+        [tuple(terms) for terms in batch.tolist()]
+
+
+def test_scalar_shared_band_calls_are_batches_of_one():
+    params, rhos = audit_draws("general")
+    at_rho = rate_general_closed_rows(params, rhos)
+    at_zero = rate_general_closed_rows(params, np.zeros_like(rhos))
+    singles = [single_eavesdropper_leakage_rows(j, params, rhos, alt)
+               for j, alt in ((1, False), (2, False), (2, True))]
+    raised = collections.Counter()
+    for i, (r, rho) in enumerate(zip(params.tolist(), rhos.tolist())):
+        p, t = GeneralGaussianParams(*r), CorrelationTriple(*rho)
+        assert astuple(rate_general_closed(p, ZERO_RHO)) == tuple(at_zero[i].tolist())
+        assert [single_eavesdropper_leakage(j, p, t, alt)
+                for j, alt in ((1, False), (2, False), (2, True))] == [s[i] for s in singles]
+        try:
+            terms = astuple(rate_general_closed(p, t))
+        except DomainError as e:
+            # The scalar call raises on exactly the rows the batch leaves
+            # undefined, with the message of the first check the row fails.
+            assert np.isnan(at_rho[i]).all()
+            raised[str(e).split(" (")[0]] += 1
+        else:
+            assert terms == tuple(at_rho[i].tolist())
+    # 473 of 1,000, as the audit reports for general/rho/main and joint.
+    assert raised == {"joint-leakage argument is negative": 347,
+                      "main-term numerator is negative": 96,
+                      "main-term denominator is not positive": 30}
+
+
+# The printed secure rate's worst case over the valid 0.05 grid, triples
+# where the printed form is undefined masked off, against the R_g of
+# optimize_general at 0.05 on the same point-fine scenario.  Grid values,
+# not infima: a finer grid or a descent moves them.  On scenario 0 the
+# printed form claims a worst case 0.028 bits above the searched R_g, a
+# rate the eavesdroppers can push below; on scenario 19 it is 0.043 below.
+PRINTED_WORST_CASE = {
+    0: (0.2501116219628209, (0.15, -0.15, 0.8), 0.22181105227496561),
+    19: (0.593361074370673, (-0.2, 0.5, 0.7), 0.6360988881074008),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PRINTED_WORST_CASE))
+def test_printed_worst_case_on_the_grid_against_the_search(scenario):
+    printed, at, searched = PRINTED_WORST_CASE[scenario]
+    p = pool_point(scenario)
+    axis = correlation_grid_axis(0.05)
+    r1, r2, r12 = (a.ravel() for a in np.meshgrid(axis, axis, axis, indexing="ij"))
+    rhos = np.column_stack([r1, r2, r12])[valid_correlation(r1, r2, r12)]
+    terms = rate_general_closed_rows(np.repeat(row(p), len(rhos), axis=0), rhos)
+    rates = secure_rates(terms[:, 0], effective_leakages(*terms[:, 1:].T))
+    worst = np.nanargmin(rates)
+    assert rates[worst] == pytest.approx(printed, abs=1e-9)
+    assert rhos[worst].tolist() == pytest.approx(at, abs=1e-12)
+    _, res_g = optimize_general(p, SearchConfig(coarse_resolution=0.05))
+    assert res_g.rate.secure_rate == pytest.approx(searched, abs=1e-9)
