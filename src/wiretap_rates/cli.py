@@ -16,10 +16,10 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, fields, replace
+from html import escape
 from importlib.resources import files
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .audit import (
     DEFAULT_DRAWS,
@@ -30,13 +30,7 @@ from .audit import (
 )
 from .core import DomainError, GridBudgetError, RateBreakdown
 from .discrete import DEFAULT_MAX_EVALUATIONS, DMChannel, sup_inf_rate
-from .gaussian import (
-    GeneralGaussianParams,
-    OrthogonalGaussianParams,
-    rate_noncolluding,
-    rate_orthogonal,
-    rate_perfectcolluding,
-)
+from .gaussian import GeneralGaussianParams, OrthogonalGaussianParams, orthogonal_rates
 from .optimize import OptimizationResult, SearchConfig, optimize_general
 
 __all__ = [
@@ -302,14 +296,10 @@ def sweep_values(sweep: SweepSettings) -> list[float]:
     return [sweep.start + i * sweep.step for i in range(n)]
 
 
-def _orthogonal_row(og: OrthogonalGaussianParams,
-                    b: RateBreakdown) -> dict[str, float]:
-    """The orthogonal-model rates, R_og read from its breakdown ``b``."""
-    return {
-        "R_nc": rate_noncolluding(og),
-        "R_pc": rate_perfectcolluding(og),
-        "R_og": b.secure_rate,
-    }
+def _orthogonal_row(og: OrthogonalGaussianParams) -> tuple[dict[str, float], RateBreakdown]:
+    """The orthogonal-model rates by column, and R_og's breakdown."""
+    b, r_nc, r_pc = orthogonal_rates(og)
+    return {"R_nc": r_nc, "R_pc": r_pc, "R_og": b.secure_rate}, b
 
 
 def general_point(
@@ -320,7 +310,7 @@ def general_point(
     """All five rates at one point (worst-case correlations), and the two searches."""
     res_njg, res_g = optimize_general(gen, cfg)
     row = {
-        **_orthogonal_row(og, rate_orthogonal(og)),
+        **_orthogonal_row(og)[0],
         "R_njg": res_njg.rate.secure_rate,
         "R_g": res_g.rate.secure_rate,
     }
@@ -338,8 +328,7 @@ def _evaluate(cfg: ScenarioConfig) -> tuple[dict[str, float], object]:
     if cfg.kind == "general-gaussian":
         row, *searches = general_point(cfg.orthogonal, cfg.general, cfg.optimizer)
         return row, searches
-    b = rate_orthogonal(cfg.orthogonal)
-    return _orthogonal_row(cfg.orthogonal, b), b
+    return _orthogonal_row(cfg.orthogonal)
 
 
 def _at(cfg: ScenarioConfig, x: float) -> ScenarioConfig:
@@ -402,7 +391,7 @@ def render_svg(param: str, xs: Sequence[float],
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
     ]
     axis = 'stroke="#333" stroke-width="1"'
     parts.append(f'<line x1="{ml}" y1="{mt + ph:.1f}" x2="{ml + pw:.1f}" '
@@ -428,7 +417,7 @@ def render_svg(param: str, xs: Sequence[float],
     parts.append(
         f'<text x="{ml + pw / 2:.1f}" y="{height - 10:.1f}" '
         f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f'{escape(param)}</text>'
+        f'{escape(param, quote=False)}</text>'
     )
     parts.append(
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
@@ -445,7 +434,7 @@ def render_svg(param: str, xs: Sequence[float],
             f'<rect x="{ml + pw - 86:.1f}" y="{ly - 9:.1f}" width="10" '
             f'height="10" fill="{color}"/>'
             f'<text x="{ml + pw - 72:.1f}" y="{ly:.1f}" '
-            f'font-family="sans-serif" font-size="12">{escape(name)}</text>'
+            f'font-family="sans-serif" font-size="12">{escape(name, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -291,17 +291,23 @@ def _product_rates(ch: DMChannel, rs: np.ndarray, qs: np.ndarray) -> np.ndarray:
 # Exhaustive grids over input laws
 
 
-def simplex_grid(k: int, m: int) -> np.ndarray:
-    """All probability vectors over k outcomes with entries that are
-    multiples of 1/m, in ascending lexicographic order of the underlying
-    integer compositions, read off the k - 1 bar positions among m + k - 1
-    slots (stars and bars)."""
-    if k < 1 or m < 1:
-        raise DomainError("simplex grid needs k >= 1 and m >= 1")
+def _compositions(k: int, m: int) -> np.ndarray:
+    """All compositions of m into k nonnegative parts as a (count, k) integer
+    array, in ascending lexicographic order, read off the k - 1 bar
+    positions among m + k - 1 slots (stars and bars)."""
     slots = m + k - 1
     bars = np.array(list(itertools.combinations(range(slots), k - 1)), dtype=int)
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots))
-    return (np.diff(edges, axis=1) - 1) / m
+    return np.diff(edges, axis=1) - 1
+
+
+def simplex_grid(k: int, m: int) -> np.ndarray:
+    """All probability vectors over k outcomes with entries that are
+    multiples of 1/m, in ascending lexicographic order of the underlying
+    integer compositions."""
+    if k < 1 or m < 1:
+        raise DomainError("simplex grid needs k >= 1 and m >= 1")
+    return _compositions(k, m) / m
 
 
 def eavesdropper_input_grid(n_x1e: int, n_x2e: int, m: int) -> np.ndarray:
@@ -309,13 +315,29 @@ def eavesdropper_input_grid(n_x1e: int, n_x2e: int, m: int) -> np.ndarray:
     return simplex_grid(n_x1e * n_x2e, m).reshape(-1, n_x1e, n_x2e)
 
 
+def _law_batches(
+    columns: np.ndarray, shape: tuple[int, int, int], size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The outer grid of the laws of ``shape`` (n_xl, n_x1e, n_x2e) whose
+    columns r[:, x_1e, x_2e] are rows of ``columns``, in enumeration order
+    and in batches of at most ``size`` laws.
+
+    Each batch is its (K, n_x1e * n_x2e) codes, the index in ``columns`` of
+    each context's column, row-major in the contexts, and its laws.
+    """
+    codes = itertools.product(range(len(columns)), repeat=shape[1] * shape[2])
+    while chunk := list(itertools.islice(codes, size)):
+        idx = np.array(chunk)
+        yield idx, columns[idx].transpose(0, 2, 1).reshape(len(idx), *shape)
+
+
 def legitimate_input_grid(
     n_xl: int, n_x1e: int, n_x2e: int, m: int
 ) -> Iterator[np.ndarray]:
     """Gridded conditional laws r(x_l | x_1e, x_2e), yielded one at a time;
     per-context simplices in row-major context order, again lexicographic."""
-    for rows in itertools.product(simplex_grid(n_xl, m), repeat=n_x1e * n_x2e):
-        yield np.stack(rows, axis=1).reshape(n_xl, n_x1e, n_x2e)
+    for _, laws in _law_batches(simplex_grid(n_xl, m), (n_xl, n_x1e, n_x2e), 1):
+        yield laws[0]
 
 
 @dataclass(frozen=True)
@@ -326,11 +348,12 @@ class SupInfResult:
     r_star         maximizing legitimate input law.
     q_star         minimizing eavesdropper law at r_star.
     refined_rate   inner minimum at r_star re-run at half the resolution.
-    evaluations    (legitimate, eavesdropper) pairs scored: each law's
-                   probe pairs, the other pairs of each law visited, and the
-                   recheck pairs.  The probe bound of ``sup_inf_rate`` rules
-                   most of the grid's pairs out unscored, so the count is
-                   below the budget's, which counts every pair.
+    evaluations    (legitimate, eavesdropper) pairs scored: the probe pairs,
+                   once per (column, context), the other pairs of each law
+                   visited, and the recheck pairs off the coarse grid.  The
+                   probe bound of ``sup_inf_rate`` rules most of the grid's
+                   pairs out unscored, so the count is below the budget's,
+                   which counts every pair.
     """
 
     rate: float
@@ -370,17 +393,20 @@ def sup_inf_rate(
 
     The search is exact but scores few pairs.  Legitimate laws are taken
     from the lazy outer grid in batches.  Each law of a batch is first
-    scored on the probe laws, the point masses q = delta(x_1e, x_2e), which
-    lie on the inner grid at every m.  The least probe rate ub(r) is at
-    least the law's worst case over the whole inner grid.  The laws are then
-    visited by descending ub, ties in enumeration order, and the rest of
-    each visited law's row is scored, several laws per stack.  The visit
-    stops at the first law that cannot win: its ub is below the incumbent's
-    worst case, or equal to it with the law after the incumbent in
-    enumeration order.  Every law after it in the visit is ruled out in the
-    same way.  Ties break toward the earliest grid point in enumeration
+    rated on the probe laws, the point masses q = delta(x_1e, x_2e), which
+    lie on the inner grid at every m.  On delta(c) a law's rate depends on
+    its column r[:, c] alone, so each probe pair is scored once per
+    (column, context) and read from that table.  The least probe rate
+    ub(r) is at least the law's worst case over the whole inner grid.  The
+    laws are then visited by descending ub, ties in enumeration order, and
+    the rest of each visited law's row is scored, several laws per stack.
+    The visit stops at the first law that cannot win: its ub is below the
+    incumbent's worst case, or equal to it with the law after the incumbent
+    in enumeration order.  Every law after it in the visit is ruled out in
+    the same way.  Ties break toward the earliest grid point in enumeration
     order on both sides: r_star is the earliest law of the largest worst
-    case, and q_star the first minimum of its row.
+    case, and q_star the first minimum of its row.  The recheck at step
+    1/(2m) scores only the laws off the grid at step 1/m (``_refined_row``).
 
     Pairs are evaluated in stacks of at most ``_STACK_CELLS`` joint-pmf
     cells, and each pair gets the rate it gets alone (see ``_entropies``),
@@ -429,19 +455,18 @@ def sup_inf_rate(
     # A point mass is the composition with all m units on one letter: 1.0 exactly.
     is_probe = q_grid.reshape(n_inner, n_q).max(axis=1) == 1.0
     probes, others = q_grid[is_probe], q_grid[~is_probe]
+    columns = simplex_grid(n_xl, m)
+    table, probe_ctx = _probe_table(ch, columns, probes)
+    evaluations = table.size
     # Legitimate laws per batch: the batch and its rates hold about
     # _STACK_CELLS numbers.  Laws per visit: one stack of their other pairs.
     batch = max(1, _STACK_CELLS // (n_xl * n_q + n_inner))
     per_visit = max(1, _STACK_CELLS // (ch.transition.size * max(1, len(others))))
-    laws = legitimate_input_grid(n_xl, n_x1e, n_x2e, m)
     best_rate, best_law = -math.inf, -1  # the incumbent, by enumeration index
     best_r = best_row = None
     first = 0  # enumeration index of the batch's first law
-    evaluations = 0
-    while chunk := list(itertools.islice(laws, batch)):
-        rs = np.stack(chunk)
-        probe_rates = _product_rates(ch, rs, probes)
-        evaluations += probe_rates.size
+    for idx, rs in _law_batches(columns, ch.input_sizes, batch):
+        probe_rates = table[idx[:, probe_ctx], np.arange(len(probes))]
         bound = probe_rates.min(axis=1)
         order = np.argsort(-bound, kind="stable")
         while len(order):
@@ -462,16 +487,50 @@ def sup_inf_rate(
             order = order[len(visit):]
         first += len(rs)
 
-    refined = _product_rates(
-        ch, best_r[np.newaxis], eavesdropper_input_grid(n_x1e, n_x2e, 2 * m)
-    )
+    refined = _refined_row(ch, best_r, best_row, m)
     return SupInfResult(
         rate=float(best_rate),
         r_star=LegitimateInputDist(best_r),
         q_star=EavesdropperInputDist(q_grid[np.argmin(best_row)]),
         refined_rate=float(refined.min()),
-        evaluations=evaluations + refined.size,
+        evaluations=evaluations + len(refined) - len(best_row),
     )
+
+
+def _probe_table(
+    ch: DMChannel, columns: np.ndarray, probes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The probe rates of every column, and the flat context of each probe.
+
+    On a probe delta(c) the joint pmf is r[:, c] T in context c and the same
+    zeros for every law elsewhere, so a law's rate there is set by its
+    column r[:, c] alone, bit for bit.  Entry (s, p) of the (n_columns,
+    n_probes) table is the rate on probe p of every law whose column in
+    probe p's context is ``columns[s]``, scored once as the law with that
+    column in every context.
+    """
+    n_q = probes[0].size
+    uniform = np.repeat(columns[:, :, np.newaxis], n_q, axis=2)
+    table = _product_rates(ch, uniform.reshape(len(columns), *ch.input_sizes), probes)
+    return table, probes.reshape(len(probes), n_q).argmax(axis=1)
+
+
+def _refined_row(ch: DMChannel, r: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
+    """The rates of law r on the eavesdropper grid at step 1/(2m), given
+    ``row``, its rates on the grid at step 1/m.
+
+    The coarse grid's laws recur in the fine one bit for bit and in the same
+    order, as its laws of even compositions: k/m and 2k/(2m) round to the
+    same double.  Their rates are read from ``row``, and only the other laws
+    are scored, so the row equals ``_product_rates`` on the whole fine grid.
+    """
+    n_x1e, n_x2e = ch.input_sizes[1:]
+    fine = eavesdropper_input_grid(n_x1e, n_x2e, 2 * m)
+    on_coarse = (_compositions(n_x1e * n_x2e, 2 * m) % 2 == 0).all(axis=1)
+    out = np.empty(len(fine))
+    out[on_coarse] = row
+    out[~on_coarse] = _product_rates(ch, r[np.newaxis], fine[~on_coarse])[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ __all__ = [
     "rate_orthogonal_rows",
     "rate_noncolluding",
     "rate_perfectcolluding",
+    "orthogonal_rates",
     "single_eavesdropper_leakage",
     "single_eavesdropper_leakage_rows",
     "rate_general_closed",
@@ -360,8 +361,28 @@ def rate_perfectcolluding(p: OrthogonalGaussianParams) -> float:
     bound: the single leakages grow with them, so the binding leakage is the
     joint one, that of a single receiver holding both listening bands.
     """
-    b = rate_orthogonal(p)
+    return _pooled(rate_orthogonal(p))
+
+
+def _pooled(b: RateBreakdown) -> float:
+    """The secure rate of ``b`` with both single leakages set to the joint one."""
     return RateBreakdown(b.main_rate, b.leak_joint, b.leak_joint, b.leak_joint).secure_rate
+
+
+def orthogonal_rates(p: OrthogonalGaussianParams) -> tuple[RateBreakdown, float, float]:
+    """:func:`rate_orthogonal`, :func:`rate_noncolluding` and
+    :func:`rate_perfectcolluding` of ``p``, from one two-row batch: ``p``,
+    and ``p`` with both eavesdroppers silent.
+
+    Raises the DomainError of the first of the three calls that raises.
+    """
+    rows = np.repeat(_param_rows(p), 2, axis=0)
+    rows[1, 6:8] = 0.0  # P_1e and P_2e
+    values, checks = _orthogonal(rows)
+    checks.raise_first(0)
+    checks.raise_first(1)
+    b = RateBreakdown(*values[0].tolist())
+    return b, RateBreakdown(*values[1].tolist()).secure_rate, _pooled(b)
 
 
 # ---------------------------------------------------------------------------

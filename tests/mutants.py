@@ -389,7 +389,42 @@ MUTANTS = (
         "eavesdropper_input_grid(n_x1e, n_x2e, m)",
         ("tests/test_discrete.py::test_sup_inf_pinned_tie_break[channel-5]",),
     ),
+    Mutant(
+        "each probe read from the mirrored context's column",
+        "discrete.py",
+        "return table, probes.reshape(len(probes), n_q).argmax(axis=1)",
+        "return table, probes.reshape(len(probes), n_q).argmax(axis=1)[::-1]",
+        ("tests/test_discrete.py::"
+         "test_probe_table_gives_every_law_its_own_probe_rates[uneven-2x1x3-m3]",
+         "tests/test_discrete.py::test_sup_inf_equals_the_full_matrix_search[uneven-3x2x1-m3]"),
+    ),
+    Mutant(
+        "each probe read from the previous context's column",
+        "discrete.py",
+        "return table, probes.reshape(len(probes), n_q).argmax(axis=1)",
+        "return table, probes.reshape(len(probes), n_q).argmax(axis=1) - 1",
+        ("tests/test_discrete.py::"
+         "test_probe_table_gives_every_law_its_own_probe_rates[uneven-2x1x3-m3]",
+         "tests/test_discrete.py::test_probe_table_gives_every_law_its_own_probe_rates[dm_bsc_taps]",
+         "tests/test_discrete.py::test_sup_inf_equals_the_full_matrix_search[uneven-3x2x1-m3]"),
+    ),
+    Mutant(
+        "the recheck's coarse rates written at the wrong fine-grid laws",
+        "discrete.py",
+        "out[on_coarse] = row",
+        "out[on_coarse] = row[::-1]",
+        tuple(f"tests/test_discrete.py::test_refined_row_equals_the_whole_fine_row[{case}]"
+              for case in ("uneven-2x1x3-m3", "dm_bsc_taps")),
+    ),
     # The closed forms, each a batch whose scalar call is a batch of one.
+    Mutant(
+        "the non-colluding row of the orthogonal batch left loud",
+        "gaussian.py",
+        "    rows[1, 6:8] = 0.0  # P_1e and P_2e\n",
+        "",
+        ("tests/test_gaussian.py::test_orthogonal_rates_equal_the_three_scalar_calls",
+         "tests/test_cli.py::test_fig3a_hl2_sweep_equals_its_committed_csv"),
+    ),
     Mutant(
         "the joint-argument check dropped from the shared-band batch",
         "gaussian.py",

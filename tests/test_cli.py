@@ -23,7 +23,7 @@ from wiretap_rates.cli import (
     write_csv,
 )
 from wiretap_rates.core import MAX_GRID_POINTS, DomainError, GridBudgetError
-from wiretap_rates.gaussian import rate_orthogonal, strip_jamming
+from wiretap_rates.gaussian import orthogonal_rates, strip_jamming
 from wiretap_rates.optimize import optimize_general
 from wiretap_rates.oracle import general_rate_terms_grid
 
@@ -220,10 +220,20 @@ def test_render_svg_structure():
     assert len(polylines) == len(table)
 
 
+def test_render_svg_escapes_markup_in_title_and_names():
+    # &, < and > are escaped; quotes are plain text inside an element.
+    marks = "&<>\"'"
+    svg = render_svg("P" + marks, [0.0, 1.0], {"R" + marks: [0.1, 0.2]}, "t" + marks)
+    texts = re.findall(r">([^<>]*)</text>", svg)
+    escaped = "&amp;&lt;&gt;\"'"
+    assert [texts[0], *texts[-3:]] == \
+        ["t" + escaped, "P" + escaped, "rate (bits/use)", "R" + escaped]
+
+
 def test_point_command_orthogonal(tmp_path, capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "rate_orthogonal",
-                        lambda og: calls.append(og) or rate_orthogonal(og))
+    monkeypatch.setattr(cli, "orthogonal_rates",
+                        lambda og: calls.append(og) or orthogonal_rates(og))
     rc = main(["point", "--config", ortho_config(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out

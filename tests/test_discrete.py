@@ -1,3 +1,4 @@
+import itertools
 import math
 from importlib.resources import files
 
@@ -321,6 +322,13 @@ def inert_eavesdropper_channel() -> DMChannel:
     return build_orthogonal_dm(main, np.ones((1, 1, 2, 2)))
 
 
+def random_channel(seed: int, shape: tuple[int, ...]) -> DMChannel:
+    """A channel of six-axis ``shape`` with every transition drawn at random,
+    so no two contexts or eavesdroppers are alike."""
+    t = np.random.default_rng(seed).random(shape)
+    return DMChannel(t / t.sum(axis=(0, 1, 2)))
+
+
 TAPS_A = (0.05, 0.3, 0.25, 0.2, 0.15)
 TAPS_B = (0.09366497167192404, 0.22972591094473757, 0.3815144672003159,
           0.060671304355965905, 0.28125417297538813)
@@ -339,6 +347,11 @@ SEARCH_CASES = {
     "dm_bsc_taps": lambda: bundled_dm("dm_bsc_taps"),
     "noncolluding-m20": lambda: (reduce_noncolluding(bsc_tap_channel(*TAPS_A)), 20),
     "inert-eavesdroppers-m3": lambda: (inert_eavesdropper_channel(), 3),
+    # Uneven input alphabets, every context with its own transitions: a
+    # probe read from another context's column cannot pass by symmetry.  On
+    # the first, the wrong column moves the result.
+    "uneven-3x2x1-m3": lambda: (random_channel(0, (2, 3, 2, 3, 2, 1)), 3),
+    "uneven-2x1x3-m3": lambda: (random_channel(3, (2, 2, 3, 2, 1, 3)), 3),
 }
 
 
@@ -351,14 +364,23 @@ def test_sup_inf_equals_the_full_matrix_search(monkeypatch, case):
     assert [res.rate, res.refined_rate, res.r_star.r.tolist(),
             res.q_star.q.tolist()] == expected
 
-    # The last call is the recheck: r_star against the whole grid at 2m.
-    *search, (recheck_rs, recheck_qs) = calls
+    # The first call is the probe table: the laws with one column in every
+    # context against the point masses.  The last is the recheck: r_star
+    # against the laws of the grid at 2m that are not on the grid at m.
+    (table_rs, table_qs), *search, (recheck_rs, recheck_qs) = calls
+    assert all((r == r[:, :1, :1]).all() for r in table_rs)
+    assert len(table_rs) == len(simplex_grid(ch.input_sizes[0], m))
+    assert (table_qs.reshape(len(table_qs), -1).max(axis=1) == 1.0).all()
     assert recheck_rs.tolist() == [res.r_star.r.tolist()]
-    assert np.array_equal(recheck_qs, eavesdropper_input_grid(*ch.input_sizes[1:], 2 * m))
+    coarse = {q.tobytes() for q in qs}
+    assert recheck_qs.tolist() == [
+        q.tolist() for q in eavesdropper_input_grid(*ch.input_sizes[1:], 2 * m)
+        if q.tobytes() not in coarse]
     law_index = {r.tobytes(): i for i, r in enumerate(laws)}
     q_index = {q.tobytes(): j for j, q in enumerate(qs)}
     scored = [(law_index[r.tobytes()], q_index[q.tobytes()])
-              for rs, call_qs in search for r in rs for q in call_qs]
+              for rs, call_qs in [(table_rs, table_qs), *search]
+              for r in rs for q in call_qs]
     assert len(set(scored)) == len(scored), "a pair was scored twice"
     assert res.evaluations == len(scored) + len(recheck_qs) <= every_pair
     if case == "dm_bsc_taps":
@@ -372,8 +394,6 @@ def test_sup_inf_equals_the_full_matrix_search(monkeypatch, case):
     bound, worst = rows[:, is_probe].min(axis=1), rows.min(axis=1)
     best, best_law = -math.inf, len(laws)
     for rs, call_qs in search:
-        if len(call_qs) and (call_qs.reshape(len(call_qs), -1).max(axis=1) == 1.0).all():
-            continue  # a probe call
         visited = [law_index[r.tobytes()] for r in rs]
         for i in visited:
             assert bound[i] > best or (bound[i] == best and i < best_law), \
@@ -393,6 +413,31 @@ def test_sup_inf_rate_does_not_change_when_the_eavesdroppers_swap_names(case):
     res, res_swapped = sup_inf_rate(ch, 1.0 / m), sup_inf_rate(swapped, 1.0 / m)
     assert res_swapped.rate == pytest.approx(res.rate, rel=0.0, abs=1e-12)
     assert res_swapped.refined_rate == pytest.approx(res.refined_rate, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["uneven-3x2x1-m3", "uneven-2x1x3-m3", "dm_bsc_taps"])
+def test_probe_table_gives_every_law_its_own_probe_rates(case):
+    ch, m = SEARCH_CASES[case]()
+    laws = np.array(list(legitimate_input_grid(*ch.input_sizes, m)))
+    qs = eavesdropper_input_grid(*ch.input_sizes[1:], m)
+    probes = qs[qs.reshape(len(qs), -1).max(axis=1) == 1.0]
+    columns = simplex_grid(ch.input_sizes[0], m)
+    table, probe_ctx = discrete._probe_table(ch, columns, probes)
+    codes = np.array(list(itertools.product(range(len(columns)), repeat=len(probes))))
+    gathered = table[codes[:, probe_ctx], np.arange(len(probes))]
+    assert gathered.tobytes() == discrete._product_rates(ch, laws, probes).tobytes()
+
+
+@pytest.mark.parametrize("case", ["uneven-2x1x3-m3", "dm_bsc_taps", "taps-b-m2"])
+def test_refined_row_equals_the_whole_fine_row(case):
+    # The coarse row is read into the fine one at the coarse grid's laws.
+    ch, m = SEARCH_CASES[case]()
+    fine = eavesdropper_input_grid(*ch.input_sizes[1:], 2 * m)
+    coarse = eavesdropper_input_grid(*ch.input_sizes[1:], m)
+    for r in list(legitimate_input_grid(*ch.input_sizes, m))[::9]:
+        row = discrete._product_rates(ch, r[np.newaxis], coarse)[0]
+        expected = discrete._product_rates(ch, r[np.newaxis], fine)[0]
+        assert discrete._refined_row(ch, r, row, m).tobytes() == expected.tobytes()
 
 
 def test_stacked_secure_rates_equal_scalar_evaluations():
@@ -460,14 +505,14 @@ def test_sup_inf_pinned_tie_break(taps, rate, refined_rate, r_star, q_star):
     # both channels, so q_star is fixed by rounding and first-wins tie
     # breaking: each law must get exactly the value it gets alone.
     # Entropies summed over whole stacks move q_star on the second channel.
-    # Pairs scored: 256 laws on 4 probe laws each, 12 laws visited on the 16
-    # other eavesdropper laws, and the 84 recheck laws.
+    # Pairs scored: the 4 columns on the 4 probe laws, 12 laws visited on the
+    # 16 other eavesdropper laws, and the 64 recheck laws off the m = 3 grid.
     res = sup_inf_rate(bsc_tap_channel(*taps), 1.0 / 3.0)
     assert res.rate == rate
     assert res.refined_rate == refined_rate
     assert res.r_star.r.tolist() == r_star
     assert res.q_star.q.tolist() == q_star
-    assert res.evaluations == 256 * 4 + 12 * 16 + 84
+    assert res.evaluations == 4 * 4 + 12 * 16 + 64
 
 
 def test_bundled_tap_channel_is_the_channel_5_construction():
@@ -532,8 +577,9 @@ def test_sup_inf_refuses_a_budget_above_the_cap_before_any_grid(monkeypatch):
         with pytest.raises(GridBudgetError, match=f"at most {MAX_GRID_POINTS}$"):
             sup_inf_rate(ch, 0.001, budget)
     monkeypatch.undo()
-    # 81 laws on 4 probe laws each, 32 visited on the 6 others, 35 rechecked.
-    assert sup_inf_rate(ch, 0.5, MAX_GRID_POINTS).evaluations == 81 * 4 + 32 * 6 + 35
+    # 3 columns on 4 probe laws each, 32 laws visited on the 6 others, and
+    # the 25 recheck laws off the m = 2 grid.
+    assert sup_inf_rate(ch, 0.5, MAX_GRID_POINTS).evaluations == 3 * 4 + 32 * 6 + 25
 
 
 def test_build_orthogonal_dm_pairs_outputs():

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from wiretap_rates.gaussian import (
     rate_general_closed_rows,
     rate_noncolluding,
     rate_orthogonal,
+    orthogonal_rates,
     rate_orthogonal_rows,
     rate_perfectcolluding,
     single_eavesdropper_leakage,
@@ -349,6 +351,25 @@ def test_batch_rows_equal_the_printed_forms_in_plain_floats():
     for j, rho2_both in ((1, False), (2, False), (2, True)):
         assert single_eavesdropper_leakage_rows(j, params, rhos, rho2_both).tolist() == [
             printed_single(j, p, rho, rho2_both) for p, rho in zip(points, rhos.tolist())]
+
+
+def test_orthogonal_rates_equal_the_three_scalar_calls():
+    params, _ = audit_draws("orthogonal")
+    for p in [OG_POINT] + [OrthogonalGaussianParams(*r) for r in params[:300].tolist()]:
+        b, r_nc, r_pc = orthogonal_rates(p)
+        assert (astuple(b), r_nc, r_pc) == \
+            (astuple(rate_orthogonal(p)), rate_noncolluding(p), rate_perfectcolluding(p))
+
+
+@pytest.mark.parametrize("fields", [{"h_l": 1e200}, {"h_1c": 1e10, "P_2e": 1e300}],
+                         ids=["both-rows", "loud-row-only"])
+def test_orthogonal_rates_raise_the_orthogonal_rate_error(fields):
+    # The silent row of the second point is in the domain.
+    p = replace(OG_POINT, **fields)
+    with pytest.raises(DomainError) as expected:
+        rate_orthogonal(p)
+    with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
+        orthogonal_rates(p)
 
 
 def test_scalar_orthogonal_calls_are_batches_of_one():
