@@ -13,7 +13,7 @@ correlation matrix is positive semidefinite.
 
 Draws are taken in blocks.  A block takes its uniforms as one array, each
 state k steps ahead as A^k state + C (A^k - 1)/(A - 1) mod 2^64, in the same
-generator order as one draw at a time.  Each block's covariances are
+generator order as one draw at a time.  Each block's oracle terms are
 evaluated as one stack per family, and each closed form as one batch of the
 block's parameter rows (see :mod:`wiretap_rates.gaussian`); the values equal
 those of one oracle call and one closed-form call per draw, bit for bit.

@@ -1,30 +1,39 @@
 """Covariance-based evaluation of the Gaussian secrecy-rate terms.
 
-This module never touches the printed closed forms.  It assembles the exact
-joint covariance of the transmit signals and channel outputs implied by the
-linear channel equations, then evaluates every information term through
-log-determinants of principal submatrices:
+This module never touches the printed closed forms.  Each rate term is a
+Gaussian I(X_A; Y_B | X_C) of the linear channel Y = H X + Z, where the
+inputs X have powers P and correlation matrix R and the noise Z is
+independent with variances N.  The term is evaluated with generic linear
+algebra from H, P, N and R alone:
+
+    I(X_A; Y_B | X_C) = L(B, C) - L(B, A + C),
+    L(B, S) = 1/2 * log2 det(I + M M^T),  M = N_B^(-1/2) H_B D F_S,
+
+where D = diag(sqrt(P)), G G^T = R, and F_S is G with the row space of
+G_S projected out and its rows S set to 0: the part of the inputs that
+X_S leaves unknown, in whitened coordinates.  L(B, S) is the information
+the outputs B still carry about the inputs once X_S is known.  Every
+eigenvalue of I + M M^T is at least 1, so no log-determinant needs a
+clamp, at any signal-to-noise ratio short of float overflow.  A silent
+input (power 0, X_l included) is the constant 0 and tells nothing, so each
+of its correlations is set to 0 in R; with that, zero powers and |rho| = 1
+evaluate to their limits on the same path as every other row.  Agreement
+with the closed forms is checked term by term in the tests and by the
+audit tooling, which is the point: the two routes share no algebra.
+
+Every route evaluates stacks; a single parameter set is a stack of one, so
+the audit's blocks and the scalar calls share each definition.
+
+:func:`mi_gaussian` is the generic reference over any assembled
+:class:`JointCovariance`:
 
     I(A; B | C) = 1/2 * log2( det S_AC * det S_BC / (det S_C * det S_ABC) )
 
-with det of the empty set equal to 1.  Agreement with the closed forms is
-checked term by term in the tests and by the audit tooling, which is the
-point: the two routes share no algebra.
-
-Each log-determinant is the sum of the logs of the submatrix eigenvalues,
-clamped below at ``EIG_FLOOR`` times the largest diagonal entry of the full
-covariance.  Degenerate inputs (zero powers, fully correlated inputs) leave
-zero eigenvalues in several submatrices; whenever the information is finite
-the clamped ones cancel across the four log-determinants, so those inputs
-evaluate to their natural limits instead of failing.  Where they would not
-cancel, as at very high signal-to-noise ratios, DomainError is raised.
-
-Every route evaluates stacks of covariances; a single covariance is a stack
-of one, so the audit's blocks and the scalar calls share each definition.
+with det of the empty set equal to 1.
 
 :func:`general_rate_terms_grid` evaluates the same four shared-band terms
 over arrays of correlation triples from output variances, without assembling
-a covariance or masking invalid triples; tests compare it with the log-det route.
+a covariance or masking invalid triples; tests compare it with the oracle.
 :func:`general_line_bound` bounds its secure rate below over each line of
 valid rho_12, so a search can skip lines.
 """
@@ -32,7 +41,7 @@ valid rho_12, so a search can skip lines.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,9 +71,6 @@ __all__ = [
     "GENERAL_LABELS",
     "ORTHOGONAL_LABELS",
 ]
-
-#: Eigenvalue clamp of the log-determinants, relative to the largest variance.
-EIG_FLOOR = 1e-12
 
 #: Negative mutual-information round-off below this magnitude is truncated to 0.
 NEG_TOL = 1e-9
@@ -112,9 +118,8 @@ class JointCovariance:
             raise DomainError(f"unknown variable label {label!r}") from None
 
 
-def _check_covariances(stack: np.ndarray) -> np.ndarray:
-    """Raise unless every matrix of a (K, n, n) stack is a covariance, and
-    return each matrix's least eigenvalue, shape (K,).
+def _check_covariances(stack: np.ndarray) -> None:
+    """Raise unless every matrix of a (K, n, n) stack is a covariance.
 
     Each matrix must have finite entries, be symmetric to 1e-12 and have no
     eigenvalue below -1e-10, both relative to its largest diagonal magnitude
@@ -125,54 +130,35 @@ def _check_covariances(stack: np.ndarray) -> np.ndarray:
     scale = np.maximum(np.abs(stack.diagonal(0, 1, 2)).max(axis=1), 1.0)
     if (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale).any():
         raise DomainError("covariance matrix is not symmetric")
-    least = np.linalg.eigvalsh(stack)[:, 0]
-    if (least < -1e-10 * scale).any():
+    if (np.linalg.eigvalsh(stack)[:, 0] < -1e-10 * scale).any():
         raise DomainError("covariance matrix is not positive semidefinite")
-    return least
 
 
-def _input_covariance(
+def _correlations(
     powers: np.ndarray,
     rho_1: float | np.ndarray,
     rho_2: float | np.ndarray,
     rho_12: float | np.ndarray,
 ) -> np.ndarray:
-    """(K, 3, 3) covariances of (X_l, X_1e, X_2e) at K correlation triples.
+    """(K, 3, 3) correlation matrices R of (X_l, X_1e, X_2e) at K triples.
 
     ``powers`` holds (P_l, P_1e, P_2e) per row: K rows, or one row shared by
-    all K triples.  The correlations are arrays of K values, or floats.
+    all K triples.  The correlations are arrays of K values, or floats.  A
+    silent input (power 0) is the constant 0 and tells nothing about the
+    others, so each of its correlations is set to 0.
     """
-    P_l, P_1e, P_2e = powers.T
+    live = powers > 0.0
     a1, a2, a12 = np.broadcast_arrays(
-        rho_1 * np.sqrt(P_l * P_1e),
-        rho_2 * np.sqrt(P_l * P_2e),
-        rho_12 * np.sqrt(P_1e * P_2e),
+        np.where(live[:, 0] & live[:, 1], rho_1, 0.0),
+        np.where(live[:, 0] & live[:, 2], rho_2, 0.0),
+        np.where(live[:, 1] & live[:, 2], rho_12, 0.0),
     )
-    s = np.empty((a1.size, 3, 3))
-    s[:, 0, 0] = P_l
-    s[:, 1, 1] = P_1e
-    s[:, 2, 2] = P_2e
-    s[:, 0, 1] = s[:, 1, 0] = a1
-    s[:, 0, 2] = s[:, 2, 0] = a2
-    s[:, 1, 2] = s[:, 2, 1] = a12
-    return s
-
-
-def _assemble(
-    inputs_cov: np.ndarray, gain_rows: np.ndarray, noise_diag: np.ndarray
-) -> np.ndarray:
-    # Outputs are gain_rows @ inputs + independent noise, so each joint
-    # covariance of the stack is the usual linear-map block matrix.  Gains
-    # (K or 1, m, 3) and noise variances (K or 1, m) are per matrix.  Gains
-    # too large for a float product give non-finite entries, which
-    # _check_covariances refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cross = inputs_cov @ gain_rows.transpose(0, 2, 1)
-        noise = noise_diag[:, :, np.newaxis] * np.eye(noise_diag.shape[1])
-        out = gain_rows @ cross + noise
-    top = np.concatenate([inputs_cov, cross], axis=2)
-    bottom = np.concatenate([cross.transpose(0, 2, 1), out], axis=2)
-    return np.concatenate([top, bottom], axis=1)
+    r = np.empty((a1.size, 3, 3))
+    r[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    r[:, 0, 1] = r[:, 1, 0] = a1
+    r[:, 0, 2] = r[:, 2, 0] = a2
+    r[:, 1, 2] = r[:, 2, 1] = a12
+    return r
 
 
 def _gains(params: np.ndarray, rows: int, at: tuple[tuple[int, int], ...]) -> np.ndarray:
@@ -195,36 +181,36 @@ _ORTHOGONAL_GAINS = ((0, 0), (1, 0), (3, 0), (2, 2), (4, 1))
 _ORTHOGONAL_NOISES = [8, 9, 11, 10, 12]
 
 
-def _general_covariances(
-    params: np.ndarray,
-    rho_1: float | np.ndarray,
-    rho_2: float | np.ndarray,
-    rho_12: float | np.ndarray,
+def _general_channel(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gains, powers, noises) of K rows of :class:`GeneralGaussianParams`
+    fields in field order: (K, 3, 3), (K, 3) and (K, 3) arrays."""
+    return _gains(params, 3, _GENERAL_GAINS), params[:, 7:10], params[:, 10:13]
+
+
+def _orthogonal_channel(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gains, powers, noises) of K rows of :class:`OrthogonalGaussianParams`
+    fields in field order: (K, 5, 3), (K, 3) and (K, 5) arrays."""
+    return _gains(params, 5, _ORTHOGONAL_GAINS), params[:, 5:8], params[:, _ORTHOGONAL_NOISES]
+
+
+def _assemble(
+    gains: np.ndarray, powers: np.ndarray, noises: np.ndarray, correlations: np.ndarray
 ) -> np.ndarray:
-    """(K, 6, 6) joint covariances of GENERAL_LABELS at K correlation triples.
+    """(K, 3 + m, 3 + m) joint covariances of the inputs and the m outputs.
 
-    ``params`` holds one row of :class:`GeneralGaussianParams` fields, in
-    field order, per triple, or one row for all of them.
+    The inputs have covariance D R D with D = diag(sqrt(P)), and the outputs
+    are gains @ inputs + independent noise.  Gains too large for a float
+    product give non-finite entries, which :func:`_check_covariances` refuses.
     """
-    return _assemble(
-        _input_covariance(params[:, 7:10], rho_1, rho_2, rho_12),
-        _gains(params, 3, _GENERAL_GAINS),
-        params[:, 10:13],
-    )
-
-
-def _orthogonal_covariances(params: np.ndarray) -> np.ndarray:
-    """(K, 8, 8) joint covariances of ORTHOGONAL_LABELS, one per row of
-    :class:`OrthogonalGaussianParams` fields in field order.
-
-    The transmit signals are independent, the input law the orthogonal
-    closed form assumes.
-    """
-    return _assemble(
-        _input_covariance(params[:, 5:8], 0.0, 0.0, 0.0),
-        _gains(params, 5, _ORTHOGONAL_GAINS),
-        params[:, _ORTHOGONAL_NOISES],
-    )
+    sd = np.sqrt(powers)
+    inputs_cov = sd[:, :, np.newaxis] * correlations * sd[:, np.newaxis, :]
+    inputs_cov[:, [0, 1, 2], [0, 1, 2]] = powers
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = inputs_cov @ gains.transpose(0, 2, 1)
+        out = gains @ cross + noises[:, :, np.newaxis] * np.eye(noises.shape[1])
+    top = np.concatenate([inputs_cov, cross], axis=2)
+    bottom = np.concatenate([cross.transpose(0, 2, 1), out], axis=2)
+    return np.concatenate([top, bottom], axis=1)
 
 
 def build_joint_covariance_general(
@@ -235,9 +221,9 @@ def build_joint_covariance_general(
     Output equations: the legitimate receiver hears everything, each
     eavesdropper hears the legitimate signal and the other eavesdropper.
     """
-    return JointCovariance(
-        GENERAL_LABELS, _general_covariances(_param_rows(p), *rho.as_tuple())[0]
-    )
+    gains, powers, noises = _general_channel(_param_rows(p))
+    cov = _assemble(gains, powers, noises, _correlations(powers, *rho.as_tuple()))
+    return JointCovariance(GENERAL_LABELS, cov[0])
 
 
 def build_joint_covariance_orthogonal(p: OrthogonalGaussianParams) -> JointCovariance:
@@ -247,7 +233,9 @@ def build_joint_covariance_orthogonal(p: OrthogonalGaussianParams) -> JointCovar
     The transmit signals are independent codebooks, which is the input law
     the orthogonal closed form assumes.
     """
-    return JointCovariance(ORTHOGONAL_LABELS, _orthogonal_covariances(_param_rows(p))[0])
+    gains, powers, noises = _orthogonal_channel(_param_rows(p))
+    cov = _assemble(gains, powers, noises, _correlations(powers, 0.0, 0.0, 0.0))
+    return JointCovariance(ORTHOGONAL_LABELS, cov[0])
 
 
 def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
@@ -262,72 +250,74 @@ def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cmi_terms(
-    stack: np.ndarray,
-    terms: Iterable[tuple[tuple[int, ...], ...]],
-    least: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """Raw I(A; B | C) in bits for each (A, B, C) on a (K, n, n) stack.
+def _log2_dets(stack: np.ndarray) -> np.ndarray:
+    """log2 det of each matrix of a (..., n, n) stack; DomainError where one
+    is singular or not positive definite to working precision."""
+    sign, logdet = np.linalg.slogdet(stack)
+    if (sign <= 0.0).any():
+        raise DomainError("a log-determinant block is singular: its information "
+                          "is not finite")
+    return logdet / math.log(2.0)
 
-    Returns one length-K array per term, before any sign policy.  Each
-    matrix's eigenvalues are clamped below at ``EIG_FLOOR`` times its
-    largest diagonal entry (times 1 when that is not positive).  Where none
-    is clamped the log-determinant comes from an LU factorization instead:
-    ``eigvalsh`` is accurate only to round-off times the matrix norm, which
-    costs small eigenvalues their relative precision.  Each distinct ordered
-    index tuple is factored once, and tuples of one size in one batch.
 
-    ``least``, when given, holds each full matrix's least eigenvalue, as
-    :func:`_check_covariances` returns it.  By Cauchy interlacing no
-    principal submatrix has a smaller one, and ``eigvalsh`` round-off (about
-    1e-14 of the scale) is far below the floor, so a matrix whose least
-    eigenvalue is above twice the floor has no clamped submatrix and takes
-    no submatrix eigenvalues; its values are the same, bit for bit.
+def _unknown_part(factor: np.ndarray, given: tuple[int, ...]) -> np.ndarray:
+    """F_S of a (K, 3, 3) stack of factors G: G with the row space of its
+    rows S = ``given`` projected out, and those rows set to exactly 0.
 
-    The clamp is exact only where the clamped eigenvalues cancel across the
-    four log-determinants, as they do for zero powers and fully correlated
-    inputs.  A term whose counts of clamped eigenvalues do not balance,
-    n(AC) + n(BC) != n(C) + n(ABC), has lost a genuine eigenvalue below the
-    floor, as at h_l = 1e4 with the other fields O(1), and raises
-    DomainError.  So does a positive variance at or below the floor (from
-    h_l = 1e6 there): the clamp would lift it along with the small
-    eigenvalues, and the counts can balance while the value is wrong.
+    The row space is spanned by the right singular vectors of G_S whose
+    singular values exceed 3 eps times the largest, numpy's matrix_rank rule
+    for a block of at most three columns: at |rho_12| = 1 two rows of G are
+    parallel, and the second singular value is round-off.
     """
-    diagonal = stack.diagonal(0, 1, 2)
-    scale = diagonal.max(axis=1)
-    floor = EIG_FLOOR * np.where(scale > 0.0, scale, 1.0)
-    if ((diagonal > 0.0) & (diagonal <= floor[:, np.newaxis])).any():
-        raise DomainError("a variance lies below the eigenvalue clamp: the "
-                          "covariance spans too many orders of magnitude")
-    near =np.ones(len(stack), bool) if least is None else least <= 2.0 * floor
-    near_floor = floor[near, np.newaxis, np.newaxis]
-    sets = [(a + c, b + c, c, a + b + c) for a, b, c in terms]
-    logdets: dict[tuple[int, ...], np.ndarray | float] = {(): 0.0}
-    clamped: dict[tuple[int, ...], np.ndarray | int] = {(): 0}
-    for size in {len(idx) for s in sets for idx in s} - {0}:
-        idxs = sorted({idx for s in sets for idx in s if len(idx) == size})
-        sel = np.array(idxs)
-        # (K, len(idxs), size, size): every submatrix of this size.
-        sub = stack[:, sel[:, :, np.newaxis], sel[:, np.newaxis, :]]
-        ld = np.linalg.slogdet(sub)[1]
-        counts = np.zeros(ld.shape, dtype=int)
-        if near.any():
-            eig = np.linalg.eigvalsh(sub[near])
-            low = eig <= near_floor
-            counts[near] = low.sum(axis=-1)
-            if low.any():
-                logs = np.log(np.maximum(eig, near_floor)).sum(axis=-1)
-                ld[near] = np.where(low[..., 0], logs, ld[near])
-        logdets.update(zip(idxs, ld.T))
-        clamped.update(zip(idxs, counts.T))
-    for ac, bc, c, abc in sets:
-        if np.any(clamped[ac] + clamped[bc] != clamped[c] + clamped[abc]):
-            raise DomainError("clamped eigenvalues do not cancel in a mutual "
-                              "information: the covariance is too ill-conditioned")
-    return [
-        0.5 * (logdets[ac] + logdets[bc] - logdets[c] - logdets[abc]) / math.log(2.0)
-        for ac, bc, c, abc in sets
-    ]
+    if not given:
+        return factor
+    _, s, basis = np.linalg.svd(factor[:, given, :], full_matrices=False)
+    basis = basis * (s > 3.0 * np.finfo(float).eps * s[:, :1])[:, :, np.newaxis]
+    out = factor - factor @ basis.transpose(0, 2, 1) @ basis
+    out[:, given, :] = 0.0
+    return out
+
+
+def _whitened_terms(
+    gains: np.ndarray,
+    powers: np.ndarray,
+    noises: np.ndarray,
+    correlations: np.ndarray,
+    terms: Iterable[tuple[tuple[int, ...], ...]],
+) -> np.ndarray:
+    """Raw I(X_A; Y_B | X_C) in bits of K channels as a (K, len(terms))
+    array, before any sign policy: the module docstring's L(B, C) - L(B, A + C).
+
+    ``gains`` (K or 1, m, 3), ``powers`` (K or 1, 3) and ``noises`` (K or 1,
+    m) give each channel; ``correlations`` is its (K, 3, 3) R.  Each term's
+    index sets number the inputs 0 to 2 and output j as 3 + j, as
+    :func:`~wiretap_rates.core.rate_terms` does.  Entries past the float
+    range raise DomainError before any log-determinant.
+    """
+    w, v = np.linalg.eigh(correlations)
+    # G = V sqrt(W); a valid R can have eigenvalues a round-off below 0.
+    factor = v * np.sqrt(np.maximum(w, 0.0))[:, np.newaxis, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = gains * np.sqrt(powers)[:, np.newaxis, :] / np.sqrt(noises)[:, :, np.newaxis]
+    unknown: dict[tuple[int, ...], np.ndarray] = {}
+
+    def heard(outputs: tuple[int, ...], given: tuple[int, ...]) -> np.ndarray | float:
+        """L(outputs, given); knowing every input leaves nothing to hear."""
+        if len(given) == 3:
+            return 0.0
+        if given not in unknown:
+            unknown[given] = _unknown_part(factor, given)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = scaled[:, [j - 3 for j in outputs], :] @ unknown[given]
+            gram = m @ m.transpose(0, 2, 1) + np.eye(len(outputs))
+        if not np.isfinite(gram).all():
+            raise DomainError("a whitened output covariance has non-finite entries: "
+                              "the channel is past the float range")
+        return 0.5 * _log2_dets(gram)
+
+    # No term conditions on every input, so each heard(b, c) is an array.
+    return np.stack([heard(b, tuple(sorted(c))) - heard(b, tuple(sorted(a + c)))
+                     for a, b, c in terms], axis=1)
 
 
 def _nonnegative(values: float | np.ndarray) -> np.ndarray:
@@ -366,22 +356,12 @@ def mi_gaussian(
     ia, ib, ic = _resolve(cov, A), _resolve(cov, B), _resolve(cov, C)
     if set(ia) & set(ib) or set(ia) & set(ic) or set(ib) & set(ic):
         raise DomainError("mutual-information variable sets must be disjoint")
-    (value,) = _cmi_terms(cov.matrix[np.newaxis], [(ia, ib, ic)])
-    return float(_nonnegative(value[0]))
 
+    def log2_det(idx: tuple[int, ...]) -> float:
+        return float(_log2_dets(cov.matrix[np.ix_(idx, idx)])) if idx else 0.0
 
-def _rate_term_rows(
-    stack: np.ndarray, terms: Iterable[tuple[tuple[int, ...], ...]]
-) -> np.ndarray:
-    """The checked rate terms of a (K, n, n) stack as a (K, 4) array, one
-    row per covariance in :class:`RateBreakdown` field order, under the
-    rules :class:`RateBreakdown` and :func:`_nonnegative` apply."""
-    rows = _nonnegative(np.array(_cmi_terms(stack, terms, _check_covariances(stack))).T)
-    for name, column in zip((f.name for f in fields(RateBreakdown)), rows.T):
-        if not np.isfinite(column).all():
-            bad = float(column[~np.isfinite(column)][0])
-            raise DomainError(f"{name} must be finite and non-negative, got {bad!r}")
-    return rows
+    value = 0.5 * (log2_det(ia + ic) + log2_det(ib + ic) - log2_det(ic) - log2_det(ia + ib + ic))
+    return float(_nonnegative(value))
 
 
 def _rate_general_oracles(
@@ -390,47 +370,52 @@ def _rate_general_oracles(
     rho_2: float | np.ndarray,
     rho_12: float | np.ndarray,
 ) -> np.ndarray:
-    """:func:`rate_general_oracle` at K triples, as one covariance stack:
-    a (K, 4) array of the four terms.
+    """:func:`rate_general_oracle` at K triples, as one stack: a (K, 4)
+    array of the four terms.
 
     ``params`` holds one row of :class:`GeneralGaussianParams` fields, in
     field order, per triple, or one row for all of them.
     """
-    return _rate_term_rows(_general_covariances(params, rho_1, rho_2, rho_12), _GENERAL_TERMS)
+    gains, powers, noises = _general_channel(params)
+    return _nonnegative(_whitened_terms(
+        gains, powers, noises, _correlations(powers, rho_1, rho_2, rho_12), _GENERAL_TERMS))
 
 
 def _rate_orthogonal_oracles(params: np.ndarray) -> np.ndarray:
     """:func:`rate_orthogonal_oracle` of K rows of
-    :class:`OrthogonalGaussianParams` fields, as one stack: a (K, 4) array."""
-    return _rate_term_rows(_orthogonal_covariances(params), _ORTHOGONAL_TERMS)
+    :class:`OrthogonalGaussianParams` fields, as one stack: a (K, 4) array.
+
+    The transmit signals are independent, the input law the orthogonal
+    closed form assumes.
+    """
+    gains, powers, noises = _orthogonal_channel(params)
+    return _nonnegative(_whitened_terms(
+        gains, powers, noises, _correlations(powers, 0.0, 0.0, 0.0), _ORTHOGONAL_TERMS))
 
 
 def rate_general_oracle(
     p: GeneralGaussianParams, rho: CorrelationTriple
 ) -> RateBreakdown:
-    """Shared-band secrecy rate evaluated purely from the joint covariance,
-    term by term as :class:`~wiretap_rates.core.RateBreakdown` defines them.
+    """Shared-band secrecy rate evaluated purely from the channel's linear
+    algebra, term by term as :class:`~wiretap_rates.core.RateBreakdown`
+    defines them, through the whitened log-determinants of the module
+    docstring.
 
-    Total on degenerate parameters (zero powers, |rho_12| = 1): the
-    eigenvalue clamp turns them into the correct limits.  Not total within
-    about 1e-9 of |rho| = 1 off those points: the assembled covariance is
-    so ill-conditioned there that a term can be off by about 1e-7 bits, and
-    one whose round-off falls below -NEG_TOL raises DomainError, as at
-    rho = (0.95, 1 - 1e-9, 0.95) for some parameters.
-    :func:`general_rate_terms_grid` keeps full precision there.  Nor at a
-    signal-to-noise ratio so high that a genuine eigenvalue falls below the
-    clamp (from about h_l = 1e3 with the other fields O(1)), and not past
-    the float range (gains from about 1e155): both raise DomainError.
+    Total on degenerate parameters (zero powers, |rho| = 1), close to the
+    edge of the valid correlation set and at any signal-to-noise ratio up to
+    the float range.  Past it (h_l from about 1e155 with the other fields
+    O(1)) it raises DomainError.
     """
     return RateBreakdown(*_rate_general_oracles(_param_rows(p), *rho.as_tuple())[0].tolist())
 
 
 def rate_orthogonal_oracle(p: OrthogonalGaussianParams) -> RateBreakdown:
-    """Orthogonal-model secrecy rate from the eight-variable covariance.
+    """Orthogonal-model secrecy rate on the oracle's whitened route, with
+    independent transmit signals.
 
     Single-eavesdropper leakage pairs each eavesdropper's listening output
     with its cross-band output.  Raises DomainError where
-    :func:`rate_general_oracle` does at high SNR or past the float range.
+    :func:`rate_general_oracle` does, past the float range.
     """
     return RateBreakdown(*_rate_orthogonal_oracles(_param_rows(p))[0].tolist())
 

@@ -121,13 +121,6 @@ MUTANTS = (
          "test_covariance_check_parts_round_off_from_a_negative_eigenvalue",),
     ),
     Mutant(
-        "EIG_FLOOR 1e-12 -> 1e-9",
-        "oracle.py",
-        "EIG_FLOOR = 1e-12",
-        "EIG_FLOOR = 1e-9",
-        ("tests/test_oracle.py::test_mi_gaussian_keeps_an_eigenvalue_just_above_the_floor",),
-    ),
-    Mutant(
         "NEG_TOL 1e-9 -> 1e-6",
         "oracle.py",
         "NEG_TOL = 1e-9",
@@ -135,36 +128,44 @@ MUTANTS = (
         ("tests/test_oracle.py::test_negative_round_off_is_truncated_only_down_to_neg_tol",),
     ),
     Mutant(
-        "covariances with non-finite entries reach LAPACK",
+        "whitened output covariances with non-finite entries reach LAPACK",
         "oracle.py",
-        "    if not np.isfinite(stack).all():",
-        "    if False:",
+        "        if not np.isfinite(gram).all():",
+        "        if False:",
         tuple(f"tests/test_oracle.py::test_oracle_refuses_a_covariance_past_the_float_range"
               f"[{family}-1e+160]" for family in ("general", "orthogonal")),
     ),
+    # The oracle's whitened route.
     Mutant(
-        "submatrix eigenvalues skipped down to a least eigenvalue of 0",
+        "a silent input's correlations are not zeroed",
         "oracle.py",
-        "least <= 2.0 * floor",
-        "least <= 0.0 * floor",
-        ("tests/test_oracle.py::"
-         "test_a_near_floor_eigenvalue_is_clamped_when_the_least_is_known",),
+        "    live = powers > 0.0",
+        "    live = powers >= 0.0",
+        ("tests/test_oracle.py::test_degenerate_powers_evaluate_to_limits",),
     ),
     Mutant(
-        "a variance below the eigenvalue clamp is clamped",
+        "rows S of F_S are not set to 0",
         "oracle.py",
-        "    if ((diagonal > 0.0) & (diagonal <= floor[:, np.newaxis])).any():",
-        "    if False:",
-        tuple(f"tests/test_oracle.py::test_oracle_refuses_a_variance_below_the_clamp"
-              f"[{family}-1e7]" for family in ("general", "orthogonal")),
+        "    out[:, given, :] = 0.0\n",
+        "",
+        # The orthogonal family's G is the identity, so its rows S project
+        # out to exact zeros and only the shared band can show this.
+        ("tests/test_oracle.py::test_oracle_keeps_its_precision_at_high_snr[general]",),
     ),
     Mutant(
-        "clamped eigenvalues need not cancel",
+        "the second projector vector is dropped",
         "oracle.py",
-        "        if np.any(clamped[ac] + clamped[bc] != clamped[c] + clamped[abc]):",
-        "        if False:",
-        tuple(f"tests/test_oracle.py::test_oracle_refuses_a_clamp_that_does_not_cancel"
-              f"[{family}]" for family in ("general", "orthogonal")),
+        "    basis = basis * (s > 3.0 * np.finfo(float).eps * s[:, :1])[:, :, np.newaxis]",
+        "    basis = basis[:, :1]",
+        ("tests/test_oracle.py::test_oracle_keeps_full_precision_next_to_the_edge[rho_2]",
+         "tests/test_oracle.py::test_grid_matches_scalar_oracle_interior"),
+    ),
+    Mutant(
+        "a round-off singular value spans the row space",
+        "oracle.py",
+        "(s > 3.0 * np.finfo(float).eps * s[:, :1])",
+        "(s > 0.0)",
+        ("tests/test_oracle.py::test_grid_matches_reference_on_search_grid[1.0]",),
     ),
     Mutant(
         "AUDIT_TOL 1e-9 -> 1e-6",

@@ -154,6 +154,12 @@ def test_audit_pass_rule_bound():
     assert not audit._passes(1e-8)
 
 
+def test_default_audit_leaves_headroom_below_its_tolerance():
+    # On 1,000 draws of the default seed the required terms agree to 1.5e-14,
+    # 5 orders of magnitude inside AUDIT_TOL; the bound leaves about 3x room.
+    assert run_audit(12345, 1000).worst_required_error <= 5e-14
+
+
 def test_run_audit_model_selection():
     both = run_audit(seed=2, draws=2)
     assert [{n.split("/")[0] for n in t.names} for t in both.tables] == \
