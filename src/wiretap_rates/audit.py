@@ -75,7 +75,7 @@ _ORTHOGONAL_RANGES = (_GAIN_RANGE,) * 5 + (_POWER_RANGE,) * 3 + (_NOISE_RANGE,) 
 _GENERAL_RANGES = (_SIGNED_GAIN_RANGE,) * 7 + (_POWER_RANGE,) * 3 + (_NOISE_RANGE,) * 3
 
 # Draws taken and evaluated as one block.  Blocks keep the arrays small: at
-# this size run_audit(draws=100_000) peaks at 52.3 MB RSS against 51.9 MB one
+# this size run_audit(draws=100_000) peaks at 52.4 MB RSS against 52.2 MB one
 # draw per block, and 1,000 draws run about 20 times faster than with one
 # draw per block.  Blocks of 256 to 1,000 ran up to 10% faster, and 1,024
 # raised the peak by 3% (Python 3.11, numpy 2.4, one BLAS thread).

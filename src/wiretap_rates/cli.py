@@ -49,8 +49,8 @@ __all__ = [
 #: Largest number of rows a sweep may ask for.
 MAX_SWEEP_ROWS = 100_000
 
-#: Most draws an audit may ask for, at about 0.6 KB each: peak RSS is 38 MB at
-#: one draw and 100 MB at 100,000 (103 MB with --out or --verbose, which
+#: Most draws an audit may ask for, at about 0.6 KB each: peak RSS is 32.1 MB
+#: at one draw and 94.0 MB at 100,000 (97.0 MB with --out or --verbose, which
 #: stream their lines), on Python 3.11 with numpy 2.4.
 MAX_AUDIT_DRAWS = 100_000
 

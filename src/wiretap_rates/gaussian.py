@@ -15,13 +15,15 @@ are compared term by term by the audit tooling.
 Each closed form is one batch evaluator, named ``*_rows``: it takes K
 parameter sets as a (K, 13) array of the dataclass fields in field order
 and, in the shared-band model, K correlation triples as a (K, 3) array.  A
-row outside the form's domain evaluates to nan.  The scalar function of each
-form evaluates a batch of one, and raises the DomainError of the first check
-its row fails, in the order the checks are made.  Squares and logarithms
-are taken with the C library's ``pow`` and ``log2``, one Python call per
-entry, as the scalar expressions always took them: numpy's square and
-``log2`` round differently on some arguments, so every value is the scalar
-route's, bit for bit.
+form is written as its printed formula over the columns of a :class:`_Batch`,
+which records each domain check on the line that computes the checked
+quantity, so the statement order is the check order.  A row outside the
+form's domain evaluates to nan.  The scalar function of each form evaluates
+a batch of one, and raises the DomainError of the first check its row fails.
+Squares and logarithms are taken with the C library's ``pow`` and ``log2``,
+one Python call per entry, as the scalar expressions always took them:
+numpy's square and ``log2`` round differently on some arguments, so every
+value is that of the plain float expression, bit for bit.
 """
 
 from __future__ import annotations
@@ -159,59 +161,15 @@ def _param_rows(p: GeneralGaussianParams | OrthogonalGaussianParams) -> np.ndarr
     return np.array([list(vars(p).values())])
 
 
-_ORTHOGONAL_NAMES = tuple(f.name for f in fields(OrthogonalGaussianParams))
-_GENERAL_NAMES = tuple(f.name for f in fields(GeneralGaussianParams))
-
-# The least value each field may take, in field order, given its number of
-# gains: any finite gain, a power of 0 and the least positive noise
-# variance.  Every field is at most the greatest finite float.
+# Each parameter class's field names, and the least value each field may
+# take, in field order: any finite gain, a power of 0 and the least positive
+# noise variance.  Every field is at most the greatest finite float.
 _FLOAT_MAX = sys.float_info.max
-_FIELD_FLOORS = {
-    gains: np.array([-_FLOAT_MAX] * gains + [0.0] * 3 + [math.ulp(0.0)] * (10 - gains))
-    for gains in (5, 7)
+_FIELDS = {
+    form: (tuple(f.name for f in fields(form)),
+           np.array([-_FLOAT_MAX] * gains + [0.0] * 3 + [math.ulp(0.0)] * (10 - gains)))
+    for form, gains in ((OrthogonalGaussianParams, 5), (GeneralGaussianParams, 7))
 }
-
-
-class _Checks:
-    """The domain checks of one batch, in the order the scalar route makes
-    them.  Each is a (K,) mask of the rows that fail it, with a function
-    that raises row i's DomainError."""
-
-    def __init__(self) -> None:
-        self._checks: list[tuple[np.ndarray, Callable[[int], object]]] = []
-
-    def add(self, bad: np.ndarray, fail: Callable[[int], object]) -> None:
-        self._checks.append((bad, fail))
-
-    def failed(self) -> np.ndarray:
-        """(K,) mask of the rows that fail any check."""
-        return np.logical_or.reduce([bad for bad, _ in self._checks])
-
-    def raise_first(self, i: int) -> None:
-        """Raise row i's DomainError from the first check it fails, if any."""
-        for bad, fail in self._checks:
-            if bad[i]:
-                fail(i)
-
-
-def _raise(message: str) -> None:
-    raise DomainError(message)
-
-
-def _rho(rhos: np.ndarray, i: int) -> tuple[float, ...]:
-    """Row i's triple as :meth:`CorrelationTriple.as_tuple` gives it."""
-    return tuple(rhos[i].tolist())
-
-
-def _check_rows(checks: _Checks, x: np.ndarray, names: tuple[str, ...], gains: int,
-                rhos: np.ndarray | None = None) -> None:
-    """The checks of the parameter dataclass on each row of ``x``: finite
-    gains, then powers >= 0, then noise variances > 0; then, given
-    ``rhos``, those of :class:`CorrelationTriple` on each triple."""
-    ok = ((x >= _FIELD_FLOORS[gains]) & (x <= _FLOAT_MAX)).all(axis=1)
-    checks.add(~ok, lambda i: _check_fields(dict(zip(names, x[i].tolist())), gains))
-    if rhos is not None:
-        checks.add(~valid_correlation(*rhos.T), lambda i: CorrelationTriple(*_rho(rhos, i)))
 
 
 def _square(v: float) -> float:
@@ -234,96 +192,114 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _check_square(checks: _Checks, names: tuple[str, ...], x: np.ndarray, col: int,
-                  over: np.ndarray) -> None:
-    """The check of :func:`~wiretap_rates.core.gain_squared` on the gain in
-    column ``col`` of ``x``: ``over`` marks each square past the float
-    range."""
-    checks.add(over, lambda i: gain_squared(names[col], float(x[i, col])))
+class _Batch:
+    """K rows of one closed form, and the domain checks it makes on them in
+    the order it makes them.
 
+    ``x`` maps each field name, and given ``rhos`` each of rho_1, rho_2 and
+    rho_12, to its (K,) column; ``rhos`` holds the (K, 3) triples and ``sq``
+    the squares of each column named in ``squared``, taken in one pass.  The
+    dataclass checks come first, in field order, then the triple's; the form
+    records each later check where it computes the checked quantity.  A
+    check is a (K,) mask of the rows that fail it, with a function that
+    raises row i's DomainError.  Theta's mask is None: :meth:`thetas` takes
+    one mask over all its arguments, and theta's function raises only where
+    row i's argument fails.  With ``raises`` set, :meth:`thetas` raises the
+    DomainError of the first row that fails a check, as the scalar call does.
+    """
 
-def _theta_faults(args: np.ndarray) -> np.ndarray:
-    """Where :func:`~wiretap_rates.core.theta` refuses its argument: not
-    finite, or negative."""
-    return ~(np.isfinite(args) & (args >= 0.0))
+    def __init__(self, form: type, params: np.ndarray, squared: tuple[str, ...],
+                 rhos: np.ndarray | None = None, raises: bool = False) -> None:
+        x = np.asarray(params, dtype=float)
+        names, floors = _FIELDS[form]
+        ok = ((x >= floors) & (x <= _FLOAT_MAX)).all(axis=1)
+        self._checks: list[tuple[np.ndarray | None, Callable[[int], object]]] = [
+            (~ok, lambda i: form(*x[i].tolist()))]
+        self.x = dict(zip(names, x.T))
+        if rhos is not None:
+            self.rhos = rhos = np.asarray(rhos, dtype=float)
+            self.x.update(zip(("rho_1", "rho_2", "rho_12"), rhos.T))
+            self._checks.append((~valid_correlation(*rhos.T),
+                                 lambda i: CorrelationTriple(*rhos[i].tolist())))
+        sq = _squares(np.array([self.x[name] for name in squared]))
+        self.sq = dict(zip(squared, sq))
+        self._over = dict(zip(squared, np.isinf(sq)))
+        self._args: list[np.ndarray] = []
+        self._raises = raises
 
+    def gain(self, name: str) -> np.ndarray:
+        """The square of gain ``name``, with the check of
+        :func:`~wiretap_rates.core.gain_squared` on it."""
+        gain = self.x[name]
+        self._checks.append((self._over[name], lambda i: gain_squared(name, float(gain[i]))))
+        return self.sq[name]
 
-def _check_theta(checks: _Checks, args: np.ndarray, faults: np.ndarray, col: int) -> None:
-    """The check of :func:`~wiretap_rates.core.theta` on column ``col`` of
-    ``args``, whose :func:`_theta_faults` are ``faults``."""
-    checks.add(faults[:, col], lambda i: theta(float(args[i, col])))
+    def require(self, bad: np.ndarray, message: Callable[[int], str]) -> None:
+        """A check that fails on the rows of ``bad``, row i with
+        ``message(i)``."""
+        def fail(i: int) -> None:
+            raise DomainError(message(i))
+        self._checks.append((bad, fail))
 
+    def theta(self, arg: np.ndarray) -> int:
+        """Record ``arg`` as an argument of :func:`~wiretap_rates.core.theta`,
+        with theta's check; its index among the recorded arguments."""
+        self._args.append(arg)
+        self._checks.append((None, lambda i: theta(float(arg[i]))))
+        return len(self._args) - 1
 
-def _thetas(args: np.ndarray, checks: _Checks) -> np.ndarray:
-    """:func:`~wiretap_rates.core.theta` of every entry of the (K, m)
-    ``args``, whose checks are added, with the C library's ``log2``; nan on
-    every row that fails a check."""
-    failed = checks.failed()
-    any_failed = failed.any()
-    if any_failed:
-        args = np.where(failed[:, np.newaxis], 0.0, args)
-    flat = (1.0 + args).ravel().tolist()
-    out = 0.5 * np.fromiter(map(math.log2, flat), float, len(flat)).reshape(args.shape)
-    if any_failed:
-        out[failed] = np.nan
-    return out
-
-
-def _breakdown(values: np.ndarray, checks: _Checks) -> RateBreakdown:
-    """The terms of a batch of one, or the DomainError of its row."""
-    checks.raise_first(0)
-    return RateBreakdown(*values[0].tolist())
+    def thetas(self, *terms: int) -> np.ndarray:
+        """theta of the recorded arguments ``terms`` as a (K, len(terms))
+        array, with the C library's ``log2``; nan on every row that fails
+        any check."""
+        args = np.array(self._args)
+        faults = ~(np.isfinite(args) & (args >= 0.0)).all(axis=0)
+        failed = np.logical_or.reduce([bad for bad, _ in self._checks if bad is not None] + [faults])
+        any_failed = failed.any()
+        if any_failed:
+            if self._raises:
+                i = int(failed.argmax())
+                for bad, fail in self._checks:
+                    if bad is None or bad[i]:
+                        fail(i)
+            args = np.where(failed, 0.0, args)
+        flat = (1.0 + args).ravel().tolist()
+        out = 0.5 * np.fromiter(map(math.log2, flat), float, len(flat)).reshape(args.shape)
+        if any_failed:
+            out[:, failed] = np.nan
+        return out[list(terms)].T
 
 
 # ---------------------------------------------------------------------------
 # Orthogonal model
 
 
-# The power each gain's link carries, in gain field order: P_l on the main
-# link and both listening bands, P_2e into eavesdropper 1's cross band and
-# P_1e into 2's.  The noise variances follow in the same order.
-_ORTHOGONAL_HEARD = np.array([5, 5, 5, 7, 6])
+_ORTHOGONAL_GAINS = ("h_l", "h_1m", "h_2m", "h_1c", "h_2c")
 
 
-def _orthogonal(params: np.ndarray) -> tuple[np.ndarray, _Checks]:
-    x = np.asarray(params, dtype=float)
-    names = _ORTHOGONAL_NAMES
-    checks = _Checks()
-    _check_rows(checks, x, names, 5)
-    sq = _squares(x[:, :5])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # The SNR of each gain's link, gain^2 P / N: the main link, the
-        # listening bands (s1, s2) and the cross bands (c1, c2).
-        snr = sq * x.take(_ORTHOGONAL_HEARD, axis=1) / x[:, 8:]
-        s, c = snr[:, 1:3], snr[:, 3:]
-        # theta's arguments in RateBreakdown field order.  The joint leakage
-        # is the sum of the per-eavesdropper listening SNRs: same floats as
-        # the single-eavesdropper terms, so the P_1e = P_2e = 0 reduction to
-        # rate_noncolluding is exact.
-        args = np.empty((len(x), 4))
-        args[:, 0] = snr[:, 0]
-        args[:, 1] = s[:, 0] + s[:, 1]
-        args[:, 2:] = s + c + s * c
-    # In the scalar route's order: the listening gains, the joint leakage,
-    # the cross gains, the single leakages, then the main term.
-    over, faults = np.isinf(sq), _theta_faults(args)
-    for col in (1, 2):
-        _check_square(checks, names, x, col, over[:, col])
-    _check_theta(checks, args, faults, 1)
-    for col in (3, 4):
-        _check_square(checks, names, x, col, over[:, col])
-    _check_theta(checks, args, faults, 2)
-    _check_theta(checks, args, faults, 3)
-    _check_square(checks, names, x, 0, over[:, 0])
-    _check_theta(checks, args, faults, 0)
-    return _thetas(args, checks), checks
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _orthogonal(params: np.ndarray, raises: bool = False) -> np.ndarray:
+    b = _Batch(OrthogonalGaussianParams, params, _ORTHOGONAL_GAINS, raises=raises)
+    x = b.x
+    # The SNR of each listening band (s1, s2) and cross band (c1, c2).  The
+    # joint leakage sums the listening SNRs: the same floats as the single
+    # leakages, so the P_1e = P_2e = 0 reduction to rate_noncolluding is exact.
+    s1 = b.gain("h_1m") * x["P_l"] / x["N_1e_m"]
+    s2 = b.gain("h_2m") * x["P_l"] / x["N_2e_m"]
+    joint = b.theta(s1 + s2)
+    c1 = b.gain("h_1c") * x["P_2e"] / x["N_1e_c"]
+    c2 = b.gain("h_2c") * x["P_1e"] / x["N_2e_c"]
+    single_1 = b.theta(s1 + c1 + s1 * c1)
+    single_2 = b.theta(s2 + c2 + s2 * c2)
+    main = b.theta(b.gain("h_l") * x["P_l"] / x["N_l"])
+    return b.thetas(main, joint, single_1, single_2)
 
 
 def rate_orthogonal_rows(params: np.ndarray) -> np.ndarray:
     """:func:`rate_orthogonal` of K rows of :class:`OrthogonalGaussianParams`
     fields in field order: a (K, 4) array in :class:`RateBreakdown` field
     order, nan on each row where the scalar call raises."""
-    return _orthogonal(params)[0]
+    return _orthogonal(params)
 
 
 def rate_orthogonal(p: OrthogonalGaussianParams) -> RateBreakdown:
@@ -340,7 +316,7 @@ def rate_orthogonal(p: OrthogonalGaussianParams) -> RateBreakdown:
     leaves the float range, or a term whose argument is not finite, raises
     DomainError.
     """
-    return _breakdown(*_orthogonal(_param_rows(p)))
+    return RateBreakdown(*_orthogonal(_param_rows(p), raises=True)[0].tolist())
 
 
 def rate_noncolluding(p: OrthogonalGaussianParams) -> float:
@@ -351,7 +327,7 @@ def rate_noncolluding(p: OrthogonalGaussianParams) -> float:
     """
     silent = _param_rows(p)
     silent[:, 6:8] = 0.0  # P_1e and P_2e
-    return _breakdown(*_orthogonal(silent)).secure_rate
+    return RateBreakdown(*_orthogonal(silent, raises=True)[0].tolist()).secure_rate
 
 
 def rate_perfectcolluding(p: OrthogonalGaussianParams) -> float:
@@ -378,9 +354,7 @@ def orthogonal_rates(p: OrthogonalGaussianParams) -> tuple[RateBreakdown, float,
     """
     rows = np.repeat(_param_rows(p), 2, axis=0)
     rows[1, 6:8] = 0.0  # P_1e and P_2e
-    values, checks = _orthogonal(rows)
-    checks.raise_first(0)
-    checks.raise_first(1)
+    values = _orthogonal(rows, raises=True)
     b = RateBreakdown(*values[0].tolist())
     return b, RateBreakdown(*values[1].tolist()).secure_rate, _pooled(b)
 
@@ -389,55 +363,33 @@ def orthogonal_rates(p: OrthogonalGaussianParams) -> tuple[RateBreakdown, float,
 # General (shared-band) model
 
 
-# Field columns of eavesdropper j's single leakage: the legitimate-to-j gain
-# h_lj, the cross gain g from the other eavesdropper k, P_k and N_j.
-_SINGLE_COLUMNS = {1: (3, 5, 9, 11), 2: (4, 6, 8, 12)}
+def _single_gains(j: int) -> tuple[str, str]:
+    """Eavesdropper j's legitimate-to-j gain h_lj, and the cross gain g from
+    the other eavesdropper into j."""
+    return f"h_l_{j}e", f"h_{3 - j}e_{j}e"
 
 
-def _single_args(j: int, x: np.ndarray, rhos: np.ndarray, sq_h: np.ndarray,
-                 sq_g: np.ndarray, rho2_both: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eavesdropper j's single-leakage numerator of each row, and theta's
-    argument, the numerator over N_j; ``sq_h`` and ``sq_g`` hold the
-    squares of h_lj and g."""
-    h_lj, g, p_k, n_j = _SINGLE_COLUMNS[j]
-    r = rhos[:, 1] if j == 1 or rho2_both else rhos[:, 0]
-    P_l, P_k = x[:, 7], x[:, p_k]
-    num = sq_h * P_l + sq_g * P_k + 2.0 * x[:, h_lj] * x[:, g] * r * np.sqrt(P_l * P_k)
-    return num, num / x[:, n_j]
-
-
-def _check_single(checks: _Checks, j: int, x: np.ndarray, over_h: np.ndarray,
-                  over_g: np.ndarray, num: np.ndarray, args: np.ndarray,
-                  faults: np.ndarray, col: int) -> None:
-    """The checks of eavesdropper j's single leakage, in the scalar route's
-    order: ``over_h`` and ``over_g`` mark the squares of h_lj and g past
-    the float range, and its theta argument is column ``col`` of ``args``,
-    whose :func:`_theta_faults` are ``faults``."""
-    h_lj, g, _, _ = _SINGLE_COLUMNS[j]
-    _check_square(checks, _GENERAL_NAMES, x, h_lj, over_h)
-    _check_square(checks, _GENERAL_NAMES, x, g, over_g)
+def _single(b: _Batch, j: int, rho2_both: bool = False) -> int:
+    """Record eavesdropper j's single leakage on ``b``; its theta index."""
+    x, k = b.x, 3 - j
+    h, g = _single_gains(j)
+    P_l, P_k = x["P_l"], x[f"P_{k}e"]
+    r = x["rho_2" if rho2_both else f"rho_{k}"]
+    num = b.gain(h) * P_l + b.gain(g) * P_k + 2.0 * x[h] * x[g] * r * np.sqrt(P_l * P_k)
     # |r| <= 1 makes the quadratic form non-negative; a negative value
     # indicates an internal inconsistency, not a caller error.
-    checks.add(num < 0.0, lambda i: _raise(
-        f"single-eavesdropper leakage argument turned negative ({float(num[i])!r})"))
-    _check_theta(checks, args, faults, col)
+    b.require(num < 0.0, lambda i:
+              f"single-eavesdropper leakage argument turned negative ({float(num[i])!r})")
+    return b.theta(num / x[f"N_{j}e"])
 
 
-def _single_rows(j: int, params: np.ndarray, rhos: np.ndarray,
-                 rho2_both: bool) -> tuple[np.ndarray, _Checks]:
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _single_rows(j: int, params: np.ndarray, rhos: np.ndarray, rho2_both: bool,
+                 raises: bool = False) -> np.ndarray:
     if j not in (1, 2):
         raise DomainError(f"eavesdropper index must be 1 or 2, got {j!r}")
-    x, rhos = np.asarray(params, dtype=float), np.asarray(rhos, dtype=float)
-    checks = _Checks()
-    _check_rows(checks, x, _GENERAL_NAMES, 7, rhos)
-    h_lj, g, _, _ = _SINGLE_COLUMNS[j]
-    sq = _squares(x[:, [h_lj, g]])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num, arg = _single_args(j, x, rhos, sq[:, 0], sq[:, 1], rho2_both)
-    args = arg[:, np.newaxis]
-    over = np.isinf(sq)
-    _check_single(checks, j, x, over[:, 0], over[:, 1], num, args, _theta_faults(args), 0)
-    return _thetas(args, checks)[:, 0], checks
+    b = _Batch(GeneralGaussianParams, params, _single_gains(j), rhos, raises)
+    return b.thetas(_single(b, j, rho2_both))[:, 0]
 
 
 def single_eavesdropper_leakage_rows(j: int, params: np.ndarray, rhos: np.ndarray,
@@ -446,7 +398,7 @@ def single_eavesdropper_leakage_rows(j: int, params: np.ndarray, rhos: np.ndarra
     :class:`GeneralGaussianParams` fields in field order at K triples
     (rho_1, rho_2, rho_12): a (K,) array, nan on each row where the scalar
     call raises.  An index ``j`` other than 1 or 2 raises DomainError."""
-    return _single_rows(j, params, rhos, rho2_both)[0]
+    return _single_rows(j, params, rhos, rho2_both)
 
 
 def single_eavesdropper_leakage(
@@ -471,73 +423,62 @@ def single_eavesdropper_leakage(
 
     A batch of one of :func:`single_eavesdropper_leakage_rows`.
     """
-    leak, checks = _single_rows(j, _param_rows(p), np.array([rho.as_tuple()]), rho2_both)
-    checks.raise_first(0)
-    return float(leak[0])
+    return float(_single_rows(j, _param_rows(p), np.array([rho.as_tuple()]), rho2_both, raises=True)[0])
 
 
-def _general(params: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, _Checks]:
-    x, rhos = np.asarray(params, dtype=float), np.asarray(rhos, dtype=float)
-    names = _GENERAL_NAMES
-    checks = _Checks()
-    _check_rows(checks, x, names, 7, rhos)
-    h_l, g1, g2 = x[:, 0], x[:, 1], x[:, 2]
-    P_l, P_1, P_2 = x[:, 7], x[:, 8], x[:, 9]
-    r1, r2, r12 = rhos.T
-    checks.add(P_1 <= 0.0, lambda i: _raise(
-        "rate_general_closed requires P_1e > 0; use the covariance route for degenerate powers"))
-    checks.add(P_2 <= 0.0, lambda i: _raise(
-        "rate_general_closed requires P_2e > 0; use the covariance route for degenerate powers"))
-    checks.add(np.abs(r12) >= 1.0, lambda i: _raise(
-        "rate_general_closed requires |rho_12| < 1; use the covariance route for degenerate correlations"))
-    # Squares of the seven gains (columns 0 to 6), the triple (7 to 9) and
-    # P_1e, P_2e (10, 11).
-    sq = _squares(np.concatenate([x[:, :7], rhos, x[:, 8:10]], axis=1))
-    r1_2, r2_2, r12_2, P1_2, P2_2 = sq[:, 7:].T
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        num = (
-            sq[:, 0] * P_l
-            + r1_2 * sq[:, 1] * P_1
-            + r2_2 * sq[:, 2] * P_2
-            + 2.0 * h_l * g1 * r1 * np.sqrt(P_l * P_1)
-            + 2.0 * h_l * g2 * r2 * np.sqrt(P_l * P_2)
-        )
-        den = (
-            sq[:, 1] * P_1 * (1.0 - r1_2)
-            + sq[:, 2] * P_2 * (1.0 - r2_2)
-            + 2.0 * g1 * g2 * r12 * np.sqrt(P_1 * P_2)
-            + x[:, 10]
-        )
-        residual = 1.0 - (
-            r1_2 * P1_2
-            + r2_2 * P2_2
-            + 2.0 * r1 * r2 * r12 * P_1 * P_2
-        ) / (P_1 * P_2 * (1.0 - r12_2))
-        # theta's arguments in RateBreakdown field order.
-        args = np.empty((len(x), 4))
-        args[:, 0] = num / den
-        args[:, 1] = P_l * residual * (sq[:, 3] / x[:, 11] + sq[:, 4] / x[:, 12])
-        num_1, args[:, 2] = _single_args(1, x, rhos, sq[:, 3], sq[:, 5], False)
-        num_2, args[:, 3] = _single_args(2, x, rhos, sq[:, 4], sq[:, 6], False)
-    # In the scalar route's order: the main term, the joint leakage, then
-    # each single leakage.
-    over, faults = np.isinf(sq), _theta_faults(args)
-    for col in (0, 1, 2):
-        _check_square(checks, names, x, col, over[:, col])
-    checks.add(den <= 0.0, lambda i: _raise(
-        f"main-term denominator is not positive ({float(den[i])!r}) at rho={_rho(rhos, i)}"))
-    checks.add(num < 0.0, lambda i: _raise(
-        f"main-term numerator is negative ({float(num[i])!r}) at rho={_rho(rhos, i)}"))
-    _check_theta(checks, args, faults, 0)
-    for col in (3, 4):
-        _check_square(checks, names, x, col, over[:, col])
-    joint_arg = args[:, 1]
-    checks.add(joint_arg < 0.0, lambda i: _raise(
-        f"joint-leakage argument is negative ({float(joint_arg[i])!r}) at rho={_rho(rhos, i)}"))
-    _check_theta(checks, args, faults, 1)
-    _check_single(checks, 1, x, over[:, 3], over[:, 5], num_1, args, faults, 2)
-    _check_single(checks, 2, x, over[:, 4], over[:, 6], num_2, args, faults, 3)
-    return _thetas(args, checks), checks
+# The squares the shared-band form takes: the seven gains, the triple, and
+# P_1e and P_2e.
+_GENERAL_SQUARED = _FIELDS[GeneralGaussianParams][0][:7] + (
+    "rho_1", "rho_2", "rho_12", "P_1e", "P_2e")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _general(params: np.ndarray, rhos: np.ndarray, raises: bool = False) -> np.ndarray:
+    b = _Batch(GeneralGaussianParams, params, _GENERAL_SQUARED, rhos, raises)
+    x, sq, rhos = b.x, b.sq, b.rhos
+    h_l, g1, g2 = x["h_l"], x["h_1e_l"], x["h_2e_l"]
+    P_l, P_1, P_2 = x["P_l"], x["P_1e"], x["P_2e"]
+    r1, r2, r12 = x["rho_1"], x["rho_2"], x["rho_12"]
+    r1_2, r2_2 = sq["rho_1"], sq["rho_2"]
+
+    def at(i: int) -> tuple[float, ...]:
+        return tuple(rhos[i].tolist())
+
+    b.require(P_1 <= 0.0, lambda i:
+              "rate_general_closed requires P_1e > 0; use the covariance route for degenerate powers")
+    b.require(P_2 <= 0.0, lambda i:
+              "rate_general_closed requires P_2e > 0; use the covariance route for degenerate powers")
+    b.require(np.abs(r12) >= 1.0, lambda i:
+              "rate_general_closed requires |rho_12| < 1; use the covariance route for degenerate correlations")
+    h_l_2, g1_2, g2_2 = b.gain("h_l"), b.gain("h_1e_l"), b.gain("h_2e_l")
+    num = (
+        h_l_2 * P_l
+        + r1_2 * g1_2 * P_1
+        + r2_2 * g2_2 * P_2
+        + 2.0 * h_l * g1 * r1 * np.sqrt(P_l * P_1)
+        + 2.0 * h_l * g2 * r2 * np.sqrt(P_l * P_2)
+    )
+    den = (
+        g1_2 * P_1 * (1.0 - r1_2)
+        + g2_2 * P_2 * (1.0 - r2_2)
+        + 2.0 * g1 * g2 * r12 * np.sqrt(P_1 * P_2)
+        + x["N_l"]
+    )
+    b.require(den <= 0.0, lambda i:
+              f"main-term denominator is not positive ({float(den[i])!r}) at rho={at(i)}")
+    b.require(num < 0.0, lambda i:
+              f"main-term numerator is negative ({float(num[i])!r}) at rho={at(i)}")
+    main = b.theta(num / den)
+    residual = 1.0 - (
+        r1_2 * sq["P_1e"]
+        + r2_2 * sq["P_2e"]
+        + 2.0 * r1 * r2 * r12 * P_1 * P_2
+    ) / (P_1 * P_2 * (1.0 - sq["rho_12"]))
+    joint_arg = P_l * residual * (b.gain("h_l_1e") / x["N_1e"] + b.gain("h_l_2e") / x["N_2e"])
+    b.require(joint_arg < 0.0, lambda i:
+              f"joint-leakage argument is negative ({float(joint_arg[i])!r}) at rho={at(i)}")
+    joint = b.theta(joint_arg)
+    return b.thetas(main, joint, _single(b, 1), _single(b, 2))
 
 
 def rate_general_closed_rows(params: np.ndarray, rhos: np.ndarray) -> np.ndarray:
@@ -545,7 +486,7 @@ def rate_general_closed_rows(params: np.ndarray, rhos: np.ndarray) -> np.ndarray
     fields in field order at K triples (rho_1, rho_2, rho_12): a (K, 4)
     array in :class:`RateBreakdown` field order, nan on each row where the
     scalar call raises, which marks where the printed form is undefined."""
-    return _general(params, rhos)[0]
+    return _general(params, rhos)
 
 
 def rate_general_closed(
@@ -570,7 +511,7 @@ def rate_general_closed(
 
     A batch of one of :func:`rate_general_closed_rows`.
     """
-    return _breakdown(*_general(_param_rows(p), np.array([rho.as_tuple()])))
+    return RateBreakdown(*_general(_param_rows(p), np.array([rho.as_tuple()]), raises=True)[0].tolist())
 
 
 def strip_jamming(p: GeneralGaussianParams) -> GeneralGaussianParams:

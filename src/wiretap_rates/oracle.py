@@ -108,7 +108,7 @@ class JointCovariance:
         n = len(self.labels)
         if m.shape != (n, n):
             raise DomainError(f"covariance shape {m.shape} does not match {n} labels")
-        _check_covariances(m[np.newaxis])
+        _check_covariances(m)
         object.__setattr__(self, "matrix", m)
 
     def index(self, label: str) -> int:
@@ -118,19 +118,19 @@ class JointCovariance:
             raise DomainError(f"unknown variable label {label!r}") from None
 
 
-def _check_covariances(stack: np.ndarray) -> None:
-    """Raise unless every matrix of a (K, n, n) stack is a covariance.
+def _check_covariances(m: np.ndarray) -> None:
+    """Raise unless the (n, n) matrix ``m`` is a covariance.
 
-    Each matrix must have finite entries, be symmetric to 1e-12 and have no
+    It must have finite entries, be symmetric to 1e-12 and have no
     eigenvalue below -1e-10, both relative to its largest diagonal magnitude
     (at least 1).  Non-finite entries are refused before any LAPACK call.
     """
-    if not np.isfinite(stack).all():
+    if not np.isfinite(m).all():
         raise DomainError("covariance matrix has non-finite entries")
-    scale = np.maximum(np.abs(stack.diagonal(0, 1, 2)).max(axis=1), 1.0)
-    if (np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12 * scale).any():
+    scale = max(np.abs(m.diagonal()).max(), 1.0)
+    if np.abs(m - m.T).max() > 1e-12 * scale:
         raise DomainError("covariance matrix is not symmetric")
-    if (np.linalg.eigvalsh(stack)[:, 0] < -1e-10 * scale).any():
+    if np.linalg.eigvalsh(m)[0] < -1e-10 * scale:
         raise DomainError("covariance matrix is not positive semidefinite")
 
 
@@ -196,21 +196,19 @@ def _orthogonal_channel(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _assemble(
     gains: np.ndarray, powers: np.ndarray, noises: np.ndarray, correlations: np.ndarray
 ) -> np.ndarray:
-    """(K, 3 + m, 3 + m) joint covariances of the inputs and the m outputs.
+    """(3 + m, 3 + m) joint covariance of the inputs and the m outputs.
 
     The inputs have covariance D R D with D = diag(sqrt(P)), and the outputs
     are gains @ inputs + independent noise.  Gains too large for a float
     product give non-finite entries, which :func:`_check_covariances` refuses.
     """
     sd = np.sqrt(powers)
-    inputs_cov = sd[:, :, np.newaxis] * correlations * sd[:, np.newaxis, :]
-    inputs_cov[:, [0, 1, 2], [0, 1, 2]] = powers
+    inputs_cov = sd[:, np.newaxis] * correlations * sd
+    np.fill_diagonal(inputs_cov, powers)
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = inputs_cov @ gains.transpose(0, 2, 1)
-        out = gains @ cross + noises[:, :, np.newaxis] * np.eye(noises.shape[1])
-    top = np.concatenate([inputs_cov, cross], axis=2)
-    bottom = np.concatenate([cross.transpose(0, 2, 1), out], axis=2)
-    return np.concatenate([top, bottom], axis=1)
+        cross = inputs_cov @ gains.T
+        out = gains @ cross + np.diag(noises)
+    return np.block([[inputs_cov, cross], [cross.T, out]])
 
 
 def build_joint_covariance_general(
@@ -222,8 +220,8 @@ def build_joint_covariance_general(
     eavesdropper hears the legitimate signal and the other eavesdropper.
     """
     gains, powers, noises = _general_channel(_param_rows(p))
-    cov = _assemble(gains, powers, noises, _correlations(powers, *rho.as_tuple()))
-    return JointCovariance(GENERAL_LABELS, cov[0])
+    cov = _assemble(gains[0], powers[0], noises[0], _correlations(powers, *rho.as_tuple())[0])
+    return JointCovariance(GENERAL_LABELS, cov)
 
 
 def build_joint_covariance_orthogonal(p: OrthogonalGaussianParams) -> JointCovariance:
@@ -234,8 +232,8 @@ def build_joint_covariance_orthogonal(p: OrthogonalGaussianParams) -> JointCovar
     the orthogonal closed form assumes.
     """
     gains, powers, noises = _orthogonal_channel(_param_rows(p))
-    cov = _assemble(gains, powers, noises, _correlations(powers, 0.0, 0.0, 0.0))
-    return JointCovariance(ORTHOGONAL_LABELS, cov[0])
+    cov = _assemble(gains[0], powers[0], noises[0], _correlations(powers, 0.0, 0.0, 0.0)[0])
+    return JointCovariance(ORTHOGONAL_LABELS, cov)
 
 
 def _resolve(cov: JointCovariance, sel: Iterable[str | int]) -> tuple[int, ...]:

@@ -429,24 +429,36 @@ MUTANTS = (
     Mutant(
         "the joint-argument check dropped from the shared-band batch",
         "gaussian.py",
-        "checks.add(joint_arg < 0.0, lambda i: _raise(",
-        "checks.add(joint_arg < -math.inf, lambda i: _raise(",
+        "b.require(joint_arg < 0.0, lambda i:",
+        "b.require(joint_arg < -math.inf, lambda i:",
         ("tests/test_gaussian.py::test_scalar_shared_band_calls_are_batches_of_one",),
     ),
     Mutant(
         "single_2_alt reads rho_1 instead of rho_2",
         "gaussian.py",
-        "r = rhos[:, 1] if j == 1 or rho2_both else rhos[:, 0]",
-        "r = rhos[:, 1] if j == 1 else rhos[:, 0]",
+        'r = x["rho_2" if rho2_both else f"rho_{k}"]',
+        'r = x[f"rho_{k}"]',
         ("tests/test_gaussian.py::test_batch_rows_equal_the_printed_forms_in_plain_floats",),
     ),
     Mutant(
         "the overflow check on a gain's square dropped",
         "gaussian.py",
-        "checks.add(over, lambda i: gain_squared(",
-        "checks.add(over & False, lambda i: gain_squared(",
+        "self._checks.append((self._over[name], lambda i: gain_squared(",
+        "self._checks.append((self._over[name] & False, lambda i: gain_squared(",
         tuple(f"tests/test_gaussian.py::test_a_gain_whose_square_overflows_raises_domain_error[{case}]"
               for case in ("orthogonal-h_l", "general-h_l", "single_1-h_l_1e")),
+    ),
+    Mutant(
+        "the cross-gain checks recorded before the joint theta",
+        "gaussian.py",
+        '    joint = b.theta(s1 + s2)\n'
+        '    c1 = b.gain("h_1c") * x["P_2e"] / x["N_1e_c"]\n'
+        '    c2 = b.gain("h_2c") * x["P_1e"] / x["N_2e_c"]\n',
+        '    c1 = b.gain("h_1c") * x["P_2e"] / x["N_1e_c"]\n'
+        '    c2 = b.gain("h_2c") * x["P_1e"] / x["N_2e_c"]\n'
+        '    joint = b.theta(s1 + s2)\n',
+        ("tests/test_gaussian.py::test_a_row_that_fails_two_checks_raises_the_first"
+         "[orthogonal-joint-before-cross-gain]",),
     ),
     Mutant(
         "squares by numpy's multiplication instead of the C library's pow",

@@ -1,4 +1,6 @@
+import ast
 import functools
+import importlib
 import json
 import re
 import threading
@@ -798,3 +800,25 @@ def test_point_searches_at_once_equal_searches_in_order(evaluation_counts):
                 assert res.evaluations <= alone.evaluations, gen
         assert (row["R_njg"], row["R_g"]) == (alone_njg.rate.secure_rate,
                                               alone_g.rate.secure_rate)
+
+
+# Traced names the package no longer has, each missed by a refactor that
+# deleted or renamed it.  The benchmark skips them and reports no value.
+STALE_TRACED_NAMES = {
+    "optimize.is_valid_correlation",
+    "oracle.schur_conditional_variance",
+    "gaussian.rate_nonjamming",
+}
+
+
+def test_every_name_the_benchmark_traces_exists_or_is_known_stale():
+    # perfbench/spans.py is read as text, not imported: its SPECS name the
+    # (layer, function) pairs whose calls the per-layer metrics time.
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "spans.py").read_text())
+    (specs,) = [node.value for node in tree.body
+                if isinstance(node, ast.AnnAssign) and node.target.id == "SPECS"]
+    names = [(spec.elts[0].value, spec.elts[1].value) for spec in specs.elts]
+    assert len(names) > 30
+    absent = {f"{layer}.{func}" for layer, func in names
+              if not callable(getattr(importlib.import_module(f"wiretap_rates.{layer}"), func, None))}
+    assert absent <= STALE_TRACED_NAMES

@@ -432,3 +432,33 @@ def test_printed_worst_case_on_the_grid_against_the_search(scenario):
     assert rhos[worst].tolist() == pytest.approx(at, abs=1e-12)
     _, res_g = optimize_general(p, SearchConfig(coarse_resolution=0.05))
     assert res_g.rate.secure_rate == pytest.approx(searched, abs=1e-9)
+
+
+@pytest.mark.parametrize("form, fields, message", [
+    # The joint term's argument overflows before the cross gain is squared.
+    ("orthogonal", {"h_1m": 1e150, "N_1e_m": 1e-10, "h_1c": 1e200},
+     "theta argument must be finite, got inf"),
+    ("general", {"P_1e": 0.0, "h_l": 1e200},
+     "rate_general_closed requires P_1e > 0; use the covariance route for degenerate powers"),
+    # h_l's square is finite; the main term's argument is not, and it comes
+    # before the joint term squares h_l_1e.
+    ("general", {"h_l": 1e154, "h_l_1e": 1e200}, "theta argument must be finite, got inf"),
+    ("single_1", {"h_l_1e": 1e200, "h_2e_1e": 1e200},
+     "gain h_l_1e = 1e+200 is too large: its square overflows a float"),
+], ids=["orthogonal-joint-before-cross-gain", "general-power-before-gain",
+        "general-main-before-joint-gain", "single_1-h_l_1e-before-h_2e_1e"])
+def test_a_row_that_fails_two_checks_raises_the_first(form, fields, message):
+    # Each form checks its quantities in the order it computes them, so a
+    # row that fails two checks raises the one the form makes first; its
+    # batch leaves the row undefined.
+    evaluate, rows = {
+        "orthogonal": (rate_orthogonal, lambda p: rate_orthogonal_rows(row(p))),
+        "general": (lambda p: rate_general_closed(p, ZERO_RHO),
+                    lambda p: rate_general_closed_rows(row(p), np.zeros((1, 3)))),
+        "single_1": (lambda p: single_eavesdropper_leakage(1, p, ZERO_RHO),
+                     lambda p: single_eavesdropper_leakage_rows(1, row(p), np.zeros((1, 3)))),
+    }[form]
+    p = replace(OG_POINT if form == "orthogonal" else GEN_POINT, **fields)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        evaluate(p)
+    assert np.isnan(rows(p)).all()

@@ -97,18 +97,17 @@ def test_covariance_check_parts_round_off_from_a_negative_eigenvalue():
     [((0, 3), 100.0, "positive semidefinite"), ((0, 1), None, "symmetric")],
     ids=["indefinite", "asymmetric"],
 )
-def test_stack_check_rejects_a_bad_last_matrix(entry, value, message):
-    good = build_joint_covariance_general(GEN_POINT, ZERO_RHO).matrix
-    stack = np.stack([good] * 3)
-    oracle._check_covariances(stack)
+def test_covariance_check_rejects_a_bad_matrix(entry, value, message):
+    m = build_joint_covariance_general(GEN_POINT, ZERO_RHO).matrix.copy()
+    oracle._check_covariances(m)
     i, j = entry
     if value is None:
         # One off-diagonal entry moved, its mirror kept.
-        stack[-1, i, j] += 1e-6
+        m[i, j] += 1e-6
     else:
-        stack[-1, i, j] = stack[-1, j, i] = value
+        m[i, j] = m[j, i] = value
     with pytest.raises(DomainError, match=message):
-        oracle._check_covariances(stack)
+        oracle._check_covariances(m)
 
 
 def test_covariance_unknown_label():
