@@ -11,12 +11,15 @@ algebra from H, P, N and R alone:
 
 where D = diag(sqrt(P)), G G^T = R, and F_S is G with the row space of
 G_S projected out and its rows S set to 0: the part of the inputs that
-X_S leaves unknown, in whitened coordinates.  L(B, S) is the information
-the outputs B still carry about the inputs once X_S is known.  Every
-eigenvalue of I + M M^T is at least 1, so no log-determinant needs a
-clamp, at any signal-to-noise ratio short of float overflow.  A silent
-input (power 0, X_l included) is the constant 0 and tells nothing, so each
-of its correlations is set to 0 in R; with that, zero powers and |rho| = 1
+X_S leaves unknown, in whitened coordinates.  Its directions come from
+modified Gram-Schmidt over the rows S, a residual kept only where its norm
+exceeds 3 eps times the largest row norm of G_S, so that at |rho| = 1 a
+round-off residual spans nothing.  L(B, S) is the information the outputs
+B still carry about the inputs once X_S is known.  Every eigenvalue of
+I + M M^T is at least 1, so no log-determinant needs a clamp, at any
+signal-to-noise ratio short of float overflow.  A silent input (power 0,
+X_l included) is the constant 0 and tells nothing, so each of its
+correlations is set to 0 in R; with that, zero powers and |rho| = 1
 evaluate to their limits on the same path as every other row.  Agreement
 with the closed forms is checked term by term in the tests and by the
 audit tooling, which is the point: the two routes share no algebra.
@@ -262,16 +265,34 @@ def _unknown_part(factor: np.ndarray, given: tuple[int, ...]) -> np.ndarray:
     """F_S of a (K, 3, 3) stack of factors G: G with the row space of its
     rows S = ``given`` projected out, and those rows set to exactly 0.
 
-    The row space is spanned by the right singular vectors of G_S whose
-    singular values exceed 3 eps times the largest, numpy's matrix_rank rule
-    for a block of at most three columns: at |rho_12| = 1 two rows of G are
-    parallel, and the second singular value is round-off.
+    The row space is spanned by modified Gram-Schmidt over the rows S in
+    order: each row, less its projections onto the directions already kept,
+    is kept as a direction where its norm exceeds 3 eps times the largest
+    row norm of G_S.  That is numpy's matrix_rank cut for a block of at most
+    three columns, read against the largest row norm instead of the largest
+    singular value.  At |rho| = 1 two rows of G are parallel, and the second
+    residual is round-off.  Every product and sum is elementwise in a fixed
+    order, so the values do not depend on the SIMD path numpy dispatches to.
     """
     if not given:
         return factor
-    _, s, basis = np.linalg.svd(factor[:, given, :], full_matrices=False)
-    basis = basis * (s > 3.0 * np.finfo(float).eps * s[:, :1])[:, :, np.newaxis]
-    out = factor - factor @ basis.transpose(0, 2, 1) @ basis
+
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+    rows = [factor[:, i, :] for i in given]
+    cut = 3.0 * np.finfo(float).eps * np.sqrt(np.maximum.reduce([dot(r, r) for r in rows]))
+    kept: list[np.ndarray] = []
+    for row in rows:
+        for u in kept:
+            row = row - dot(row, u)[:, np.newaxis] * u
+        norm = np.sqrt(dot(row, row))
+        scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > cut)
+        kept.append(row * scale[:, np.newaxis])
+    out = factor
+    for u in kept:
+        u = u[:, np.newaxis, :]
+        out = out - dot(out, u)[:, :, np.newaxis] * u
     out[:, given, :] = 0.0
     return out
 

@@ -153,19 +153,28 @@ MUTANTS = (
         ("tests/test_oracle.py::test_oracle_keeps_its_precision_at_high_snr[general-1e3-1e5]",),
     ),
     Mutant(
-        "the second projector vector is dropped",
+        "the second kept direction dropped",
         "oracle.py",
-        "    basis = basis * (s > 3.0 * np.finfo(float).eps * s[:, :1])[:, :, np.newaxis]",
-        "    basis = basis[:, :1]",
+        "    for u in kept:\n        u = u[:, np.newaxis, :]\n",
+        "    for u in kept[:1]:\n        u = u[:, np.newaxis, :]\n",
         ("tests/test_oracle.py::test_oracle_keeps_full_precision_next_to_the_edge[rho_2]",
-         "tests/test_oracle.py::test_grid_matches_scalar_oracle_interior"),
+         "tests/test_oracle.py::test_grid_matches_scalar_oracle_interior",
+         "tests/test_oracle.py::test_oracle_follows_the_grid_at_the_audits_drawn_triples"),
     ),
     Mutant(
-        "a round-off singular value spans the row space",
+        "a round-off residual kept as a direction",
         "oracle.py",
-        "(s > 3.0 * np.finfo(float).eps * s[:, :1])",
-        "(s > 0.0)",
+        "where=norm > cut)",
+        "where=norm > 0.0)",
         ("tests/test_oracle.py::test_grid_matches_reference_on_search_grid[1.0]",),
+    ),
+    Mutant(
+        "the second row not orthogonalised against the first",
+        "oracle.py",
+        "        for u in kept:\n            row = row - dot(row, u)[:, np.newaxis] * u\n",
+        "",
+        ("tests/test_oracle.py::test_projection_equals_the_svd_projector",
+         "tests/test_oracle.py::test_oracle_follows_the_grid_at_the_audits_drawn_triples"),
     ),
     Mutant(
         "AUDIT_TOL 1e-9 -> 1e-6",

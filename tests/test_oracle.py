@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -12,7 +13,7 @@ from wiretap_rates.audit import (
     draw_general_params,
     draw_orthogonal_params,
 )
-from wiretap_rates import discrete, oracle
+from wiretap_rates import audit, discrete, oracle
 from wiretap_rates.cli import load_config
 from wiretap_rates.core import (
     PSD_SLACK,
@@ -368,6 +369,90 @@ def test_oracle_keeps_full_precision_next_to_the_edge(triple):
 def test_grid_joint_term_next_to_rho12_one_is_exact(triple):
     joint = float(general_rate_terms_grid(GEN_POINT, *map(np.array, triple))[1])
     assert abs(joint - _exact_joint(GEN_POINT, triple)) <= 1e-12
+
+
+def _audit_general_draws():
+    """The parameter rows and triples of the audit's first 1,000 shared-band
+    draws at seed 12345."""
+    return audit._draw(AuditRng(12345), 1000, audit._GENERAL_RANGES, True)
+
+
+def _factors(params, triples):
+    """The factors G = V sqrt(W), R = V W V^T, that the oracle projects, of
+    parameter rows at their correlation triples."""
+    _, powers, _ = oracle._general_channel(params)
+    w, v = np.linalg.eigh(oracle._correlations(powers, *np.transpose(triples)))
+    return v * np.sqrt(np.maximum(w, 0.0))[:, np.newaxis, :]
+
+
+def _svd_unknown_part(factor, given):
+    """F_S by the SVD: G less its projection onto the right singular vectors
+    of G_S whose singular values exceed 3 eps times the largest (numpy's
+    matrix_rank cut), with rows S set to 0."""
+    _, s, basis = np.linalg.svd(factor[:, given, :], full_matrices=False)
+    basis = basis * (s > 3.0 * np.finfo(float).eps * s[:, :1])[:, :, np.newaxis]
+    out = factor - factor @ basis.transpose(0, 2, 1) @ basis
+    out[:, given, :] = 0.0
+    return out
+
+
+_KNOWN_ROWS = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+
+
+def _parallel(factor, i, j, sign):
+    """``factor`` with row j set to exactly ``sign`` times row i: |rho| = 1."""
+    factor = factor.copy()
+    factor[:, j, :] = sign * factor[:, i, :]
+    return factor
+
+
+def test_projection_equals_the_svd_projector():
+    # The Gram-Schmidt projection against an SVD reference with the same
+    # rank cut, for every one- and two-row S.  The entries differ by at most
+    # 1.7e-15 on the audit's drawn factors, 1.2e-15 where two of their rows
+    # are made exactly parallel (both routes drop the round-off direction)
+    # and 0 at rho = +-1 with each input silent in turn.
+    params, triples = _audit_general_draws()
+    drawn = _factors(params, triples)
+    silent = np.repeat(oracle._param_rows(GEN_POINT), 3, axis=0)
+    silent[[0, 1, 2], [7, 8, 9]] = 0.0
+    stacks = [
+        drawn,
+        *(_parallel(drawn, i, j, sign) for i, j in ((0, 1), (0, 2), (1, 2)) for sign in (1.0, -1.0)),
+        *(_factors(silent, [signs] * 3) for signs in itertools.product((1.0, -1.0), repeat=3)
+          if valid_correlation(*signs)),
+    ]
+    for factor in stacks:
+        for given in _KNOWN_ROWS:
+            got = oracle._unknown_part(factor, given)
+            assert np.abs(got - _svd_unknown_part(factor, given)).max() <= 1e-14, given
+            assert not got[:, given, :].any()
+    # Next to the edge G_S has a condition number of 4.5e4, and there
+    # the SVD itself is up to 9.3e-14 from the exact projection of the same
+    # factor in rationals; the two routes differ by at most 1.4e-13.
+    near_edge = _factors(oracle._param_rows(GEN_POINT), _NEAR_EDGE)
+    for given in _KNOWN_ROWS:
+        got = oracle._unknown_part(near_edge, given)
+        assert np.abs(got - _svd_unknown_part(near_edge, given)).max() <= 5e-13, given
+    # The orthogonal family's G is the identity: the projection is exact.
+    identity = np.eye(3)[np.newaxis]
+    for given in _KNOWN_ROWS:
+        assert np.array_equal(oracle._unknown_part(identity, given),
+                              _svd_unknown_part(identity, given))
+
+
+def test_oracle_follows_the_grid_at_the_audits_drawn_triples():
+    # The audit requires the shared-band main and joint terms only at
+    # rho = 0, where G is the identity, so it never checks a projection of
+    # two correlated rows.  Here all four terms at each of its 1,000 drawn
+    # triples follow the grid; they agree to 3.2e-14.  These triples stay
+    # well away from rho_12 = +-1, where the grid's joint term is weak.
+    params, triples = _audit_general_draws()
+    assert (1.0 - np.abs(triples[:, 2])).min() > 8e-3
+    got = oracle._rate_general_oracles(params, *triples.T)
+    want = [[float(t) for t in general_rate_terms_grid(GeneralGaussianParams(*row), *rho)]
+            for row, rho in zip(params.tolist(), triples)]
+    assert np.abs(got - np.array(want)).max() <= 1e-12
 
 
 def test_grid_matches_scalar_oracle_interior():
