@@ -270,7 +270,8 @@ def audit_general(seed: int = DEFAULT_SEED,
 
     Per draw: all four terms at the uncorrelated point (required), then the
     single-eavesdropper leakages at a random valid correlation triple
-    (required), the reading of eavesdropper 2's leakage that reuses rho_2
+    (required), the reading of eavesdropper 2's leakage with rho_2 in place
+    of rho_1, which is its leakage at the triple (rho_2, rho_2, 1)
     (informational: the two readings agree only while rho_1 = rho_2), and
     the main and joint terms at the same triple (informational: the printed
     forms deviate from the covariance route whenever both correlations are
@@ -293,8 +294,10 @@ def audit_general(seed: int = DEFAULT_SEED,
         terms = rate_general_closed_rows(both, at)
         closed[start:stop, :4] = terms[:k]
         closed[start:stop, 4] = single_eavesdropper_leakage_rows(1, params, rhos)
-        closed[start:stop, 5] = single_eavesdropper_leakage_rows(2, params, rhos)
-        closed[start:stop, 6] = single_eavesdropper_leakage_rows(2, params, rhos, rho2_both=True)
+        # single_2 at the triple, then at its alternative reading's triple.
+        alt = np.column_stack([rhos[:, 1], rhos[:, 1], np.ones(k)])
+        closed[start:stop, 5:7] = single_eavesdropper_leakage_rows(
+            2, both, np.concatenate([rhos, alt])).reshape(2, k).T
         # nan where the printed form is undefined at the triple.
         closed[start:stop, 7:] = terms[k:, :2]
     return AuditTable(*zip(*_GENERAL_TERMS), closed, oracle)

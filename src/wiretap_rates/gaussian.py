@@ -61,31 +61,20 @@ __all__ = [
 ]
 
 
-def _check_gain(name: str, v: float) -> None:
-    if not math.isfinite(v):
-        raise DomainError(f"gain {name} must be finite, got {v!r}")
+# The least value of each kind of field, and the message of a value below it
+# or past the greatest finite float: any finite gain, a power of 0 and the
+# least positive noise variance.
+_FLOAT_MAX = sys.float_info.max
+_GAIN = (-_FLOAT_MAX, "gain {} must be finite, got {!r}")
+_POWER = (0.0, "power {} must be finite and >= 0, got {!r}")
+_NOISE = (math.ulp(0.0), "noise variance {} must be finite and > 0, got {!r}")
 
 
-def _check_power(name: str, v: float) -> None:
-    if not math.isfinite(v) or v < 0.0:
-        raise DomainError(f"power {name} must be finite and >= 0, got {v!r}")
-
-
-def _check_noise(name: str, v: float) -> None:
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"noise variance {name} must be finite and > 0, got {v!r}")
-
-
-def _check_fields(values: dict[str, float], gains: int) -> None:
-    """Raise at the first field out of its domain, in field order: ``gains``
-    gains, then three powers, then the noise variances."""
-    for i, (name, v) in enumerate(values.items()):
-        if i < gains:
-            _check_gain(name, v)
-        elif i < gains + 3:
-            _check_power(name, v)
-        else:
-            _check_noise(name, v)
+def _check_fields(p: GeneralGaussianParams | OrthogonalGaussianParams) -> None:
+    """Raise at the first field of ``p`` out of its domain, in field order."""
+    for (name, v), (floor, message) in zip(vars(p).items(), _FIELDS[type(p)][2]):
+        if not floor <= v <= _FLOAT_MAX:
+            raise DomainError(message.format(name, v))
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,7 @@ class OrthogonalGaussianParams:
     N_2e_c: float
 
     def __post_init__(self) -> None:
-        _check_fields(vars(self), 5)
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -153,7 +142,7 @@ class GeneralGaussianParams:
     N_2e: float
 
     def __post_init__(self) -> None:
-        _check_fields(vars(self), 7)
+        _check_fields(self)
 
 
 def _param_rows(p: GeneralGaussianParams | OrthogonalGaussianParams) -> np.ndarray:
@@ -161,14 +150,13 @@ def _param_rows(p: GeneralGaussianParams | OrthogonalGaussianParams) -> np.ndarr
     return np.array([list(vars(p).values())])
 
 
-# Each parameter class's field names, and the least value each field may
-# take, in field order: any finite gain, a power of 0 and the least positive
-# noise variance.  Every field is at most the greatest finite float.
-_FLOAT_MAX = sys.float_info.max
+# Each parameter class's field names, the least value of each field as one
+# array for the batches, and each field's (least value, message), in field
+# order.
 _FIELDS = {
-    form: (tuple(f.name for f in fields(form)),
-           np.array([-_FLOAT_MAX] * gains + [0.0] * 3 + [math.ulp(0.0)] * (10 - gains)))
-    for form, gains in ((OrthogonalGaussianParams, 5), (GeneralGaussianParams, 7))
+    form: (tuple(f.name for f in fields(form)), np.array([floor for floor, _ in kinds]), kinds)
+    for form, kinds in ((OrthogonalGaussianParams, (_GAIN,) * 5 + (_POWER,) * 3 + (_NOISE,) * 5),
+                        (GeneralGaussianParams, (_GAIN,) * 7 + (_POWER,) * 3 + (_NOISE,) * 3))
 }
 
 
@@ -211,7 +199,7 @@ class _Batch:
     def __init__(self, form: type, params: np.ndarray, squared: tuple[str, ...],
                  rhos: np.ndarray | None = None, raises: bool = False) -> None:
         x = np.asarray(params, dtype=float)
-        names, floors = _FIELDS[form]
+        names, floors, _ = _FIELDS[form]
         ok = ((x >= floors) & (x <= _FLOAT_MAX)).all(axis=1)
         self._checks: list[tuple[np.ndarray | None, Callable[[int], object]]] = [
             (~ok, lambda i: form(*x[i].tolist()))]
@@ -369,12 +357,11 @@ def _single_gains(j: int) -> tuple[str, str]:
     return f"h_l_{j}e", f"h_{3 - j}e_{j}e"
 
 
-def _single(b: _Batch, j: int, rho2_both: bool = False) -> int:
+def _single(b: _Batch, j: int) -> int:
     """Record eavesdropper j's single leakage on ``b``; its theta index."""
     x, k = b.x, 3 - j
     h, g = _single_gains(j)
-    P_l, P_k = x["P_l"], x[f"P_{k}e"]
-    r = x["rho_2" if rho2_both else f"rho_{k}"]
+    P_l, P_k, r = x["P_l"], x[f"P_{k}e"], x[f"rho_{k}"]
     num = b.gain(h) * P_l + b.gain(g) * P_k + 2.0 * x[h] * x[g] * r * np.sqrt(P_l * P_k)
     # |r| <= 1 makes the quadratic form non-negative; a negative value
     # indicates an internal inconsistency, not a caller error.
@@ -384,28 +371,25 @@ def _single(b: _Batch, j: int, rho2_both: bool = False) -> int:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _single_rows(j: int, params: np.ndarray, rhos: np.ndarray, rho2_both: bool,
-                 raises: bool = False) -> np.ndarray:
+def _single_rows(j: int, params: np.ndarray, rhos: np.ndarray, raises: bool = False) -> np.ndarray:
     if j not in (1, 2):
         raise DomainError(f"eavesdropper index must be 1 or 2, got {j!r}")
     b = _Batch(GeneralGaussianParams, params, _single_gains(j), rhos, raises)
-    return b.thetas(_single(b, j, rho2_both))[:, 0]
+    return b.thetas(_single(b, j))[:, 0]
 
 
-def single_eavesdropper_leakage_rows(j: int, params: np.ndarray, rhos: np.ndarray,
-                                     rho2_both: bool = False) -> np.ndarray:
+def single_eavesdropper_leakage_rows(j: int, params: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     """:func:`single_eavesdropper_leakage` of K rows of
     :class:`GeneralGaussianParams` fields in field order at K triples
     (rho_1, rho_2, rho_12): a (K,) array, nan on each row where the scalar
     call raises.  An index ``j`` other than 1 or 2 raises DomainError."""
-    return _single_rows(j, params, rhos, rho2_both)
+    return _single_rows(j, params, rhos)
 
 
 def single_eavesdropper_leakage(
     j: int,
     p: GeneralGaussianParams,
     rho: CorrelationTriple,
-    rho2_both: bool = False,
 ) -> float:
     """Leakage toward eavesdropper j alone in the shared-band model.
 
@@ -417,13 +401,13 @@ def single_eavesdropper_leakage(
     where k is the other eavesdropper, h_lj the legitimate-to-j gain, g the
     cross gain from k into j, and rho_k the correlation between X_ke and X_l.
 
-    With ``rho2_both=True`` the cross term uses rho_2 for both j=1 and j=2
-    instead of the helping input's own correlation.  That variant exists only
-    for audit comparisons; the default is the covariance-consistent reading.
+    The form never reads rho_12.  The reading of eavesdropper 2's leakage
+    with rho_2 in place of rho_1 is its leakage at the triple (rho_2, rho_2,
+    1), which is always valid: the audit reports it that way.
 
     A batch of one of :func:`single_eavesdropper_leakage_rows`.
     """
-    return float(_single_rows(j, _param_rows(p), np.array([rho.as_tuple()]), rho2_both, raises=True)[0])
+    return float(_single_rows(j, _param_rows(p), np.array([rho.as_tuple()]), raises=True)[0])
 
 
 # The squares the shared-band form takes: the seven gains, the triple, and

@@ -128,6 +128,34 @@ MUTANTS = (
         ("tests/test_oracle.py::test_negative_round_off_is_truncated_only_down_to_neg_tol",),
     ),
     Mutant(
+        "PSD_SLACK 1e-12 -> 1e-9",
+        "core.py",
+        "PSD_SLACK = 1e-12",
+        "PSD_SLACK = 1e-9",
+        ("tests/test_core.py::test_psd_slack_bounds_the_determinant",),
+    ),
+    Mutant(
+        "pmf negative-entry bound _SUM_TOL 1e-12 -> 1e-9",
+        "discrete.py",
+        "_SUM_TOL = 1e-12",
+        "_SUM_TOL = 1e-9",
+        ("tests/test_discrete.py::test_input_law_refuses_a_negative_entry_past_round_off",),
+    ),
+    Mutant(
+        "covariance symmetry bound 1e-12 -> 1e-9 of scale",
+        "oracle.py",
+        "> 1e-12 * scale:",
+        "> 1e-9 * scale:",
+        ("tests/test_oracle.py::test_covariance_check_refuses_an_asymmetry_past_round_off",),
+    ),
+    Mutant(
+        "conditional mutual information bound -1e-10 -> -1e-7",
+        "discrete.py",
+        "if (value < -1e-10).any():",
+        "if (value < -1e-7).any():",
+        ("tests/test_discrete.py::test_cmi_round_off_is_truncated_only_down_to_its_bound[-2e-10-None]",),
+    ),
+    Mutant(
         "whitened output covariances with non-finite entries reach LAPACK",
         "oracle.py",
         "        if not np.isfinite(gram).all():",
@@ -443,11 +471,23 @@ MUTANTS = (
         ("tests/test_gaussian.py::test_scalar_shared_band_calls_are_batches_of_one",),
     ),
     Mutant(
-        "single_2_alt reads rho_1 instead of rho_2",
+        "a power of 0 refused",
         "gaussian.py",
-        'r = x["rho_2" if rho2_both else f"rho_{k}"]',
-        'r = x[f"rho_{k}"]',
-        ("tests/test_gaussian.py::test_batch_rows_equal_the_printed_forms_in_plain_floats",),
+        '_POWER = (0.0, "power',
+        '_POWER = (math.ulp(0.0), "power',
+        # Every module that builds a silent point at import fails to collect,
+        # test_oracle.py among them; these tests still run and fail.
+        tuple(f"tests/test_gaussian.py::test_each_field_takes_the_ends_of_its_domain[{family}]"
+              for family in ("orthogonal", "general")),
+    ),
+    Mutant(
+        "a noise of 0 accepted",
+        "gaussian.py",
+        '_NOISE = (math.ulp(0.0), "noise',
+        '_NOISE = (0.0, "noise',
+        ("tests/test_gaussian.py::test_param_validation",
+         "tests/test_gaussian.py::"
+         "test_a_field_out_of_its_domain_raises_its_kinds_message[orthogonal-N_2e_m-0.0]"),
     ),
     Mutant(
         "the overflow check on a gain's square dropped",
@@ -484,6 +524,13 @@ MUTANTS = (
         ("tests/test_gaussian.py::test_batch_rows_equal_the_printed_forms_in_plain_floats",),
     ),
     # The audit.
+    Mutant(
+        "single_2_alt reads rho_1 instead of rho_2",
+        "audit.py",
+        "alt = np.column_stack([rhos[:, 1], rhos[:, 1], np.ones(k)])",
+        "alt = np.column_stack([rhos[:, 0], rhos[:, 1], np.ones(k)])",
+        ("tests/test_audit.py::test_audit_reports_the_rho2_both_reading_as_information",),
+    ),
     Mutant(
         "a block leaves the generator one uniform past its last",
         "audit.py",

@@ -20,7 +20,7 @@ from wiretap_rates.audit import (
     rows_to_csv,
     run_audit,
 )
-from wiretap_rates.core import ZERO_RHO, valid_correlation as is_valid_correlation
+from wiretap_rates.core import ZERO_RHO, CorrelationTriple, valid_correlation as is_valid_correlation
 from wiretap_rates.gaussian import single_eavesdropper_leakage
 from wiretap_rates.oracle import rate_general_oracle, rate_orthogonal_oracle
 
@@ -110,8 +110,11 @@ def test_audit_reports_the_rho2_both_reading_as_information():
     alt = table.names.index("general/rho/single_2_alt")
     single_2 = table.names.index("general/rho/single_2")
     assert not table.required[alt]
+    # The reading with rho_2 in place of rho_1: eavesdropper 2's leakage at
+    # the triple (rho_2, rho_2, 1).
     assert table.closed[:, alt].tolist() == [
-        single_eavesdropper_leakage(2, p, rho, rho2_both=True) for p, rho in draws
+        single_eavesdropper_leakage(2, p, CorrelationTriple(rho.rho_2, rho.rho_2, 1.0))
+        for p, rho in draws
     ]
     assert table.oracle[:, alt].tolist() == table.oracle[:, single_2].tolist()
     # The two readings differ wherever rho_1 != rho_2, and only the
@@ -260,14 +263,17 @@ def test_batched_audit_equals_per_draw_oracle_calls(rho2_both):
     assert [(i, name, t.oracle[i, j]) for t in rep.tables for i in range(draws)
             for j, name in enumerate(t.names)] == per_draw_oracle_rows(6, draws)
     # Each reading of eavesdropper 2's leak has its own column: single_2 is
-    # the covariance-consistent one, single_2_alt the one that reuses rho_2.
+    # the covariance-consistent one, single_2_alt the one that reuses rho_2,
+    # which is single_2 at the triple (rho_2, rho_2, 1).
     name = "general/rho/single_2_alt" if rho2_both else "general/rho/single_2"
     rng = AuditRng(6)
     expected = []
     for _ in range(draws):
         p = draw_general_params(rng)
         rho = draw_correlation(rng)
-        expected.append(single_eavesdropper_leakage(2, p, rho, rho2_both=rho2_both))
+        if rho2_both:
+            rho = CorrelationTriple(rho.rho_2, rho.rho_2, 1.0)
+        expected.append(single_eavesdropper_leakage(2, p, rho))
     general = rep.tables[1]
     assert general.closed[:, general.names.index(name)].tolist() == expected
 

@@ -101,6 +101,19 @@ def test_valid_correlation_float_path_matches_array_path(rho):
     assert valid_correlation(*rho) == bool(valid_correlation(*map(np.array, rho)))
 
 
+@given(st.floats(min_value=-1.0, max_value=1.0))
+def test_equal_correlations_with_the_third_at_one_are_valid(rho):
+    # (rho, rho, 1) is singular: its determinant computes to within a few
+    # ulps of 0, well inside PSD_SLACK.
+    assert valid_correlation(rho, rho, 1.0)
+
+
+def test_psd_slack_bounds_the_determinant():
+    # Determinants -9.6e-11 and -9.6e-14 against a slack of 1e-12.
+    assert not valid_correlation(0.6, 0.8, -1e-10)
+    assert valid_correlation(0.6, 0.8, -1e-13)
+
+
 def test_combine_breakdown_joint_binds():
     b = RateBreakdown(1.0, 0.2, 0.5, 0.6)
     assert b.effective_leakage == 0.2

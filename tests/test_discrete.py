@@ -118,6 +118,28 @@ def test_input_law_normalization_bound():
         EavesdropperInputDist(np.array([[0.5, 0.5 + 1e-7]]))
 
 
+def test_input_law_refuses_a_negative_entry_past_round_off():
+    # An entry may fall below 0 by at most 1e-12.
+    EavesdropperInputDist(np.array([[0.5 + 1e-13, 0.5, -1e-13]]))
+    with pytest.raises(DomainError, match="negative entry"):
+        EavesdropperInputDist(np.array([[0.5 + 1e-11, 0.5, -1e-11]]))
+
+
+@pytest.mark.parametrize("term, expected", [(-5e-11, 0.0), (-2e-10, None)])
+def test_cmi_round_off_is_truncated_only_down_to_its_bound(monkeypatch, term, expected):
+    # No valid pmf gives a term below 0 by more than round-off, so the
+    # entropies are substituted: H(A) = term, H(B) = H() = H(A, B) = 0 on a
+    # 2x3 joint, whose marginals have 2, 3, 1 and 6 cells.
+    monkeypatch.setattr(discrete, "_entropies",
+                        lambda pmfs: np.full(len(pmfs), term if pmfs.shape[1] == 2 else 0.0))
+    joints = np.full((1, 2, 3), 1.0 / 6.0)
+    if expected is None:
+        with pytest.raises(DomainError, match="joint pmf is inconsistent"):
+            discrete._cmi_bits(joints, [((0,), (1,), ())])
+    else:
+        assert discrete._cmi_bits(joints, [((0,), (1,), ())])[0].tolist() == [expected]
+
+
 def test_joint_distribution_is_a_pmf():
     ch = bundled_channel()
     r, q = uniform_inputs(ch)

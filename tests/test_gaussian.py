@@ -1,7 +1,8 @@
 import collections
 import math
 import re
-from dataclasses import astuple, replace
+import sys
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -139,18 +140,31 @@ def test_single_leakage_uses_partner_correlation():
     assert c == d
 
 
+def alternative(rho):
+    """The triple of the reading of eavesdropper 2's leakage with rho_2 in
+    place of rho_1: (rho_2, rho_2, 1)."""
+    return CorrelationTriple(rho.rho_2, rho.rho_2, 1.0)
+
+
+def alternatives(rhos):
+    """:func:`alternative` of each row of a (K, 3) array of triples."""
+    return np.column_stack([rhos[:, 1], rhos[:, 1], np.ones(len(rhos))])
+
+
 def test_single_leakage_rho2_both_variant():
     t = CorrelationTriple(0.3, 0.6, 0.2)
     default = single_eavesdropper_leakage(2, GEN_POINT, t)
-    variant = single_eavesdropper_leakage(2, GEN_POINT, t, rho2_both=True)
+    variant = single_eavesdropper_leakage(2, GEN_POINT, alternative(t))
     swapped = single_eavesdropper_leakage(
         2, GEN_POINT, CorrelationTriple(0.6, 0.6, 0.2)
     )
     assert variant != default
+    # The form never reads rho_12.
     assert variant == swapped
-    # j=1 ignores the flag
+    assert variant == printed_single(2, GEN_POINT, t.as_tuple(), rho2_both=True)
+    # j=1 reads rho_2 in both readings.
     assert single_eavesdropper_leakage(1, GEN_POINT, t) == \
-        single_eavesdropper_leakage(1, GEN_POINT, t, rho2_both=True)
+        single_eavesdropper_leakage(1, GEN_POINT, alternative(t))
 
 
 def test_single_leakage_rejects_bad_index():
@@ -264,6 +278,67 @@ def test_param_validation():
         replace(GEN_POINT, h_l=math.inf)
 
 
+# Each family's reference point and, in field order, the message a field
+# out of its domain raises.
+GAIN = "gain {} must be finite, got {!r}"
+POWER = "power {} must be finite and >= 0, got {!r}"
+NOISE = "noise variance {} must be finite and > 0, got {!r}"
+FIELD_MESSAGES = {
+    "orthogonal": (OG_POINT, [GAIN] * 5 + [POWER] * 3 + [NOISE] * 5),
+    "general": (GEN_POINT, [GAIN] * 7 + [POWER] * 3 + [NOISE] * 3),
+}
+
+
+def field_message(family, name, value):
+    """The message of field ``name`` of ``family`` out of its domain at ``value``."""
+    point, messages = FIELD_MESSAGES[family]
+    return messages[[f.name for f in fields(point)].index(name)].format(name, value)
+
+
+@pytest.mark.parametrize("family, name, value", [
+    ("orthogonal", "h_1m", math.inf), ("orthogonal", "P_1e", -5e-324),
+    ("orthogonal", "N_2e_m", 0.0), ("general", "h_2e_1e", -math.inf),
+    ("general", "P_2e", math.inf), ("general", "N_1e", -0.0),
+])
+def test_a_field_out_of_its_domain_raises_its_kinds_message(family, name, value):
+    with pytest.raises(DomainError, match=f"^{re.escape(field_message(family, name, value))}$"):
+        replace(FIELD_MESSAGES[family][0], **{name: value})
+
+
+@pytest.mark.parametrize("family", ["orthogonal", "general"])
+def test_the_first_field_out_of_its_domain_is_the_one_reported(family):
+    # Every field from the i-th on is nan; the i-th is named.
+    point, messages = FIELD_MESSAGES[family]
+    names = [f.name for f in fields(point)]
+    for i, name in enumerate(names):
+        with pytest.raises(DomainError, match=f"^{re.escape(messages[i].format(name, math.nan))}$"):
+            replace(point, **dict.fromkeys(names[i:], math.nan))
+
+
+@pytest.mark.parametrize("family", ["orthogonal", "general"])
+def test_each_field_takes_the_ends_of_its_domain(family):
+    point, messages = FIELD_MESSAGES[family]
+    for name, message in zip([f.name for f in fields(point)], messages):
+        ends = {GAIN: (-sys.float_info.max, sys.float_info.max), POWER: (-0.0, 0.0),
+                NOISE: (5e-324, sys.float_info.max)}[message]
+        for value in ends:
+            assert getattr(replace(point, **{name: value}), name) == value
+
+
+@pytest.mark.parametrize("family, name", [
+    (family, name) for family, names in (("orthogonal", ("h_l", "P_2e", "N_2e_c")),
+                                         ("general", ("h_1e_2e", "P_l", "N_l")))
+    for name in names
+])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_an_int_past_the_float_range_raises_domain_error(family, name, sign):
+    # Python raises OverflowError where such an int meets a float operation;
+    # the field is refused with its kind's message instead.
+    value = sign * 10 ** 400
+    with pytest.raises(DomainError, match=f"^{re.escape(field_message(family, name, value))}$"):
+        replace(FIELD_MESSAGES[family][0], **{name: value})
+
+
 def row(p):
     """One parameter set as a (1, 13) array in field order."""
     return np.array([astuple(p)])
@@ -349,7 +424,8 @@ def test_batch_rows_equal_the_printed_forms_in_plain_floats():
         expected = printed_general(p, rho)
         assert np.isnan(terms).all() if expected is None else terms.tolist() == expected
     for j, rho2_both in ((1, False), (2, False), (2, True)):
-        assert single_eavesdropper_leakage_rows(j, params, rhos, rho2_both).tolist() == [
+        at = alternatives(rhos) if rho2_both else rhos
+        assert single_eavesdropper_leakage_rows(j, params, at).tolist() == [
             printed_single(j, p, rho, rho2_both) for p, rho in zip(points, rhos.tolist())]
 
 
@@ -383,14 +459,14 @@ def test_scalar_shared_band_calls_are_batches_of_one():
     params, rhos = audit_draws("general")
     at_rho = rate_general_closed_rows(params, rhos)
     at_zero = rate_general_closed_rows(params, np.zeros_like(rhos))
-    singles = [single_eavesdropper_leakage_rows(j, params, rhos, alt)
-               for j, alt in ((1, False), (2, False), (2, True))]
+    singles = [single_eavesdropper_leakage_rows(j, params, at)
+               for j, at in ((1, rhos), (2, rhos), (2, alternatives(rhos)))]
     raised = collections.Counter()
     for i, (r, rho) in enumerate(zip(params.tolist(), rhos.tolist())):
         p, t = GeneralGaussianParams(*r), CorrelationTriple(*rho)
         assert astuple(rate_general_closed(p, ZERO_RHO)) == tuple(at_zero[i].tolist())
-        assert [single_eavesdropper_leakage(j, p, t, alt)
-                for j, alt in ((1, False), (2, False), (2, True))] == [s[i] for s in singles]
+        assert [single_eavesdropper_leakage(j, p, at)
+                for j, at in ((1, t), (2, t), (2, alternative(t)))] == [s[i] for s in singles]
         try:
             terms = astuple(rate_general_closed(p, t))
         except DomainError as e:

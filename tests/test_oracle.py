@@ -111,6 +111,13 @@ def test_covariance_check_rejects_a_bad_matrix(entry, value, message):
         oracle._check_covariances(m)
 
 
+def test_covariance_check_refuses_an_asymmetry_past_round_off():
+    # A covariance may be asymmetric by at most 1e-12 of its scale.
+    oracle._check_covariances(np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]]))
+    with pytest.raises(DomainError, match="symmetric"):
+        oracle._check_covariances(np.array([[1.0, 0.5], [0.5 + 1e-10, 1.0]]))
+
+
 def test_covariance_unknown_label():
     cov = build_joint_covariance_general(GEN_POINT, ZERO_RHO)
     with pytest.raises(DomainError, match="unknown variable"):
